@@ -21,6 +21,8 @@ from classgraph import (
     class_size,
     class_size_spectrum,
     convolve_spectra,
+    dgroup_witness,
+    dgroup_witness_of,
     evaluate,
     is_frobenius_action,
     to_permutation,
@@ -250,11 +252,11 @@ def test_convolution_is_commutative_and_sums_multiply(a, b):
 
 
 @st.composite
-def small_semidirect_groups(draw):
+def small_semidirect_groups(draw, kernels=(3, 5, 7, 9), tops=(2, 3, 4, 6), max_kernel=2):
     from classgraph.primes import multiplicative_order
 
-    kernel = draw(st.lists(st.sampled_from([3, 5, 7, 9]), min_size=1, max_size=2))
-    top_order = draw(st.sampled_from([2, 3, 4, 6]))
+    kernel = draw(st.lists(st.sampled_from(kernels), min_size=1, max_size=max_kernel))
+    top_order = draw(st.sampled_from(tops))
     mults = []
     for m in kernel:
         units = [
@@ -285,6 +287,41 @@ def test_metabelian_spectrum_sums_to_order(g):
     spectrum = class_size_spectrum(g)
     assert sum(s * c for s, c in spectrum.items()) == g.order
     assert spectrum[1] >= 1
+
+
+@st.composite
+def coprime_semidirect_products(draw):
+    """A x B for two small semidirect groups whose orders share no prime."""
+    a = draw(small_semidirect_groups(kernels=(5,), tops=(2, 4), max_kernel=1))
+    b = draw(small_semidirect_groups(kernels=(7,), tops=(3,)))
+    return evaluate(Direct((_as_expr(a), _as_expr(b))))
+
+
+def _as_expr(g: MetabelianGroup) -> Semidirect:
+    return Semidirect(g.kernel.factor_orders, g.top.factor_orders, g.action.multipliers)
+
+
+def _witness_json(witness):
+    return None if witness is None else witness.to_json_obj()
+
+
+def _assert_routes_agree(g):
+    perm = to_permutation(g)
+    assert _witness_json(dgroup_witness_of(g)) == _witness_json(dgroup_witness(perm))
+    assert class_size_spectrum(g) == perm.class_size_spectrum()
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_semidirect_groups())
+def test_structured_and_permutation_routes_agree(g):
+    _assert_routes_agree(g)
+
+
+@settings(max_examples=15, deadline=None)
+@given(coprime_semidirect_products())
+def test_structured_and_permutation_routes_agree_on_coprime_products(g):
+    assert g.factors is not None and len(g.factors) == 2
+    _assert_routes_agree(g)
 
 
 # -- to_permutation --------------------------------------------------------------------
