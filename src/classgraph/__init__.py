@@ -17,7 +17,6 @@ from .analysis import (
     dgroup_witness,
     dgroup_witness_of,
     is_dgroup_spectral,
-    spectrum_of,
     strip_central_sylows,
     structural_dgroup_witness,
     verify_decomposition,

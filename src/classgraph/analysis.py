@@ -20,10 +20,17 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .blocks import BlockPartition, find_block_partitions
-from .construction import MetabelianGroup, class_size_spectrum, to_permutation
+from .construction import MetabelianGroup
 from .errors import CapExceeded, DecompositionFailure
 from .graph import PrimeGraph, delta_of
-from .perm import PermGroup, Permutation, SubgroupWitness
+from .perm import (
+    PermGroup,
+    Permutation,
+    SubgroupWitness,
+    _compose,
+    _order_of_images,
+    closure,
+)
 from .primes import prime_factors, valuation
 
 VERIFIED = "VERIFIED"
@@ -109,63 +116,51 @@ def _find_subgroup_of_order(group: PermGroup, target: int) -> frozenset[Permutat
     Deterministic breadth-first search over generated subgroups, seeded
     from single elements and extended one candidate at a time.  All
     elements of such a subgroup necessarily have order dividing target, so
-    candidates are prefiltered accordingly.
+    candidates are prefiltered accordingly.  The search runs on image
+    tuples; only the subgroup it returns becomes Permutation objects.
     """
+    ident = group.identity().images
     if target == 1:
         return frozenset([group.identity()])
-    candidates = [
-        p for p in group.elements() if target % p.order() == 0 and not p.is_identity()
-    ]
+    orders = {p.images: _order_of_images(p.images) for p in group.elements()}
+    candidates = [x for x, o in orders.items() if target % o == 0 and x != ident]
+
+    def generated(gens: tuple) -> frozenset | None:
+        grown = closure({ident}, gens, _compose, limit=target)
+        return None if grown is None else frozenset(grown)
+
+    def found(grown: frozenset) -> frozenset[Permutation]:
+        return frozenset(Permutation(x) for x in grown)
+
     # Cyclic seeds first: the closure of a single element is its power list,
     # so the first element of order exactly `target` decides immediately.
     for x in candidates:
-        if x.order() == target:
-            grown = _generated_subgroup(group, (x,), limit=target)
+        if orders[x] == target:
+            grown = generated((x,))
             assert grown is not None and len(grown) == target
-            return grown
+            return found(grown)
     budget = _SEARCH_BUDGET
-    seen: set[frozenset[Permutation]] = set()
-    queue: deque[tuple[frozenset[Permutation], tuple[Permutation, ...]]] = deque(
-        [(frozenset([group.identity()]), ())]
-    )
+    seen: set[frozenset] = set()
+    queue: deque[tuple[frozenset, tuple]] = deque([(frozenset([ident]), ())])
     while queue:
-        closure, gens = queue.popleft()
+        subgroup, gens = queue.popleft()
         for x in candidates:
-            if x in closure:
+            if x in subgroup:
                 continue
             budget -= 1
             if budget < 0:
                 raise CapExceeded("complement search budget exceeded")
             new_gens = gens + (x,)
-            grown = _generated_subgroup(group, new_gens, limit=target)
+            grown = generated(new_gens)
             if grown is None or target % len(grown) != 0:
                 continue
             if len(grown) == target:
                 # Lagrange keeps element orders dividing target automatically.
-                return grown
+                return found(grown)
             if grown not in seen:
                 seen.add(grown)
                 queue.append((grown, new_gens))
     return None
-
-
-def _generated_subgroup(
-    group: PermGroup, gens: tuple[Permutation, ...], *, limit: int
-) -> frozenset[Permutation] | None:
-    out = {group.identity()}
-    frontier = [group.identity()]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in out:
-                    if len(out) >= limit:
-                        return None
-                    out.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(out)
 
 
 def _is_abelian_set(elements: frozenset[Permutation]) -> bool:
@@ -184,7 +179,7 @@ def dgroup_witness(group: PermGroup) -> DGroupWitness | None:
     complements are conjugate, so one candidate decides.  The Frobenius
     condition is checked as: C_B(a) <= Z(G) for every nontrivial a in A.
     """
-    order = group.order()
+    order = group.order
     derived = group.derived_subgroup()
     a_order = derived.order
     if a_order == 1 or order % a_order != 0:
@@ -229,15 +224,19 @@ def dgroup_witness(group: PermGroup) -> DGroupWitness | None:
 _UNDECIDED = object()
 
 
-def _structural_parts(
-    g: MetabelianGroup,
-) -> tuple[list[MetabelianGroup], list[MetabelianGroup]] | None:
+_Split = tuple[list[MetabelianGroup], list[MetabelianGroup]]
+
+
+def _structural_parts(group: MetabelianGroup | PermGroup) -> _Split | None:
     """Split a structured group into (abelian parts, Frobenius parts).
 
-    Returns None when some part is neither: those groups fall back to the
-    permutation route.
+    Returns None for a permutation group, which carries no construction
+    structure, and when some part is neither abelian nor Frobenius: those
+    groups take the permutation route.
     """
-    parts = g.factors if g.factors else (g,)
+    if not isinstance(group, MetabelianGroup):
+        return None
+    parts = group.factors if group.factors else (group,)
     abelian = [p for p in parts if p.is_abelian]
     frobenius = [p for p in parts if not p.is_abelian and p.frobenius]
     if len(abelian) + len(frobenius) != len(parts):
@@ -246,14 +245,16 @@ def _structural_parts(
 
 
 def structural_dgroup_witness(g: MetabelianGroup):
-    """D-group decision from construction provenance, without enumerating.
+    """D-group decision from construction structure, without enumerating.
 
     Returns a DGroupWitness, None (definitely not a D-group), or the
     _UNDECIDED sentinel when the structure does not determine the answer.
     """
     split = _structural_parts(g)
-    if split is None:
-        return _UNDECIDED
+    return _UNDECIDED if split is None else _witness_from_parts(split)
+
+
+def _witness_from_parts(split: _Split) -> DGroupWitness | None:
     abelian, frobenius = split
     if len(frobenius) != 1:
         return None
@@ -274,13 +275,11 @@ def dgroup_witness_of(
     *,
     cap: int | None = None,
 ) -> DGroupWitness | None:
-    """Dispatch: structural decision when provenance allows, else enumerate."""
-    if isinstance(group, PermGroup):
-        return dgroup_witness(group)
-    result = structural_dgroup_witness(group)
-    if result is not _UNDECIDED:
-        return result
-    return dgroup_witness(to_permutation(group, cap=cap))
+    """Structural decision when the structure allows, else enumerate."""
+    split = _structural_parts(group)
+    if split is None:
+        return dgroup_witness(group.to_permutation(cap=cap))
+    return _witness_from_parts(split)
 
 
 # -- central stripping ---------------------------------------------------------
@@ -293,7 +292,7 @@ def strip_central_sylows(group: PermGroup) -> CentralSplit:
     central primes; it must form a (normal) subgroup, and together with
     the central Hall part it multiplies back to |G|.
     """
-    order = group.order()
+    order = group.order
     center_order = group.center().order
     central = tuple(
         p for p in prime_factors(order) if valuation(center_order, p) == valuation(order, p)
@@ -317,17 +316,9 @@ def strip_central_sylows(group: PermGroup) -> CentralSplit:
 # -- block-square decomposition verifier ---------------------------------------
 
 
-def spectrum_of(group: MetabelianGroup | PermGroup) -> Counter[int]:
-    if isinstance(group, PermGroup):
-        return group.class_size_spectrum()
-    return class_size_spectrum(group)
-
-
 def _structural_decomposition(
-    g: MetabelianGroup, partitions: tuple[BlockPartition, ...]
+    split: _Split, partitions: tuple[BlockPartition, ...]
 ) -> DecompositionWitness | None:
-    split = _structural_parts(g)
-    assert split is not None
     abelian, frobenius = split
     if len(frobenius) != 2:
         return None
@@ -345,9 +336,9 @@ def _structural_decomposition(
                 frozenset(prime_factors(first.order)) == sigma_a
                 and frozenset(prime_factors(second.order)) == sigma_b
             ):
-                wa = structural_dgroup_witness(first)
-                wb = structural_dgroup_witness(second)
-                assert isinstance(wa, DGroupWitness) and isinstance(wb, DGroupWitness)
+                wa = _witness_from_parts(([], [first]))
+                wb = _witness_from_parts(([], [second]))
+                assert wa is not None and wb is not None
                 return DecompositionWitness(
                     central_primes=tuple(sorted(central_primes)),
                     a_order=first.order,
@@ -364,7 +355,7 @@ def _permutation_decomposition(
 ) -> DecompositionWitness | None:
     split = strip_central_sylows(group)
     core = split.core
-    core_order = core.order()
+    core_order = core.order
     for partition in partitions:
         sigma_a = frozenset(partition.pi1) | frozenset(partition.pi4)
         sigma_b = frozenset(partition.pi2) | frozenset(partition.pi3)
@@ -413,25 +404,19 @@ def verify_decomposition(
     partition list is also flagged for those inputs.
     """
     if spectrum is None:
-        spectrum = spectrum_of(group)
+        spectrum = group.class_size_spectrum()
     if graph is None:
         graph = delta_of(spectrum)
     if partitions is None:
         partitions = tuple(find_block_partitions(graph, weak_witness=weak_witness))
-    declared_product = False
-    if isinstance(group, MetabelianGroup):
-        split = _structural_parts(group)
-        declared_product = split is not None and len(split[1]) == 2
+    split = _structural_parts(group)
     if not partitions:
+        declared_product = split is not None and len(split[1]) == 2
         status = COUNTEREXAMPLE_CANDIDATE if declared_product else NOT_BLOCK_SQUARE
         return DecompositionReport(status, spectrum, graph, partitions, None)
-    witness: DecompositionWitness | None
-    if isinstance(group, MetabelianGroup) and _structural_parts(group) is not None:
-        witness = _structural_decomposition(group, partitions)
+    if split is not None:
+        witness = _structural_decomposition(split, partitions)
     else:
-        perm_group = (
-            group if isinstance(group, PermGroup) else to_permutation(group, cap=cap)
-        )
-        witness = _permutation_decomposition(perm_group, partitions)
+        witness = _permutation_decomposition(group.to_permutation(cap=cap), partitions)
     status = VERIFIED if witness is not None else COUNTEREXAMPLE_CANDIDATE
     return DecompositionReport(status, spectrum, graph, partitions, witness)

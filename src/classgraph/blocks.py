@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .errors import BadPartition, TooManyVertices
 from .graph import PrimeGraph
+from .perm import _compose, closure
 
 DEFAULT_SEARCH_BOUND = 20
 
@@ -52,16 +53,9 @@ class BlockPartition:
 # by pi1<->pi4, pi2<->pi3, and swapping the pair (pi1,pi4) with (pi2,pi3).
 def _symmetry_maps() -> tuple[tuple[int, int, int, int], ...]:
     gens = [(3, 1, 2, 0), (0, 2, 1, 3), (1, 0, 3, 2)]
-    seen = {(0, 1, 2, 3)}
-    frontier = [(0, 1, 2, 3)]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = tuple(cur[i] for i in g)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return tuple(sorted(seen))
+    maps = closure({(0, 1, 2, 3)}, gens, _compose)
+    assert maps is not None
+    return tuple(sorted(maps))
 
 
 SQUARE_SYMMETRIES = _symmetry_maps()

@@ -26,7 +26,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .blocks import BlockPartition, is_admissible_block_square
-from .construction import Direct, Frobenius, class_size_spectrum, evaluate
+from .construction import Direct, Frobenius, evaluate
 from .dirichlet import DEFAULT_SEARCH_BOUND, PrimeRequest, find_primes_in_ap
 from .errors import BoundExhausted, PredictionMismatch
 from .graph import PrimeGraph, delta_of
@@ -87,6 +87,22 @@ def _predicted_graph(
     return PrimeGraph(tuple(sorted(vertices)), frozenset(edges))
 
 
+def _kernel_primes(count: int, modulus: int, used: set[int], bound: int) -> tuple[int, ...]:
+    """The first `count` unused primes = 1 (mod modulus) below `bound`.
+
+    A modulus at or past the bound leaves no room to search, which is the
+    same exhaustion as an empty progression, not a malformed request.
+    """
+    if modulus >= bound:
+        raise BoundExhausted(
+            f"complement order {modulus} reaches the prime search bound {bound}"
+        )
+    request = PrimeRequest(
+        count=count, modulus=modulus, residue=1, exclude=frozenset(used), bound=bound
+    )
+    return tuple(find_primes_in_ap(request))
+
+
 def _build_once(
     m1: int, m2: int, m3: int, m4: int, avoid: frozenset[int], bound: int
 ) -> ConstructionResult:
@@ -94,20 +110,12 @@ def _build_once(
     pi4 = tuple(_next_odd_primes(m4, used))
     used.update(pi4)
     n4 = math.prod(pi4)
-    pi1 = tuple(
-        find_primes_in_ap(
-            PrimeRequest(count=m1, modulus=n4, residue=1, exclude=frozenset(used), bound=bound)
-        )
-    )
+    pi1 = _kernel_primes(m1, n4, used, bound)
     used.update(pi1)
     pi3 = tuple(_next_odd_primes(m3, used))
     used.update(pi3)
     n3 = math.prod(pi3)
-    pi2 = tuple(
-        find_primes_in_ap(
-            PrimeRequest(count=m2, modulus=n3, residue=1, exclude=frozenset(used), bound=bound)
-        )
-    )
+    pi2 = _kernel_primes(m2, n3, used, bound)
     used.update(pi2)
 
     factor_a = Frobenius(kernel=pi1, complement=n4)
@@ -119,7 +127,7 @@ def _build_once(
     group = evaluate(expr)
     if group.factors is None or not all(f.frobenius for f in group.factors):
         raise PredictionMismatch("constructed factors lost their Frobenius structure")
-    computed = delta_of(class_size_spectrum(group))
+    computed = delta_of(group.class_size_spectrum())
     if computed != predicted:
         raise PredictionMismatch(
             f"computed graph {computed.to_json_obj()} differs from "

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .builder import CONGRUENCE_NOTE, construct_block_square_group
@@ -28,7 +27,6 @@ from .errors import (
     SpecFileError,
 )
 from .graph import PrimeGraph, delta_of
-from .analysis import spectrum_of
 from .reports import analyze_expr, report_invariant_violations, report_to_json
 from .specfile import expr_to_node, parse_spec_file, write_spec_file
 
@@ -130,10 +128,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         print(f"not a directory: {directory}", file=sys.stderr)
         return EXIT_PARSE
-    paths = sorted(directory.glob("*.json"))
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(paths)))) as pool:
-        rows = list(pool.map(_corpus_row, paths))
-    rows.sort(key=lambda r: r[0])
+    rows = sorted((_corpus_row(path) for path in directory.glob("*.json")), key=lambda r: r[0])
     failed = False
     header = f"{'name':24} {'order':>12} {'graph':16} {'dgroup':6} {'square':6} status"
     print(header)
@@ -160,7 +155,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     _, expr = parse_spec_file(args.spec)
     group = evaluate(expr, cap=_enumeration_cap())
-    sys.stdout.write(delta_of(spectrum_of(group)).to_dot())
+    sys.stdout.write(delta_of(group.class_size_spectrum()).to_dot())
     return EXIT_OK
 
 

@@ -7,7 +7,9 @@ squarefree cyclic kernel and cyclic complement, and direct products of
 those.  Each carries enough structure to compute its conjugacy class-size
 spectrum without enumerating elements whenever a fast path applies; the
 permutation engine (``to_permutation``) stays available as the independent
-cross-check.
+cross-check.  A :class:`MetabelianGroup` offers the same ``order``,
+``class_size_spectrum()`` and ``to_permutation()`` as a
+:class:`~classgraph.perm.PermGroup`.
 
 Elements of a :class:`MetabelianGroup` are pairs ``(k, l)`` of residue
 tuples with multiplication ``(k1, l1) * (k2, l2) = (k1 + phi_l1(k2), l1 + l2)``,
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .errors import (
@@ -28,8 +31,8 @@ from .errors import (
     FaithfulnessFailure,
     InvalidMultiplier,
 )
-from .perm import Permutation, PermGroup
-from .primes import is_prime, multiplicative_order
+from .perm import Permutation, PermGroup, closure
+from .primes import is_prime, multiplicative_order, prime_factors
 
 DEFAULT_SPECTRUM_CAP = 10**7
 
@@ -90,18 +93,15 @@ class MultiplierAction:
 
 @dataclass(frozen=True)
 class MetabelianGroup:
-    """Semidirect product kernel x| top, with optional provenance flags.
+    """Semidirect product kernel x| top, with optional product provenance.
 
-    ``frobenius`` marks a group built from a Frobenius construction node
-    whose action was verified fixed-point-free (enables the closed-form
-    spectrum).  ``factors`` records the coprime direct-product parts a
-    folded product was assembled from (enables the convolution spectrum).
+    ``factors`` records the coprime direct-product parts a folded product
+    was assembled from (enables the convolution spectrum).
     """
 
     kernel: AbelianGroup
     top: AbelianGroup
     action: MultiplierAction
-    frobenius: bool = False
     factors: tuple["MetabelianGroup", ...] | None = None
 
     def __post_init__(self) -> None:
@@ -119,6 +119,11 @@ class MetabelianGroup:
     def is_abelian(self) -> bool:
         return self.action.is_trivial()
 
+    @cached_property
+    def frobenius(self) -> bool:
+        """True iff the top acts fixed-point-freely (enables the closed-form spectrum)."""
+        return is_frobenius_action(self)
+
     def identity(self) -> Element:
         return (self.kernel.identity(), self.top.identity())
 
@@ -132,7 +137,8 @@ class MetabelianGroup:
         lneg = self.top.neg(l)
         return (self.action.apply(lneg, self.kernel.neg(k), self.kernel.factor_orders), lneg)
 
-    def conjugate(self, g: Element, x: Element) -> Element:
+    def conjugate(self, x: Element, g: Element) -> Element:
+        """``g * x * g**-1``."""
         return self.mul(self.mul(g, x), self.inv(g))
 
     def elements(self):
@@ -151,6 +157,99 @@ class MetabelianGroup:
             l = tuple(1 if i == j else 0 for i in range(nt))
             gens.append((self.kernel.identity(), l))
         return gens
+
+    def _conjugators(self) -> list[Element]:
+        """The standard generators and their inverses."""
+        gens = self.generators()
+        return gens + [self.inv(e) for e in gens]
+
+    def class_size_spectrum(self, *, cap: int = DEFAULT_SPECTRUM_CAP) -> Counter[int]:
+        """Full class-size multiset as {size: multiplicity}.
+
+        Fast paths: trivial action (all singletons), fixed-point-free action
+        (three sizes in closed form), and coprime direct products
+        (convolution of factor spectra).  Otherwise the orbit partition runs
+        over all elements, capped at ``cap``.
+        """
+        if self.factors:
+            out = Counter({1: 1})
+            for part in self.factors:
+                out = convolve_spectra(out, part.class_size_spectrum(cap=cap))
+            if spectrum_total(out) != self.order:  # pragma: no cover - internal sanity
+                raise AssertionError("product spectrum does not sum to group order")
+            return out
+        if self.is_abelian:
+            return Counter({1: self.order})
+        if self.frobenius:
+            kernel_order = self.kernel.order
+            n = self.top.order
+            return Counter({1: 1, n: (kernel_order - 1) // n, kernel_order: n - 1})
+        if self.order > cap:
+            raise CapExceeded(
+                f"group of order {self.order} exceeds spectrum cap {cap} "
+                "and no structured fast path applies"
+            )
+        conjugators = self._conjugators()
+        seen: set[Element] = set()
+        spectrum: Counter[int] = Counter()
+        for x in self.elements():
+            if x in seen:
+                continue
+            orbit = closure({x}, conjugators, self.conjugate)
+            assert orbit is not None
+            seen |= orbit
+            spectrum[len(orbit)] += 1
+        return spectrum
+
+    def to_permutation(
+        self, *, cap: int | None = None, verify_order: bool | None = None
+    ) -> PermGroup:
+        """Faithful permutation realization on one point block per cyclic factor.
+
+        Kernel generators translate their own block; each top generator
+        multiplies every kernel block by its unit and translates its own top
+        block.  The top blocks make the top part faithful, the kernel blocks
+        the rest; the enumerated order is checked against the group order
+        whenever the group is small enough to enumerate (FaithfulnessFailure
+        otherwise).
+        """
+        kernel_orders = self.kernel.factor_orders
+        top_orders = self.top.factor_orders
+        blocks = list(kernel_orders) + list(top_orders)
+        if not blocks:
+            return PermGroup([Permutation.identity(1)], name="1")
+        offsets = []
+        off = 0
+        for n in blocks:
+            offsets.append(off)
+            off += n
+        degree = off
+        gens = []
+        for j, m in enumerate(kernel_orders):
+            images = list(range(degree))
+            base = offsets[j]
+            for x in range(m):
+                images[base + x] = base + (x + 1) % m
+            gens.append(Permutation(tuple(images)))
+        for i, n in enumerate(top_orders):
+            images = list(range(degree))
+            for j, m in enumerate(kernel_orders):
+                base = offsets[j]
+                u = self.action.multipliers[i][j]
+                for x in range(m):
+                    images[base + x] = base + (x * u) % m
+            base = offsets[len(kernel_orders) + i]
+            for x in range(n):
+                images[base + x] = base + (x + 1) % n
+            gens.append(Permutation(tuple(images)))
+        group = PermGroup(gens) if cap is None else PermGroup(gens, cap=cap)
+        if verify_order is None:
+            verify_order = self.order <= group.cap
+        if verify_order and group.order != self.order:
+            raise FaithfulnessFailure(
+                f"permutation realization has order {group.order}, expected {self.order}"
+            )
+        return group
 
 
 # -- construction tree -------------------------------------------------------
@@ -201,16 +300,33 @@ class Perm:
 GroupExpr = Cyclic | Abelian | Frobenius | Semidirect | Direct | Perm
 
 
+def _has_order(u: int, n: int, p: int, n_primes: tuple[int, ...]) -> bool:
+    """True iff u has multiplicative order exactly n mod p; n_primes are n's primes."""
+    return pow(u, n, p) == 1 and all(pow(u, n // q, p) != 1 for q in n_primes)
+
+
 def auto_multiplier(p: int, n: int) -> int:
     """Smallest unit of multiplicative order exactly n modulo the prime p."""
     if (p - 1) % n != 0:
         raise InvalidMultiplier(
             f"no unit of order {n} mod {p}: {n} does not divide {p - 1}"
         )
+    n_primes = prime_factors(n)
     for u in range(2, p):
-        if multiplicative_order(u, p) == n:
+        if _has_order(u, n, p, n_primes):
             return u
     raise InvalidMultiplier(f"no unit of order {n} mod {p}")  # pragma: no cover
+
+
+def _checked_multiplier(u: int, m: int, n: int) -> int:
+    """u reduced mod m, checked to be a unit whose order divides the top order n."""
+    u %= m
+    if math.gcd(u, m) != 1:
+        raise InvalidMultiplier(f"{u} is not a unit mod {m}")
+    order = multiplicative_order(u, m)
+    if n % order != 0:
+        raise InvalidMultiplier(f"{u} has order {order} mod {m}, not dividing top order {n}")
+    return u
 
 
 def _abelian_group(orders: tuple[int, ...]) -> MetabelianGroup:
@@ -244,25 +360,11 @@ def _frobenius_group(node: Frobenius) -> MetabelianGroup:
     else:
         if len(node.multipliers) != len(kernel):
             raise ExprError("one multiplier per kernel prime required")
-        mults = tuple(int(u) % p for u, p in zip(node.multipliers, kernel))
-        for u, p in zip(mults, kernel):
-            if math.gcd(u, p) != 1:
-                raise InvalidMultiplier(f"{u} is not a unit mod {p}")
-            order = multiplicative_order(u, p)
-            if n % order != 0:
-                raise InvalidMultiplier(
-                    f"{u} has order {order} mod {p}, not dividing {n}"
-                )
-    group = MetabelianGroup(
+        mults = tuple(_checked_multiplier(int(u), p, n) for u, p in zip(node.multipliers, kernel))
+    return MetabelianGroup(
         kernel=AbelianGroup(kernel),
         top=AbelianGroup((n,)),
         action=MultiplierAction((mults,)),
-    )
-    return MetabelianGroup(
-        kernel=group.kernel,
-        top=group.top,
-        action=group.action,
-        frobenius=is_frobenius_action(group),
     )
 
 
@@ -274,20 +376,9 @@ def _semidirect_group(node: Semidirect) -> MetabelianGroup:
         len(row) != len(kernel.factor_orders) for row in rows
     ):
         raise ExprError("multiplier matrix must be top-factors x kernel-factors")
-    for i, row in enumerate(rows):
-        for j, u in enumerate(row):
-            m = kernel.factor_orders[j]
-            u %= m
-            if math.gcd(u, m) != 1:
-                raise InvalidMultiplier(f"{u} is not a unit mod {m}")
-            order = multiplicative_order(u, m)
-            if top.factor_orders[i] % order != 0:
-                raise InvalidMultiplier(
-                    f"{u} has order {order} mod {m}, "
-                    f"not dividing top factor order {top.factor_orders[i]}"
-                )
     rows = tuple(
-        tuple(u % m for u, m in zip(row, kernel.factor_orders)) for row in rows
+        tuple(_checked_multiplier(u, m, n) for u, m in zip(row, kernel.factor_orders))
+        for row, n in zip(rows, top.factor_orders)
     )
     return MetabelianGroup(kernel=kernel, top=top, action=MultiplierAction(rows))
 
@@ -361,13 +452,9 @@ def evaluate(expr: GroupExpr, *, cap: int | None = None) -> MetabelianGroup | Pe
                 for g in parts:
                     flat.extend(g.factors if g.factors else (g,))
                 return _fold_direct(flat)
-        perm_parts = [
-            g if isinstance(g, PermGroup) else to_permutation(g, cap=cap)
-            for g in parts
-        ]
-        out = perm_parts[0]
-        for g in perm_parts[1:]:
-            out = out.direct_product(g)
+        out = parts[0].to_permutation(cap=cap)
+        for g in parts[1:]:
+            out = out.direct_product(g.to_permutation(cap=cap))
         return out
     raise ExprError(f"unknown construction node {expr!r}")
 
@@ -388,9 +475,9 @@ def is_frobenius_action(g: MetabelianGroup) -> bool:
         # One cyclic top generator on prime factors: fixed-point-free iff
         # each multiplier has order exactly |top|.
         n = g.top.factor_orders[0]
+        n_primes = prime_factors(n)
         return all(
-            multiplicative_order(u, p) == n
-            for u, p in zip(g.action.multipliers[0], orders)
+            _has_order(u, n, p, n_primes) for u, p in zip(g.action.multipliers[0], orders)
         )
     for l in g.top.elements():
         if all(x == 0 for x in l):
@@ -413,19 +500,8 @@ def class_size(g: MetabelianGroup, x: Element) -> int:
             if g.action.apply(t, k, g.kernel.factor_orders) == k:
                 stab += 1
         return g.top.order // stab
-    gens = g.generators()
-    gens += [g.inv(e) for e in gens]
-    orbit = {x}
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for e in gens:
-                z = g.conjugate(e, y)
-                if z not in orbit:
-                    orbit.add(z)
-                    nxt.append(z)
-        frontier = nxt
+    orbit = closure({x}, g._conjugators(), g.conjugate)
+    assert orbit is not None
     return len(orbit)
 
 
@@ -443,112 +519,6 @@ def spectrum_total(spectrum: Counter[int]) -> int:
     return sum(size * count for size, count in spectrum.items())
 
 
-def class_size_spectrum(
-    g: MetabelianGroup, *, cap: int = DEFAULT_SPECTRUM_CAP
-) -> Counter[int]:
-    """Full class-size multiset of g as {size: multiplicity}.
-
-    Fast paths: trivial action (all singletons), verified Frobenius groups
-    (three sizes in closed form), and coprime direct products (convolution
-    of factor spectra).  Otherwise the orbit partition runs over all
-    elements, capped at ``cap``.
-    """
-    if g.factors:
-        out = Counter({1: 1})
-        for part in g.factors:
-            out = convolve_spectra(out, class_size_spectrum(part, cap=cap))
-        if spectrum_total(out) != g.order:  # pragma: no cover - internal sanity
-            raise AssertionError("product spectrum does not sum to group order")
-        return out
-    if g.is_abelian:
-        return Counter({1: g.order})
-    if g.frobenius:
-        kernel_order = g.kernel.order
-        n = g.top.order
-        return Counter({1: 1, n: (kernel_order - 1) // n, kernel_order: n - 1})
-    if g.order > cap:
-        raise CapExceeded(
-            f"group of order {g.order} exceeds spectrum cap {cap} "
-            "and no structured fast path applies"
-        )
-    return _orbit_partition_spectrum(g)
-
-
-def _orbit_partition_spectrum(g: MetabelianGroup) -> Counter[int]:
-    gens = g.generators()
-    gens += [g.inv(e) for e in gens]
-    unseen = set(g.elements())
-    spectrum: Counter[int] = Counter()
-    while unseen:
-        x = min(unseen)
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for e in gens:
-                    z = g.conjugate(e, y)
-                    if z not in orbit:
-                        orbit.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        unseen -= orbit
-        spectrum[len(orbit)] += 1
-    return spectrum
-
-
-# -- permutation realization -------------------------------------------------
-
-
-def to_permutation(
-    g: MetabelianGroup,
-    *,
-    cap: int | None = None,
-    verify_order: bool | None = None,
-) -> PermGroup:
-    """Faithful permutation realization on one point block per cyclic factor.
-
-    Kernel generators translate their own block; each top generator
-    multiplies every kernel block by its unit and translates its own top
-    block.  The top blocks make the top part faithful, the kernel blocks
-    the rest; the enumerated order is checked against |g| whenever the
-    group is small enough to enumerate (FaithfulnessFailure otherwise).
-    """
-    kernel_orders = g.kernel.factor_orders
-    top_orders = g.top.factor_orders
-    blocks = list(kernel_orders) + list(top_orders)
-    if not blocks:
-        return PermGroup([Permutation.identity(1)], name="1")
-    offsets = []
-    off = 0
-    for n in blocks:
-        offsets.append(off)
-        off += n
-    degree = off
-    gens = []
-    for j, m in enumerate(kernel_orders):
-        images = list(range(degree))
-        base = offsets[j]
-        for x in range(m):
-            images[base + x] = base + (x + 1) % m
-        gens.append(Permutation(tuple(images)))
-    for i, n in enumerate(top_orders):
-        images = list(range(degree))
-        for j, m in enumerate(kernel_orders):
-            base = offsets[j]
-            u = g.action.multipliers[i][j]
-            for x in range(m):
-                images[base + x] = base + (x * u) % m
-        base = offsets[len(kernel_orders) + i]
-        for x in range(n):
-            images[base + x] = base + (x + 1) % n
-        gens.append(Permutation(tuple(images)))
-    group = PermGroup(gens) if cap is None else PermGroup(gens, cap=cap)
-    if verify_order is None:
-        verify_order = g.order <= group.cap
-    if verify_order:
-        if group.order() != g.order:
-            raise FaithfulnessFailure(
-                f"permutation realization has order {group.order()}, expected {g.order}"
-            )
-    return group
+# Module-level spellings of the shared group interface.
+class_size_spectrum = MetabelianGroup.class_size_spectrum
+to_permutation = MetabelianGroup.to_permutation

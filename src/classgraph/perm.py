@@ -5,7 +5,8 @@ are enumerated as explicit element sets (breadth-first closure over the
 generators, capped), and every query below is a direct scan or orbit walk
 over those elements.  No stabilizer chains, no cleverness; at the scale
 this package targets (orders in the tens of thousands) the simple thing is
-fast enough and easy to trust.
+fast enough and easy to trust.  The one closure loop, :func:`closure`, also
+serves the structured groups and the subgroup search elsewhere in the package.
 
 Composition convention: ``(p * q)(i) == p(q(i))`` (apply q first).
 Iteration order is deterministic everywhere: elements are reported sorted
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import CapExceeded, ElementNotInGroup, NotNormal, NotSubgroup
@@ -26,8 +28,40 @@ DEFAULT_ENUMERATION_CAP = 10**6
 Images = tuple[int, ...]
 
 
+def closure(
+    seed: Iterable, generators: Sequence, step: Callable, limit: int | None = None
+) -> set | None:
+    """Breadth-first closure of `seed` under ``x -> step(x, g)`` for each generator.
+
+    Returns None as soon as the set grows past `limit`.  With
+    ``step=_compose`` this is the right-multiplication closure, which is the
+    generated subgroup in a finite group (inverses appear as powers); with a
+    conjugation step it is a conjugacy class.
+    """
+    out = set(seed)
+    frontier = list(out)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in generators:
+                y = step(x, g)
+                if y not in out:
+                    out.add(y)
+                    if limit is not None and len(out) > limit:
+                        return None
+                    nxt.append(y)
+        frontier = nxt
+    return out
+
+
 def _compose(a: Images, b: Images) -> Images:
     return tuple(a[i] for i in b)
+
+
+def _conjugate(x: Images, pair: tuple[Images, Images]) -> Images:
+    """``g * x * g**-1`` for ``pair == (g, g**-1)``, in one pass."""
+    g, ginv = pair
+    return tuple(g[x[i]] for i in ginv)
 
 
 def _invert(a: Images) -> Images:
@@ -151,30 +185,6 @@ def _order_of_images(images: Images) -> int:
     return order
 
 
-def _closure(
-    seed: set[Images], generators: list[Images], limit: int | None = None
-) -> set[Images] | None:
-    """Right-multiplication closure of seed under generators.
-
-    Returns None when the closure grows past `limit` (finite groups make
-    right-closure sufficient: inverses appear as powers).
-    """
-    out = set(seed)
-    frontier = list(seed)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in generators:
-                y = _compose(x, g)
-                if y not in out:
-                    out.add(y)
-                    if limit is not None and len(out) > limit:
-                        return None
-                    nxt.append(y)
-        frontier = nxt
-    return out
-
-
 def _generating_subset(elements: list[Images]) -> list[Images]:
     """A small generating set for the subgroup formed by `elements`."""
     degree = len(elements[0]) if elements else 1
@@ -185,14 +195,19 @@ def _generating_subset(elements: list[Images]) -> list[Images]:
         if x in have:
             continue
         gens.append(x)
-        closed = _closure(have, gens)
+        closed = closure(have, gens, _compose)
         assert closed is not None
         have = closed
     return gens
 
 
 class PermGroup:
-    """A finite group given by permutation generators; queries enumerate it."""
+    """A finite group given by permutation generators; queries enumerate it.
+
+    Shares ``order``, ``class_size_spectrum()`` and ``to_permutation()``
+    with :class:`~classgraph.construction.MetabelianGroup`, so callers need
+    not ask which kind of group they hold.
+    """
 
     def __init__(
         self,
@@ -229,7 +244,7 @@ class PermGroup:
         if self._elements is None:
             ident = tuple(range(self.degree))
             gens = [g.images for g in self.generators]
-            closed = _closure({ident}, gens, limit=self.cap)
+            closed = closure({ident}, gens, _compose, limit=self.cap)
             if closed is None:
                 raise CapExceeded(
                     f"group closure exceeded cap {self.cap} "
@@ -239,8 +254,13 @@ class PermGroup:
             self._element_set = frozenset(closed)
         return self._elements
 
+    @property
     def order(self) -> int:
         return len(self.elements())
+
+    def to_permutation(self, *, cap: int | None = None) -> "PermGroup":
+        """The group itself: it already carries its own enumeration cap."""
+        return self
 
     def _images_set(self) -> frozenset[Images]:
         self.elements()
@@ -261,25 +281,14 @@ class PermGroup:
             return self._classes
         elems = self.elements()
         gen_pairs = [(g.images, _invert(g.images)) for g in self.generators]
-        unseen = set(self._images_set())
         classes = []
         size_by_images: dict[Images, int] = {}
         for rep in elems:
             x = rep.images
-            if x not in unseen:
+            if x in size_by_images:
                 continue
-            orbit = {x}
-            frontier = [x]
-            while frontier:
-                nxt = []
-                for y in frontier:
-                    for g, ginv in gen_pairs:
-                        z = _compose(_compose(g, y), ginv)
-                        if z not in orbit:
-                            orbit.add(z)
-                            nxt.append(z)
-                frontier = nxt
-            unseen -= orbit
+            orbit = closure({x}, gen_pairs, _conjugate)
+            assert orbit is not None
             members = frozenset(Permutation(y) for y in orbit)
             classes.append(ConjugacyClass(rep, len(orbit), members))
             for y in orbit:
@@ -334,21 +343,21 @@ class PermGroup:
             for b in gens
         }
         comms.discard(ident)
-        current = _closure({ident}, sorted(comms)) or {ident}
+        current = closure({ident}, sorted(comms), _compose) or {ident}
         while True:
             new = {
-                _compose(_compose(g, x), inv[g])
+                _conjugate(x, (g, inv[g]))
                 for g in gens
                 for x in current
             } - current
             if not new:
                 break
-            current = _closure(current, sorted(new)) or current
+            current = closure(current, sorted(new), _compose) or current
         return SubgroupWitness(frozenset(Permutation(x) for x in current), True)
 
     def sylow_is_central(self, p: int) -> bool:
         """True iff the p-part of |Z(G)| equals the p-part of |G|."""
-        return valuation(self.center().order, p) == valuation(self.order(), p)
+        return valuation(self.center().order, p) == valuation(self.order, p)
 
     def pi_elements(self, pi: set[int] | frozenset[int]) -> PiElements:
         """Elements whose order has all prime divisors in pi, plus closure check."""
@@ -361,22 +370,19 @@ class PermGroup:
     def _is_subgroup_images(self, images: set[Images]) -> bool:
         if not images or tuple(range(self.degree)) not in images:
             return False
-        if len(images) == self.order():
+        if len(images) == self.order:
             return True
-        if self.order() % len(images) != 0:
+        if self.order % len(images) != 0:
             return False
         gens = _generating_subset(sorted(images))
-        closed = _closure({tuple(range(self.degree))}, gens, limit=len(images))
+        closed = closure({tuple(range(self.degree))}, gens, _compose, limit=len(images))
         return closed is not None and len(closed) == len(images)
-
-    def is_subgroup_set(self, elements: frozenset[Permutation]) -> bool:
-        return self._is_subgroup_images({p.images for p in elements})
 
     def _set_is_normal(self, elements: frozenset[Permutation]) -> bool:
         images = {p.images for p in elements}
         for g in self.generators:
-            gi, ginv = g.images, _invert(g.images)
-            if any(_compose(_compose(gi, x), ginv) not in images for x in images):
+            pair = (g.images, _invert(g.images))
+            if any(_conjugate(x, pair) not in images for x in images):
                 return False
         return True
 
@@ -402,14 +408,14 @@ class PermGroup:
         ident = tuple(range(self.degree))
         if n_imgs & c_imgs != {ident}:
             return False
-        if len(n_imgs) * len(c_imgs) != self.order():
+        if len(n_imgs) * len(c_imgs) != self.order:
             return False
         for c in c_imgs:
             if c == ident:
                 continue
-            cinv = _invert(c)
+            pair = (c, _invert(c))
             for x in n_imgs:
-                if x != ident and _compose(_compose(c, x), cinv) == x:
+                if x != ident and _conjugate(x, pair) == x:
                     return False
         return True
 

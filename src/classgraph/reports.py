@@ -20,21 +20,10 @@ from __future__ import annotations
 
 import json
 
-from .analysis import (
-    NOT_BLOCK_SQUARE,
-    VERIFIED,
-    dgroup_witness_of,
-    spectrum_of,
-    verify_decomposition,
-)
+from .analysis import NOT_BLOCK_SQUARE, VERIFIED, dgroup_witness_of, verify_decomposition
 from .blocks import find_block_partitions, is_admissible_block_square
-from .construction import GroupExpr, MetabelianGroup, evaluate
+from .construction import GroupExpr, evaluate
 from .graph import delta_of
-from .perm import PermGroup
-
-
-def group_order(group: MetabelianGroup | PermGroup) -> int:
-    return group.order() if isinstance(group, PermGroup) else group.order
 
 
 def analyze_expr(
@@ -46,7 +35,7 @@ def analyze_expr(
 ) -> dict:
     """Run the whole pipeline on a construction tree and assemble the report."""
     group = evaluate(expr, cap=enumeration_cap)
-    spectrum = spectrum_of(group)
+    spectrum = group.class_size_spectrum()
     graph = delta_of(spectrum)
     partitions = tuple(find_block_partitions(graph, weak_witness=weak_witness))
     witness = dgroup_witness_of(group, cap=enumeration_cap)
@@ -60,7 +49,7 @@ def analyze_expr(
     )
     return {
         "name": name,
-        "order": group_order(group),
+        "order": group.order,
         "spectrum": [[size, count] for size, count in sorted(spectrum.items())],
         "graph": graph.to_json_obj(),
         "connected": graph.is_connected(),

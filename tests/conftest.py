@@ -14,8 +14,6 @@ from classgraph import (  # noqa: E402
     MetabelianGroup,
     PermGroup,
     evaluate,
-    spectrum_of,
-    to_permutation,
 )
 from corpus import corpus_entries  # noqa: E402
 
@@ -35,14 +33,14 @@ def corpus() -> tuple[CorpusGroup, ...]:
     out = []
     for entry in corpus_entries():
         group = evaluate(entry.expr)
-        perm = group if isinstance(group, PermGroup) else to_permutation(group)
+        perm = group.to_permutation()
         out.append(
             CorpusGroup(
                 name=entry.name,
                 expr=entry.expr,
                 group=group,
                 order=entry.order,
-                spectrum=spectrum_of(group),
+                spectrum=group.class_size_spectrum(),
                 perm=perm,
             )
         )

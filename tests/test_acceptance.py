@@ -30,7 +30,6 @@ from classgraph import (
     find_block_partitions,
     is_admissible_block_square,
     is_dgroup_spectral,
-    spectrum_of,
     to_permutation,
     verify_decomposition,
 )
@@ -65,7 +64,7 @@ def test_disconnected_iff_dgroup_full_corpus():
     assert len(entries) >= 12
     for entry in entries:
         group = evaluate(entry.expr)
-        spectrum = spectrum_of(group)
+        spectrum = group.class_size_spectrum()
         spectral = is_dgroup_spectral(spectrum)
         perm = group if not isinstance(group, MetabelianGroup) else to_permutation(group)
         structural = dgroup_witness(perm)
@@ -172,7 +171,7 @@ def test_commuting_coprime_pairs_and_central_sylows():
     for entry in corpus_entries():
         group = evaluate(entry.expr)
         perm = group if not isinstance(group, MetabelianGroup) else to_permutation(group)
-        spectrum = spectrum_of(group)
+        spectrum = group.class_size_spectrum()
         vertices = set(delta_of(spectrum).vertices)
         # (b): a prime leaves the graph exactly when its Sylow subgroup is central.
         for p in prime_factors(entry.order):
@@ -205,7 +204,7 @@ def test_commuting_coprime_pairs_and_central_sylows():
 def test_non_neighborhood_cliques():
     t0 = time.perf_counter()
     for entry in corpus_entries():
-        graph = delta_of(spectrum_of(evaluate(entry.expr)))
+        graph = delta_of(evaluate(entry.expr).class_size_spectrum())
         for v in graph.vertices:
             assert graph.is_clique(graph.non_neighbors(v)), (entry.name, v)
     _report("non-neighborhood cliques on corpus graphs", t0, 60.0)

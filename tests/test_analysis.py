@@ -150,19 +150,19 @@ def test_dgroup_spectrum_law(corpus):
 def test_strip_f21_x_z5():
     split = strip_central_sylows(to_permutation(evaluate(Direct((Frobenius((7,), 3), Cyclic(5))))))
     assert split.central_primes == (5,)
-    assert split.core.order() == 21
+    assert split.core.order == 21
 
 
 def test_strip_s3_nothing_central():
     split = strip_central_sylows(evaluate(S3_PERM))
     assert split.central_primes == ()
-    assert split.core.order() == 6
+    assert split.core.order == 6
 
 
 def test_strip_abelian_everything_central():
     split = strip_central_sylows(to_permutation(evaluate(Cyclic(6))))
     assert split.central_primes == (2, 3)
-    assert split.core.order() == 1
+    assert split.core.order == 1
 
 
 def test_strip_order_identity(corpus):
@@ -177,7 +177,7 @@ def test_strip_order_identity(corpus):
         central_part = math.prod(
             p ** valuation(entry.order, p) for p in split.central_primes
         ) if split.central_primes else 1
-        assert split.core.order() * central_part == entry.order, entry.name
+        assert split.core.order * central_part == entry.order, entry.name
 
 
 # -- verify_decomposition -------------------------------------------------------------
@@ -248,7 +248,7 @@ def test_no_complete_vertex_forces_abelian_coprime_derived_subgroup(corpus):
         assert all(
             a * b == b * a for a in derived.elements for b in derived.elements
         ), entry.name
-        assert math.gcd(derived.order, g.order() // derived.order) == 1, entry.name
+        assert math.gcd(derived.order, g.order // derived.order) == 1, entry.name
         assert derived.elements & g.center().elements == {g.identity()}, entry.name
         checked.add(entry.name)
     assert {"f21", "a4", "f21_x_f55", "s3_x_z2", "z7_rtimes_z9"} <= checked

@@ -11,7 +11,6 @@ from classgraph import (
     find_block_partitions,
     is_admissible_block_square,
     is_block_square_partition,
-    spectrum_of,
     verify_decomposition,
 )
 
@@ -69,7 +68,7 @@ def test_partition_is_admissible_and_detected():
 def test_verification_pass_matches_computed_graph():
     result = construct_block_square_group(2, 2, 1, 1)
     group = evaluate(result.expr)
-    assert delta_of(spectrum_of(group)) == result.graph
+    assert delta_of(group.class_size_spectrum()) == result.graph
     report = verify_decomposition(group)
     assert report.status == VERIFIED
 
@@ -114,6 +113,14 @@ def test_bound_exhausted_after_retry():
     # Kernel of B needs a prime = 1 (mod 55); the first is 331 > 2 * 100.
     with pytest.raises(BoundExhausted):
         construct_block_square_group(1, 1, 2, 1, bound=100)
+
+
+def test_complement_product_past_bound_is_exhausted():
+    from classgraph import BoundExhausted
+
+    # pi3 = eight odd primes, product 4775249765, past even the doubled bound.
+    with pytest.raises(BoundExhausted, match="reaches the prime search bound"):
+        construct_block_square_group(1, 1, 8, 1)
 
 
 def test_frozen_golden_values_small_grid():

@@ -131,6 +131,14 @@ def test_construct_usage_errors(tmp_path):
     assert proc.returncode == 2
 
 
+def test_construct_complement_past_bound_exits_5(tmp_path):
+    # pi3 = nine odd primes, product 3234846615, past the doubled 10**9 bound.
+    proc = run_cli(["construct", "--blocks", "1,1,1,9", "--out", str(tmp_path)])
+    assert proc.returncode == 5
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_corpus_runs_clean(tmp_path):
     for entry in corpus_entries():
         if entry.order <= 1200:

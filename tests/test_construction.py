@@ -105,13 +105,13 @@ def test_evaluate_direct_coprime_folds():
 def test_evaluate_direct_non_coprime_goes_through_permutations():
     g = evaluate(Direct((Frobenius((7,), 3), Cyclic(3))))
     assert isinstance(g, PermGroup)
-    assert g.order() == 63
+    assert g.order == 63
 
 
 def test_evaluate_direct_with_perm_child():
     g = evaluate(Direct((S3_PERM, Cyclic(2))))
     assert isinstance(g, PermGroup)
-    assert g.order() == 12
+    assert g.order == 12
 
 
 def test_evaluate_trivial_and_nested():
@@ -124,7 +124,7 @@ def test_evaluate_trivial_and_nested():
 def test_evaluate_perm_node():
     g = evaluate(Perm(degree=3, generators=((1, 2, 0),)))
     assert isinstance(g, PermGroup)
-    assert g.order() == 3
+    assert g.order == 3
 
 
 # -- is_frobenius_action ---------------------------------------------------------
@@ -231,10 +231,44 @@ def test_three_class_size_law_for_frobenius_nodes():
 
 
 def test_spectrum_closed_form_matches_orbit_partition():
+    from collections import Counter
+
     for kernel, n in [((7,), 3), ((11,), 5), ((7, 13), 3)]:
         g = evaluate(Frobenius(kernel, n))
-        bare = MetabelianGroup(kernel=g.kernel, top=g.top, action=g.action)
-        assert class_size_spectrum(g) == class_size_spectrum(bare)
+        assert g.frobenius
+        # Elementwise orbit closure: a class of size s contributes s elements.
+        per_element = Counter(class_size(g, x) for x in g.elements())
+        assert class_size_spectrum(g) == Counter(
+            {size: count // size for size, count in per_element.items()}
+        )
+
+
+def test_fixed_point_free_semidirect_is_frobenius():
+    g = evaluate(Semidirect((7, 13), (3,), ((2, 3),)))
+    assert g.frobenius
+    assert g == evaluate(Frobenius((7, 13), 3))
+    assert dict(g.class_size_spectrum()) == {1: 1, 3: 30, 91: 2}
+    # Fixed points on the Z9 factor: 4 - 1 = 3 is not a unit mod 9.
+    assert not evaluate(Semidirect((9,), (3,), ((4,),))).frobenius
+
+
+def test_auto_multiplier_matches_order_definition():
+    from classgraph.primes import multiplicative_order, sieve
+
+    for p in sieve(3000)[1:]:
+        # Smallest unit of each order, read off a primitive root's powers:
+        # g**k has order (p - 1) / gcd(k, p - 1).
+        g = next(u for u in range(2, p) if multiplicative_order(u, p) == p - 1)
+        smallest: dict[int, int] = {}
+        x = 1
+        for k in range(p - 1):
+            n = (p - 1) // math.gcd(k, p - 1)
+            if x < smallest.get(n, p):
+                smallest[n] = x
+            x = x * g % p
+        for n in range(2, p):
+            if (p - 1) % n == 0:
+                assert auto_multiplier(p, n) == smallest[n], (p, n)
 
 
 @settings(max_examples=50, deadline=None)
@@ -306,9 +340,9 @@ def _witness_json(witness):
 
 
 def _assert_routes_agree(g):
-    perm = to_permutation(g)
+    perm = g.to_permutation()
     assert _witness_json(dgroup_witness_of(g)) == _witness_json(dgroup_witness(perm))
-    assert class_size_spectrum(g) == perm.class_size_spectrum()
+    assert g.class_size_spectrum() == perm.class_size_spectrum()
 
 
 @settings(max_examples=30, deadline=None)
@@ -330,22 +364,22 @@ def test_structured_and_permutation_routes_agree_on_coprime_products(g):
 def test_to_permutation_cyclic5_regular():
     g = to_permutation(evaluate(Cyclic(5)))
     assert g.degree == 5
-    assert g.order() == 5
+    assert g.order == 5
 
 
 def test_to_permutation_f21():
     g = to_permutation(evaluate(Frobenius((7,), 3)))
     assert g.degree == 10
-    assert g.order() == 21
+    assert g.order == 21
 
 
 def test_to_permutation_product_degree():
     g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Frobenius((11,), 5)))))
     assert g.degree == 26
-    assert g.order() == 1155
+    assert g.order == 1155
 
 
 def test_to_permutation_preserves_order(corpus):
     for entry in corpus:
         if isinstance(entry.group, MetabelianGroup) and entry.order <= 2000:
-            assert to_permutation(entry.group).order() == entry.order
+            assert to_permutation(entry.group).order == entry.order

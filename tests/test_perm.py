@@ -77,7 +77,7 @@ def test_permutation_group_laws(a, b, c):
 def test_enumerate_trivial():
     g = trivial_group(1)
     assert g.elements() == (Permutation.identity(1),)
-    assert g.order() == 1
+    assert g.order == 1
 
 
 def test_enumerate_s3_closure():
@@ -119,7 +119,7 @@ def test_centralizer_transposition_in_s3():
     t = Permutation((1, 0, 2))
     w = g.centralizer(t)
     assert w.order == 2
-    assert g.class_size_of(t) * w.order == g.order()
+    assert g.class_size_of(t) * w.order == g.order
 
 
 def test_centralizer_of_kernel_element_in_f21():
@@ -135,7 +135,7 @@ def test_centralizer_requires_membership():
 
 def test_orbit_stabilizer_identity_everywhere():
     for g in (s3(), s4(), f21_perm()):
-        order = g.order()
+        order = g.order
         for p in g.elements():
             assert g.class_size_of(p) * g.centralizer(p).order == order
 
@@ -170,7 +170,7 @@ def test_class_sizes_sum_to_order_and_count_center(corpus):
             continue
         g = entry.perm
         spectrum = g.class_size_spectrum()
-        assert sum(spectrum.elements()) == g.order()
+        assert sum(spectrum.elements()) == g.order
         assert spectrum[1] == g.center().order
 
 
@@ -261,8 +261,8 @@ def test_pi_elements_whole_prime_set_gives_group(corpus):
         if entry.order > 2000:
             continue
         g = entry.perm
-        r = g.pi_elements(frozenset(prime_factors(g.order())))
-        assert len(r.elements) == g.order()
+        r = g.pi_elements(frozenset(prime_factors(g.order)))
+        assert len(r.elements) == g.order
         assert r.is_subgroup
 
 
@@ -310,13 +310,13 @@ def test_frobenius_pair_rejects_non_normal_kernel():
 
 def test_direct_product_with_trivial():
     g = s3().direct_product(trivial_group(1))
-    assert g.order() == 6
+    assert g.order == 6
     assert g.class_size_spectrum() == s3().class_size_spectrum()
 
 
 def test_direct_product_s3_z2():
     g = s3().direct_product(to_permutation(evaluate(Cyclic(2))))
-    assert g.order() == 12
+    assert g.order == 12
     assert sorted(g.class_size_spectrum().elements()) == [1, 1, 2, 2, 3, 3]
 
 
@@ -335,7 +335,7 @@ def test_direct_product_spectrum_is_pairwise_products(corpus):
 
 def test_direct_product_f21_f55_class_size_set():
     g = f21_perm().direct_product(to_permutation(evaluate(Frobenius((11,), 5))))
-    assert g.order() == 1155
+    assert g.order == 1155
     assert set(g.class_size_spectrum()) == {1, 3, 7, 5, 11, 15, 35, 33, 77}
 
 
@@ -345,9 +345,9 @@ def test_direct_product_f21_f55_class_size_set():
 def test_symmetric_group_helper():
     from classgraph import symmetric_group
 
-    assert symmetric_group(1).order() == 1
-    assert symmetric_group(3).order() == 6
-    assert symmetric_group(4).order() == 24
+    assert symmetric_group(1).order == 1
+    assert symmetric_group(3).order == 6
+    assert symmetric_group(4).order == 24
     assert sorted(symmetric_group(4).class_size_spectrum().elements()) == [1, 3, 6, 6, 8]
 
 
@@ -356,6 +356,6 @@ def test_restricted_subgroup_standalone():
     r = g.pi_elements(frozenset({3, 7}))
     assert r.is_subgroup
     core = g.restricted(r.elements)
-    assert core.order() == 21
+    assert core.order == 21
     assert core.degree < g.degree
     assert sorted(core.class_size_spectrum().elements()) == [1, 3, 3, 7, 7]
