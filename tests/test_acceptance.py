@@ -66,7 +66,7 @@ def test_disconnected_iff_dgroup_full_corpus():
         group = evaluate(entry.expr)
         spectrum = group.class_size_spectrum()
         spectral = is_dgroup_spectral(spectrum)
-        perm = group if not isinstance(group, MetabelianGroup) else to_permutation(group)
+        perm = group.to_permutation()
         structural = dgroup_witness(perm)
         assert spectral == (structural is not None), entry.name
     _report("disconnected iff D-group (full corpus)", t0, 30.0)
@@ -170,7 +170,7 @@ def test_commuting_coprime_pairs_and_central_sylows():
     total_pairs = 0
     for entry in corpus_entries():
         group = evaluate(entry.expr)
-        perm = group if not isinstance(group, MetabelianGroup) else to_permutation(group)
+        perm = group.to_permutation()
         spectrum = group.class_size_spectrum()
         vertices = set(delta_of(spectrum).vertices)
         # (b): a prime leaves the graph exactly when its Sylow subgroup is central.
