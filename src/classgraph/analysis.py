@@ -24,11 +24,12 @@ from .construction import MetabelianGroup
 from .errors import CapExceeded, DecompositionFailure
 from .graph import PrimeGraph, delta_of
 from .perm import (
+    Images,
     PermGroup,
     Permutation,
     SubgroupWitness,
     _compose,
-    _order_of_images,
+    _generating_subset,
     closure,
 )
 from .primes import prime_factors, valuation
@@ -122,15 +123,19 @@ def _find_subgroup_of_order(group: PermGroup, target: int) -> frozenset[Permutat
     ident = group.identity().images
     if target == 1:
         return frozenset([group.identity()])
-    orders = {p.images: _order_of_images(p.images) for p in group.elements()}
-    candidates = [x for x, o in orders.items() if target % o == 0 and x != ident]
+    orders = {
+        p.images: o
+        for p, o in zip(group.elements(), group._element_orders())
+        if target % o == 0 and p.images != ident
+    }
+    candidates = list(orders)
 
     def generated(gens: tuple) -> frozenset | None:
         grown = closure({ident}, gens, _compose, limit=target)
         return None if grown is None else frozenset(grown)
 
     def found(grown: frozenset) -> frozenset[Permutation]:
-        return frozenset(Permutation(x) for x in grown)
+        return frozenset(Permutation._trusted(x) for x in grown)
 
     # Cyclic seeds first: the closure of a single element is its power list,
     # so the first element of order exactly `target` decides immediately.
@@ -163,11 +168,31 @@ def _find_subgroup_of_order(group: PermGroup, target: int) -> frozenset[Permutat
     return None
 
 
-def _is_abelian_set(elements: frozenset[Permutation]) -> bool:
-    elems = sorted(elements)
+def _images(witness_elements: frozenset[Permutation]) -> set[Images]:
+    return {p.images for p in witness_elements}
+
+
+def _is_abelian_set(elements: set[Images]) -> bool:
+    """True iff the subgroup formed by `elements` is abelian.
+
+    Exact only for a subgroup: its generators commute pairwise.
+    """
+    gens = _generating_subset(sorted(elements))
     return all(
-        a * b == b * a for i, a in enumerate(elems) for b in elems[i + 1 :]
+        _compose(a, b) == _compose(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]
     )
+
+
+def _centralizers_central(a_set: set[Images], b_set: set[Images], center: set[Images]) -> bool:
+    """True iff C_B(a) <= Z for every nontrivial a in A, elementwise."""
+    non_central = [b for b in b_set if b not in center]
+    for a in a_set:
+        if a == tuple(range(len(a))):
+            continue
+        for b in non_central:
+            if _compose(a, b) == _compose(b, a):
+                return False
+    return True
 
 
 def dgroup_witness(group: PermGroup) -> DGroupWitness | None:
@@ -187,24 +212,22 @@ def dgroup_witness(group: PermGroup) -> DGroupWitness | None:
     b_order = order // a_order
     if math.gcd(a_order, b_order) != 1:
         return None
-    if not _is_abelian_set(derived.elements):
+    a_images = _images(derived.elements)
+    if not _is_abelian_set(a_images):
         return None
     b_set = _find_subgroup_of_order(group, b_order)
     if b_set is None:
         return None
-    if not _is_abelian_set(b_set):
+    b_images = _images(b_set)
+    if not _is_abelian_set(b_images):
         return None
     center = group.center()
     if not center.elements <= b_set:
         return None
     # Frobenius condition, quotient-free: nontrivial kernel elements may
     # only be centralized inside B by central elements.
-    for a in derived.elements:
-        if a.is_identity():
-            continue
-        for b in b_set:
-            if a * b == b * a and b not in center.elements:
-                return None
+    if not _centralizers_central(a_images, b_images, _images(center.elements)):
+        return None
     sizes = frozenset(group.class_size_spectrum())
     expected = frozenset({1, a_order, b_order // center.order})
     if sizes != expected:  # pragma: no cover - excluded by the checks above

@@ -8,6 +8,15 @@ this package targets (orders in the tens of thousands) the simple thing is
 fast enough and easy to trust.  The one closure loop, :func:`closure`, also
 serves the structured groups and the subgroup search elsewhere in the package.
 
+Validation happens once, at the boundary: the public ``Permutation(...)``
+constructor checks its images, and that covers spec parsing,
+:meth:`Permutation.from_cycles`, group generators and user input.  Internal
+work (composition, closure, class orbits, subgroup search) runs on raw image
+tuples, and results known to be permutations, such as products, inverses
+and enumerated elements, are wrapped by the unchecked
+:meth:`Permutation._trusted`.  A product of two permutations of different
+degrees raises ``ValueError``.
+
 Composition convention: ``(p * q)(i) == p(q(i))`` (apply q first).
 Iteration order is deterministic everywhere: elements are reported sorted
 lexicographically by image sequence.
@@ -19,6 +28,7 @@ import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import CapExceeded, ElementNotInGroup, NotNormal, NotSubgroup
 from .primes import prime_factors, valuation
@@ -55,13 +65,17 @@ def closure(
 
 
 def _compose(a: Images, b: Images) -> Images:
+    """``a * b`` on image tuples of one degree: ``i -> a[b[i]]``."""
+    if len(b) > 1:
+        return itemgetter(*b)(a)
+    # itemgetter returns a bare item for one index, and needs at least one.
     return tuple(a[i] for i in b)
 
 
 def _conjugate(x: Images, pair: tuple[Images, Images]) -> Images:
-    """``g * x * g**-1`` for ``pair == (g, g**-1)``, in one pass."""
+    """``g * x * g**-1`` for ``pair == (g, g**-1)``."""
     g, ginv = pair
-    return tuple(g[x[i]] for i in ginv)
+    return _compose(g, _compose(x, ginv))
 
 
 def _invert(a: Images) -> Images:
@@ -86,6 +100,13 @@ class Permutation:
                 raise ValueError(f"not a permutation: {images!r}")
             seen[i] = True
 
+    @classmethod
+    def _trusted(cls, images: Images) -> "Permutation":
+        """Wrap an image tuple already known to be a permutation, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -104,13 +125,17 @@ class Permutation:
         return Permutation(tuple(images))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        return Permutation(_compose(self.images, other.images))
+        if len(self.images) != len(other.images):
+            raise ValueError(
+                f"cannot multiply permutations of degrees {self.degree} and {other.degree}"
+            )
+        return Permutation._trusted(_compose(self.images, other.images))
 
     def __call__(self, point: int) -> int:
         return self.images[point]
 
     def inverse(self) -> "Permutation":
-        return Permutation(_invert(self.images))
+        return Permutation._trusted(_invert(self.images))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -230,6 +255,7 @@ class PermGroup:
         self.cap = cap
         self._elements: tuple[Permutation, ...] | None = None
         self._element_set: frozenset[Images] | None = None
+        self._orders: tuple[int, ...] | None = None
         self._classes: tuple[ConjugacyClass, ...] | None = None
         self._class_size_by_images: dict[Images, int] | None = None
 
@@ -250,13 +276,19 @@ class PermGroup:
                     f"group closure exceeded cap {self.cap} "
                     f"(degree {self.degree}, {len(gens)} generators)"
                 )
-            self._elements = tuple(Permutation(x) for x in sorted(closed))
+            self._elements = tuple(Permutation._trusted(x) for x in sorted(closed))
             self._element_set = frozenset(closed)
         return self._elements
 
     @property
     def order(self) -> int:
         return len(self.elements())
+
+    def _element_orders(self) -> tuple[int, ...]:
+        """The order of each element, in the order of :meth:`elements`; computed once."""
+        if self._orders is None:
+            self._orders = tuple(_order_of_images(p.images) for p in self.elements())
+        return self._orders
 
     def to_permutation(self, *, cap: int | None = None) -> "PermGroup":
         """The group itself: it already carries its own enumeration cap."""
@@ -289,7 +321,7 @@ class PermGroup:
                 continue
             orbit = closure({x}, gen_pairs, _conjugate)
             assert orbit is not None
-            members = frozenset(Permutation(y) for y in orbit)
+            members = frozenset(Permutation._trusted(y) for y in orbit)
             classes.append(ConjugacyClass(rep, len(orbit), members))
             for y in orbit:
                 size_by_images[y] = len(orbit)
@@ -353,7 +385,7 @@ class PermGroup:
             if not new:
                 break
             current = closure(current, sorted(new), _compose) or current
-        return SubgroupWitness(frozenset(Permutation(x) for x in current), True)
+        return SubgroupWitness(frozenset(Permutation._trusted(x) for x in current), True)
 
     def sylow_is_central(self, p: int) -> bool:
         """True iff the p-part of |Z(G)| equals the p-part of |G|."""
@@ -362,9 +394,9 @@ class PermGroup:
     def pi_elements(self, pi: set[int] | frozenset[int]) -> PiElements:
         """Elements whose order has all prime divisors in pi, plus closure check."""
         pi = frozenset(pi)
-        hits = [
-            h for h in self.elements() if set(prime_factors(_order_of_images(h.images))) <= pi
-        ]
+        orders = self._element_orders()
+        allowed = {o for o in set(orders) if set(prime_factors(o)) <= pi}
+        hits = [h for h, o in zip(self.elements(), orders) if o in allowed]
         return PiElements(frozenset(hits), self._is_subgroup_images({h.images for h in hits}))
 
     def _is_subgroup_images(self, images: set[Images]) -> bool:

@@ -1,17 +1,25 @@
 """Independent brute-force oracles the tests check the library against.
 
 Nothing here shares code with the implementations under test: class sizes
-come from conjugating by every group element, primality from a sieve, and
-block squares from enumerating every 4-block set partition.
+come from conjugating by every group element, commuting from public
+``Permutation`` products of every pair, primality from a sieve, and block
+squares from enumerating every 4-block set partition.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Collection
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
-from classgraph import BlockPartition, PermGroup, PrimeGraph, is_block_square_partition
+from classgraph import (
+    BlockPartition,
+    PermGroup,
+    Permutation,
+    PrimeGraph,
+    is_block_square_partition,
+)
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -36,6 +44,26 @@ def full_scan_class_sizes(group: PermGroup) -> Counter[int]:
         remaining -= orbit
         sizes[len(orbit)] += 1
     return sizes
+
+
+def pairwise_is_abelian(elements: Collection[Permutation]) -> bool:
+    """Every pair of elements commutes, by public products."""
+    return all(a * b == b * a for a, b in combinations(elements, 2))
+
+
+def pairwise_centralizers_central(
+    a_part: Collection[Permutation],
+    b_part: Collection[Permutation],
+    center: Collection[Permutation],
+) -> bool:
+    """C_B(a) <= Z for every nontrivial a in A, by public products."""
+    return all(
+        b in center
+        for a in a_part
+        if not a.is_identity()
+        for b in b_part
+        if a * b == b * a
+    )
 
 
 def set_partitions_into_4(items: tuple[int, ...]):

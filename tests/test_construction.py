@@ -25,10 +25,13 @@ from classgraph import (
     dgroup_witness_of,
     evaluate,
     is_frobenius_action,
+    symmetric_group,
     to_permutation,
 )
-from classgraph.construction import auto_multiplier
-from corpus import S3_PERM
+from classgraph.analysis import _centralizers_central, _images, _is_abelian_set
+from classgraph.construction import MultiplierAction, auto_multiplier
+from corpus import S3_PERM, S4_PERM
+from oracles import pairwise_centralizers_central, pairwise_is_abelian
 
 
 # -- evaluate -----------------------------------------------------------------
@@ -150,10 +153,48 @@ def test_non_prime_kernel_fixed_points():
     assert not is_frobenius_action(g)
 
 
-def test_frobenius_action_general_loop_agrees_with_fast_path():
-    g = evaluate(Frobenius((7, 13), 3))
-    general = MetabelianGroup(kernel=g.kernel, top=g.top, action=g.action)
-    assert is_frobenius_action(g) and is_frobenius_action(general)
+def _fixed_point_free_by_scan(g: MetabelianGroup) -> bool:
+    """No nontrivial top element centralises a nontrivial kernel element."""
+    perm = to_permutation(g)
+    nk = len(g.kernel.factor_orders)
+    kernel = PermGroup(perm.generators[:nk]).elements()
+    top = PermGroup(perm.generators[nk:]).elements()
+    return all(
+        t * k != k * t
+        for t in top
+        if not t.is_identity()
+        for k in kernel
+        if not k.is_identity()
+    )
+
+
+# Shapes outside the single-top, prime-kernel fast path: (kernel, top, multipliers, Frobenius?).
+_GENERAL_LOOP_SHAPES = [
+    ((9,), (2,), ((8,),), True),  # x -> -x on Z9
+    ((9,), (3,), ((4,),), False),  # x -> 4x fixes 3 and 6
+    ((5, 9), (2,), ((4, 8),), True),
+    ((7,), (2, 3), ((6,), (2,)), True),  # Z2 x Z3 = Z6 acting faithfully
+    ((7,), (3, 3), ((2,), (4,)), False),  # (1, 1) acts by 8 = 1 mod 7
+    ((7, 13), (2, 3), ((6, 12), (2, 3)), True),
+]
+
+
+def test_frobenius_action_general_loop_agrees_with_fixed_point_scan(monkeypatch):
+    calls = []
+    multiplier_for = MultiplierAction.multiplier_for
+
+    def counted(self, *args):
+        calls.append(args)
+        return multiplier_for(self, *args)
+
+    for kernel, top, multipliers, expected in _GENERAL_LOOP_SHAPES:
+        g = evaluate(Semidirect(kernel, top, multipliers))
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(MultiplierAction, "multiplier_for", counted)
+            assert is_frobenius_action(g) == expected, kernel
+        assert calls, f"{kernel}, {top}: the fast path answered, not the general loop"
+        assert _fixed_point_free_by_scan(g) == expected, kernel
 
 
 # -- class_size -------------------------------------------------------------------
@@ -324,10 +365,10 @@ def test_metabelian_spectrum_sums_to_order(g):
 
 
 @st.composite
-def coprime_semidirect_products(draw):
+def coprime_semidirect_products(draw, max_kernel=2):
     """A x B for two small semidirect groups whose orders share no prime."""
     a = draw(small_semidirect_groups(kernels=(5,), tops=(2, 4), max_kernel=1))
-    b = draw(small_semidirect_groups(kernels=(7,), tops=(3,)))
+    b = draw(small_semidirect_groups(kernels=(7,), tops=(3,), max_kernel=max_kernel))
     return evaluate(Direct((_as_expr(a), _as_expr(b))))
 
 
@@ -356,6 +397,37 @@ def test_structured_and_permutation_routes_agree(g):
 def test_structured_and_permutation_routes_agree_on_coprime_products(g):
     assert g.factors is not None and len(g.factors) == 2
     _assert_routes_agree(g)
+
+
+@st.composite
+def groups_with_subgroup(draw):
+    """A permutation group and the subgroup generated by one or two of its elements."""
+    group = draw(
+        st.one_of(
+            small_semidirect_groups().map(to_permutation),
+            # Orders up to 420: the pairwise oracle is quadratic in an abelian part.
+            coprime_semidirect_products(max_kernel=1).map(to_permutation),
+            st.sampled_from([evaluate(S4_PERM), symmetric_group(5)]),
+        )
+    )
+    elems = group.elements()
+    picks = draw(st.lists(st.integers(0, len(elems) - 1), min_size=1, max_size=2))
+    return group, frozenset(PermGroup([elems[i] for i in picks]).elements())
+
+
+@settings(max_examples=40, deadline=None)
+@given(groups_with_subgroup())
+def test_abelian_and_frobenius_checks_match_pairwise_oracles(case):
+    group, sub = case
+    derived = group.derived_subgroup().elements
+    center = group.center().elements
+    centralizer = group.centralizer(max(sub)).elements
+    for part in (sub, derived, center, centralizer):
+        assert _is_abelian_set(_images(part)) == pairwise_is_abelian(part)
+    for a_part, b_part in ((derived, sub), (derived, centralizer), (sub, derived)):
+        assert _centralizers_central(
+            _images(a_part), _images(b_part), _images(center)
+        ) == pairwise_centralizers_central(a_part, b_part, center)
 
 
 # -- to_permutation --------------------------------------------------------------------

@@ -49,6 +49,31 @@ def test_permutation_validation():
         Permutation((0, 3))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-1, max_value=5), max_size=5))
+def test_public_constructor_rejects_non_permutations(images):
+    if sorted(images) == list(range(len(images))):
+        assert Permutation(images).images == tuple(images)
+    else:
+        with pytest.raises(ValueError):
+            Permutation(images)
+
+
+def test_product_of_different_degrees_raises():
+    a, b = Permutation((0, 1, 2)), Permutation((1, 0))
+    with pytest.raises(ValueError, match="degrees 3 and 2"):
+        a * b
+    with pytest.raises(ValueError, match="degrees 2 and 3"):
+        b * a
+
+
+def test_products_of_degree_zero_and_one_stay_tuples():
+    for degree in (0, 1):
+        ident = Permutation.identity(degree)
+        assert (ident * ident).images == ident.images == tuple(range(degree))
+        assert ident.inverse().images == ident.images
+
+
 def test_from_cycles_and_order():
     p = Permutation.from_cycles(5, [[0, 1, 2], [3, 4]])
     assert p.images == (1, 2, 0, 4, 3)
@@ -69,6 +94,9 @@ def test_permutation_group_laws(a, b, c):
     assert a * a.inverse() == ident
     for point in range(5):
         assert (a * b)(point) == a(b(point))
+    # Products and inverses skip validation; they must still be permutations.
+    for p in (a * b, a.inverse()):
+        assert Permutation(p.images) == p
 
 
 # -- enumeration --------------------------------------------------------------
