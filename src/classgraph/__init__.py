@@ -72,7 +72,6 @@ from .perm import (
     ConjugacyClass,
     PermGroup,
     Permutation,
-    PiElements,
     SubgroupWitness,
     symmetric_group,
     trivial_group,

@@ -27,7 +27,6 @@ from .perm import (
     Images,
     PermGroup,
     Permutation,
-    SubgroupWitness,
     _compose,
     _generating_subset,
     closure,
@@ -51,8 +50,6 @@ class DGroupWitness:
     b_order: int
     center_order: int
     class_sizes: frozenset[int]
-    a_part: SubgroupWitness | None = None
-    b_part: SubgroupWitness | None = None
 
     def to_json_obj(self) -> dict:
         return {
@@ -69,7 +66,6 @@ class CentralSplit:
 
     central_primes: tuple[int, ...]
     core: PermGroup
-    core_elements: frozenset[Permutation]
 
 
 @dataclass(frozen=True)
@@ -111,18 +107,18 @@ def is_dgroup_spectral(spectrum: Counter[int] | list[int]) -> bool:
 # -- structural recognizer, permutation route --------------------------------
 
 
-def _find_subgroup_of_order(group: PermGroup, target: int) -> frozenset[Permutation] | None:
+def _find_subgroup_of_order(group: PermGroup, target: int) -> frozenset[Images] | None:
     """First subgroup of exactly `target` elements all of order dividing target.
 
     Deterministic breadth-first search over generated subgroups, seeded
     from single elements and extended one candidate at a time.  All
     elements of such a subgroup necessarily have order dividing target, so
-    candidates are prefiltered accordingly.  The search runs on image
-    tuples; only the subgroup it returns becomes Permutation objects.
+    candidates are prefiltered accordingly.  The search runs on, and
+    returns, image tuples.
     """
     ident = group.identity().images
     if target == 1:
-        return frozenset([group.identity()])
+        return frozenset([ident])
     orders = {
         p.images: o
         for p, o in zip(group.elements(), group._element_orders())
@@ -134,16 +130,13 @@ def _find_subgroup_of_order(group: PermGroup, target: int) -> frozenset[Permutat
         grown = closure({ident}, gens, _compose, limit=target)
         return None if grown is None else frozenset(grown)
 
-    def found(grown: frozenset) -> frozenset[Permutation]:
-        return frozenset(Permutation._trusted(x) for x in grown)
-
     # Cyclic seeds first: the closure of a single element is its power list,
     # so the first element of order exactly `target` decides immediately.
     for x in candidates:
         if orders[x] == target:
             grown = generated((x,))
             assert grown is not None and len(grown) == target
-            return found(grown)
+            return grown
     budget = _SEARCH_BUDGET
     seen: set[frozenset] = set()
     queue: deque[tuple[frozenset, tuple]] = deque([(frozenset([ident]), ())])
@@ -161,7 +154,7 @@ def _find_subgroup_of_order(group: PermGroup, target: int) -> frozenset[Permutat
                 continue
             if len(grown) == target:
                 # Lagrange keeps element orders dividing target automatically.
-                return found(grown)
+                return grown
             if grown not in seen:
                 seen.add(grown)
                 queue.append((grown, new_gens))
@@ -215,18 +208,16 @@ def dgroup_witness(group: PermGroup) -> DGroupWitness | None:
     a_images = _images(derived.elements)
     if not _is_abelian_set(a_images):
         return None
-    b_set = _find_subgroup_of_order(group, b_order)
-    if b_set is None:
-        return None
-    b_images = _images(b_set)
-    if not _is_abelian_set(b_images):
+    b_images = _find_subgroup_of_order(group, b_order)
+    if b_images is None or not _is_abelian_set(b_images):
         return None
     center = group.center()
-    if not center.elements <= b_set:
+    center_images = _images(center.elements)
+    if not center_images <= b_images:
         return None
     # Frobenius condition, quotient-free: nontrivial kernel elements may
     # only be centralized inside B by central elements.
-    if not _centralizers_central(a_images, b_images, _images(center.elements)):
+    if not _centralizers_central(a_images, b_images, center_images):
         return None
     sizes = frozenset(group.class_size_spectrum())
     expected = frozenset({1, a_order, b_order // center.order})
@@ -237,8 +228,6 @@ def dgroup_witness(group: PermGroup) -> DGroupWitness | None:
         b_order=b_order,
         center_order=center.order,
         class_sizes=sizes,
-        a_part=derived,
-        b_part=SubgroupWitness(b_set, group._set_is_normal(b_set)),
     )
 
 
@@ -311,29 +300,28 @@ def dgroup_witness_of(
 def strip_central_sylows(group: PermGroup) -> CentralSplit:
     """Split off the primes whose full Sylow subgroup is central.
 
-    The remaining core is the set of elements whose orders avoid the
-    central primes; it must form a (normal) subgroup, and together with
-    the central Hall part it multiplies back to |G|.
+    The remaining core is the subgroup of elements whose orders avoid the
+    central primes (G itself when no prime is central); those elements
+    must form a subgroup, and together with the central Hall part it
+    multiplies back to |G|.
     """
     order = group.order
     center_order = group.center().order
     central = tuple(
         p for p in prime_factors(order) if valuation(center_order, p) == valuation(order, p)
     )
-    core_primes = frozenset(prime_factors(order)) - frozenset(central)
-    pi = group.pi_elements(core_primes)
-    if not pi.is_subgroup:
+    core = group.pi_subgroup(frozenset(prime_factors(order)) - frozenset(central))
+    if core is None:
         raise DecompositionFailure(
             "elements of non-central order do not form a subgroup"
         )
     central_part = math.prod(p ** valuation(order, p) for p in central) if central else 1
-    if len(pi.elements) * central_part != order:
+    if core.order * central_part != order:
         raise DecompositionFailure(
-            f"core order {len(pi.elements)} times central part {central_part} "
+            f"core order {core.order} times central part {central_part} "
             f"is not the group order {order}"
         )
-    core = group.restricted(pi.elements, name=f"{group.name}-core" if group.name else "")
-    return CentralSplit(central, core, pi.elements)
+    return CentralSplit(central, core)
 
 
 # -- block-square decomposition verifier ---------------------------------------
@@ -382,16 +370,14 @@ def _permutation_decomposition(
     for partition in partitions:
         sigma_a = frozenset(partition.pi1) | frozenset(partition.pi4)
         sigma_b = frozenset(partition.pi2) | frozenset(partition.pi3)
-        a_pi = core.pi_elements(sigma_a)
-        b_pi = core.pi_elements(sigma_b)
-        if not (a_pi.is_subgroup and b_pi.is_subgroup):
+        a_group = core.pi_subgroup(sigma_a)
+        b_group = core.pi_subgroup(sigma_b)
+        if a_group is None or b_group is None:
             continue
-        a_order = len(a_pi.elements)
-        b_order = len(b_pi.elements)
+        a_order = a_group.order
+        b_order = b_group.order
         if a_order * b_order != core_order or math.gcd(a_order, b_order) != 1:
             continue
-        a_group = core.restricted(a_pi.elements)
-        b_group = core.restricted(b_pi.elements)
         wa = dgroup_witness(a_group)
         wb = dgroup_witness(b_group)
         if wa is None or wb is None:

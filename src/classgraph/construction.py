@@ -519,6 +519,10 @@ def spectrum_total(spectrum: Counter[int]) -> int:
     return sum(size * count for size, count in spectrum.items())
 
 
-# Module-level spellings of the shared group interface.
-class_size_spectrum = MetabelianGroup.class_size_spectrum
-to_permutation = MetabelianGroup.to_permutation
+# Module-level spellings of the shared group interface, for either kind of group.
+def class_size_spectrum(group: MetabelianGroup | PermGroup, **kwargs) -> Counter[int]:
+    return group.class_size_spectrum(**kwargs)
+
+
+def to_permutation(group: MetabelianGroup | PermGroup, **kwargs) -> PermGroup:
+    return group.to_permutation(**kwargs)

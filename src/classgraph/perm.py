@@ -17,6 +17,11 @@ and enumerated elements, are wrapped by the unchecked
 :meth:`Permutation._trusted`.  A product of two permutations of different
 degrees raises ``ValueError``.
 
+A subgroup found inside an enumerated group (:meth:`PermGroup.pi_subgroup`)
+is a view of its parent: a :class:`PermGroup` on the same points that takes
+the parent's sorted elements and element orders, filtered.  It is never
+re-indexed to fewer points and never enumerated again.
+
 Composition convention: ``(p * q)(i) == p(q(i))`` (apply q first).
 Iteration order is deterministic everywhere: elements are reported sorted
 lexicographically by image sequence.
@@ -160,9 +165,6 @@ class Permutation:
             out.append(tuple(cycle))
         return tuple(out)
 
-    def moved_points(self) -> tuple[int, ...]:
-        return tuple(i for i, j in enumerate(self.images) if i != j)
-
 
 @dataclass(frozen=True)
 class SubgroupWitness:
@@ -175,23 +177,12 @@ class SubgroupWitness:
     def order(self) -> int:
         return len(self.elements)
 
-    def sorted_elements(self) -> tuple[Permutation, ...]:
-        return tuple(sorted(self.elements))
-
 
 @dataclass(frozen=True)
 class ConjugacyClass:
     representative: Permutation
     size: int
     members: frozenset[Permutation]
-
-
-@dataclass(frozen=True)
-class PiElements:
-    """Elements whose order only involves primes from pi, plus a closure verdict."""
-
-    elements: frozenset[Permutation]
-    is_subgroup: bool
 
 
 def _order_of_images(images: Images) -> int:
@@ -210,19 +201,22 @@ def _order_of_images(images: Images) -> int:
     return order
 
 
-def _generating_subset(elements: list[Images]) -> list[Images]:
-    """A small generating set for the subgroup formed by `elements`."""
+def _generating_subset(elements: list[Images], limit: int | None = None) -> list[Images] | None:
+    """A small generating set for the group generated by `elements`.
+
+    Returns None as soon as that group grows past `limit` elements.
+    """
     degree = len(elements[0]) if elements else 1
     ident = tuple(range(degree))
     gens: list[Images] = []
-    have: set[Images] = {ident}
+    have: set[Images] | None = {ident}
     for x in sorted(elements):
         if x in have:
             continue
         gens.append(x)
-        closed = closure(have, gens, _compose)
-        assert closed is not None
-        have = closed
+        have = closure(have, gens, _compose, limit)
+        if have is None:
+            return None
     return gens
 
 
@@ -391,24 +385,39 @@ class PermGroup:
         """True iff the p-part of |Z(G)| equals the p-part of |G|."""
         return valuation(self.center().order, p) == valuation(self.order, p)
 
-    def pi_elements(self, pi: set[int] | frozenset[int]) -> PiElements:
-        """Elements whose order has all prime divisors in pi, plus closure check."""
-        pi = frozenset(pi)
-        orders = self._element_orders()
-        allowed = {o for o in set(orders) if set(prime_factors(o)) <= pi}
-        hits = [h for h, o in zip(self.elements(), orders) if o in allowed]
-        return PiElements(frozenset(hits), self._is_subgroup_images({h.images for h in hits}))
+    def pi_subgroup(self, pi: set[int] | frozenset[int]) -> PermGroup | None:
+        """The elements whose order has all its prime divisors in pi, as a subgroup.
 
-    def _is_subgroup_images(self, images: set[Images]) -> bool:
-        if not images or tuple(range(self.degree)) not in images:
-            return False
-        if len(images) == self.order:
-            return True
-        if self.order % len(images) != 0:
-            return False
-        gens = _generating_subset(sorted(images))
-        closed = closure({tuple(range(self.degree))}, gens, _compose, limit=len(images))
-        return closed is not None and len(closed) == len(images)
+        None when those elements do not form a subgroup; the group itself
+        when pi covers every prime of its order.
+        """
+        pi = frozenset(pi)
+        if pi.issuperset(prime_factors(self.order)):
+            return self
+        orders = self._element_orders()
+        allowed = {o for o in set(orders) if pi.issuperset(prime_factors(o))}
+        return self._subgroup({p.images for p, o in zip(self.elements(), orders) if o in allowed})
+
+    def _subgroup(self, images: set[Images]) -> PermGroup | None:
+        """The subgroup on `images`, or None when they do not form one.
+
+        One closure tests the set and finds the subgroup's generators.  The
+        subgroup is a view of this group: it takes this group's sorted
+        elements and element orders, filtered, and is never re-indexed or
+        enumerated again.
+        """
+        if tuple(range(self.degree)) not in images or not images <= self._images_set():
+            return None
+        gens = _generating_subset(sorted(images), limit=len(images))
+        if gens is None:
+            return None
+        # The generated group contains `images` and is no larger, so it is `images`.
+        sub = PermGroup([Permutation._trusted(g) for g in gens] or [self.identity()], cap=self.cap)
+        kept = [i for i, p in enumerate(self.elements()) if p.images in images]
+        sub._elements = tuple(self.elements()[i] for i in kept)
+        sub._orders = tuple(self._element_orders()[i] for i in kept)
+        sub._element_set = frozenset(images)
+        return sub
 
     def _set_is_normal(self, elements: frozenset[Permutation]) -> bool:
         images = {p.images for p in elements}
@@ -431,9 +440,9 @@ class PermGroup:
         """
         n_imgs = {p.images for p in kernel.elements}
         c_imgs = {p.images for p in complement.elements}
-        if not self._is_subgroup_images(set(n_imgs)):
+        if self._subgroup(n_imgs) is None:
             raise NotSubgroup("kernel candidate is not a subgroup")
-        if not self._is_subgroup_images(set(c_imgs)):
+        if self._subgroup(c_imgs) is None:
             raise NotSubgroup("complement candidate is not a subgroup")
         if not self._set_is_normal(kernel.elements):
             raise NotNormal("kernel candidate is not normal")
@@ -464,18 +473,6 @@ class PermGroup:
         ]
         name = f"{self.name}x{other.name}" if self.name and other.name else ""
         return PermGroup(gens, name=name, cap=max(self.cap, other.cap))
-
-    def restricted(self, elements: frozenset[Permutation], *, name: str = "") -> "PermGroup":
-        """The subgroup on `elements`, re-indexed to the points it moves."""
-        support = sorted({pt for p in elements for pt in p.moved_points()})
-        if not support:
-            return PermGroup([Permutation.identity(1)], name=name, cap=self.cap)
-        index = {pt: i for i, pt in enumerate(support)}
-        restricted = [
-            tuple(index[p.images[pt]] for pt in support) for p in sorted(elements)
-        ]
-        gens = _generating_subset(restricted)
-        return PermGroup([Permutation(g) for g in gens], name=name, cap=self.cap)
 
 
 def trivial_group(degree: int = 1) -> PermGroup:

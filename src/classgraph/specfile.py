@@ -10,7 +10,8 @@ whose construct node is one of::
     {"op": "direct", "factors": [node, ...]}
     {"op": "perm", "degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]}
 
-Parsing is strict: unknown keys are rejected.  Serialization is canonical
+Parsing is strict: unknown keys are rejected, and construct nodes may nest
+at most :data:`MAX_NESTING` deep.  Serialization is canonical
 (fixed key order, two-space indent), so a canonically written file parses
 and re-serializes byte-identically.
 """
@@ -22,6 +23,10 @@ from pathlib import Path
 
 from .construction import Abelian, Cyclic, Direct, Frobenius, GroupExpr, Perm, Semidirect
 from .errors import SpecFileError
+
+# Deepest construct-node nesting a spec may use; deeper specs are rejected
+# before any recursive evaluation could exhaust the interpreter stack.
+MAX_NESTING = 100
 
 
 def _expect_keys(obj: dict, required: set[str], optional: set[str] = frozenset()) -> None:
@@ -46,7 +51,9 @@ def _int_list(value, what: str) -> tuple[int, ...]:
     return tuple(_int(v, what) for v in value)
 
 
-def node_to_expr(obj) -> GroupExpr:
+def node_to_expr(obj, _depth: int = 1) -> GroupExpr:
+    if _depth > MAX_NESTING:
+        raise SpecFileError(f"construct nodes nest deeper than {MAX_NESTING} levels")
     if not isinstance(obj, dict):
         raise SpecFileError(f"construct node must be an object, got {obj!r}")
     op = obj.get("op")
@@ -81,7 +88,7 @@ def node_to_expr(obj) -> GroupExpr:
         factors = obj["factors"]
         if not isinstance(factors, list) or not factors:
             raise SpecFileError("factors must be a nonempty list")
-        return Direct(tuple(node_to_expr(f) for f in factors))
+        return Direct(tuple(node_to_expr(f, _depth + 1) for f in factors))
     if op == "perm":
         _expect_keys(obj, {"op", "degree", "generators"})
         gens = obj["generators"]
@@ -127,6 +134,8 @@ def parse_spec_text(text: str) -> tuple[str, GroupExpr]:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecFileError("invalid JSON: nested too deeply to parse") from exc
     if not isinstance(obj, dict):
         raise SpecFileError("spec file must contain a JSON object")
     _expect_keys(obj, {"name", "construct"})

@@ -6,6 +6,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Every run draws the same examples, so runs cover the same inputs and
+# their timings compare.
+settings.register_profile("classgraph", derandomize=True)
+settings.load_profile("classgraph")
 
 sys.path.insert(0, str(Path(__file__).parent))
 

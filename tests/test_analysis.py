@@ -218,6 +218,23 @@ def test_verify_with_central_factor():
     assert (perm_report.witness.a_order, perm_report.witness.b_order) == (21, 55)
 
 
+def test_verify_after_dgroup_witness_computes_no_element_order(monkeypatch):
+    # The core and both Hall subgroups read the element orders that
+    # dgroup_witness already computed on the whole group.
+    import classgraph.perm as perm
+
+    g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Frobenius((11,), 5), Cyclic(2)))))
+    assert dgroup_witness(g) is None
+    calls = []
+    real = perm._order_of_images
+    monkeypatch.setattr(perm, "_order_of_images", lambda images: calls.append(1) or real(images))
+    report = verify_decomposition(g)
+    assert report.status == VERIFIED
+    assert report.witness.central_primes == (2,)
+    assert (report.witness.a_order, report.witness.b_order) == (21, 55)
+    assert len(calls) == 0
+
+
 def test_verify_product_of_dgroups_with_centers():
     # Both factors D-groups with nontrivial centers; centers become central Sylows.
     a = Direct((Frobenius((7,), 3), Cyclic(5)))

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from classgraph import serialize_spec
+from classgraph.specfile import MAX_NESTING
 from corpus import S3_PERM, S4_PERM, corpus_entries
 
 CLI = [sys.executable, "-m", "classgraph.cli"]
@@ -170,3 +171,30 @@ def test_corpus_collects_errors(tmp_path):
 def test_corpus_rejects_non_directory(tmp_path):
     proc = run_cli(["corpus", str(tmp_path / "nowhere")])
     assert proc.returncode == 2
+
+
+def _nested_direct_spec(depth: int) -> str:
+    """A spec whose construct is `depth` levels of one-factor direct nodes."""
+    head = '{"op": "direct", "factors": [' * (depth - 1)
+    tail = "]}" * (depth - 1)
+    return '{"name": "deep", "construct": ' + head + '{"op": "cyclic", "n": 6}' + tail + "}"
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1200])
+def test_analyze_deeply_nested_spec_exits_2(tmp_path, depth):
+    spec = tmp_path / "deep.json"
+    spec.write_text(_nested_direct_spec(depth), encoding="utf-8")
+    proc = run_cli(["analyze", str(spec)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("depth", [50, MAX_NESTING])
+def test_analyze_nested_spec_within_limit(tmp_path, depth):
+    spec = tmp_path / "deep.json"
+    spec.write_text(_nested_direct_spec(depth), encoding="utf-8")
+    proc = run_cli(["analyze", str(spec)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["order"] == 6

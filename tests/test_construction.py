@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from classgraph import (
     Abelian,
+    CapExceeded,
     CoprimalityViolation,
     Cyclic,
     Direct,
@@ -17,6 +19,7 @@ from classgraph import (
     MetabelianGroup,
     Perm,
     PermGroup,
+    Permutation,
     Semidirect,
     class_size,
     class_size_spectrum,
@@ -31,7 +34,12 @@ from classgraph import (
 from classgraph.analysis import _centralizers_central, _images, _is_abelian_set
 from classgraph.construction import MultiplierAction, auto_multiplier
 from corpus import S3_PERM, S4_PERM
-from oracles import pairwise_centralizers_central, pairwise_is_abelian
+from oracles import (
+    full_scan_class_sizes,
+    pairwise_centralizers_central,
+    pairwise_is_abelian,
+    sieve_primes,
+)
 
 
 # -- evaluate -----------------------------------------------------------------
@@ -399,17 +407,20 @@ def test_structured_and_permutation_routes_agree_on_coprime_products(g):
     _assert_routes_agree(g)
 
 
+def small_perm_groups():
+    """Semidirect groups, coprime products of two, and S4/S5, as permutation groups."""
+    return st.one_of(
+        small_semidirect_groups().map(to_permutation),
+        # Orders up to 420: the oracles below are quadratic in the group order.
+        coprime_semidirect_products(max_kernel=1).map(to_permutation),
+        st.sampled_from([evaluate(S4_PERM), symmetric_group(5)]),
+    )
+
+
 @st.composite
 def groups_with_subgroup(draw):
     """A permutation group and the subgroup generated by one or two of its elements."""
-    group = draw(
-        st.one_of(
-            small_semidirect_groups().map(to_permutation),
-            # Orders up to 420: the pairwise oracle is quadratic in an abelian part.
-            coprime_semidirect_products(max_kernel=1).map(to_permutation),
-            st.sampled_from([evaluate(S4_PERM), symmetric_group(5)]),
-        )
-    )
+    group = draw(small_perm_groups())
     elems = group.elements()
     picks = draw(st.lists(st.integers(0, len(elems) - 1), min_size=1, max_size=2))
     return group, frozenset(PermGroup([elems[i] for i in picks]).elements())
@@ -428,6 +439,32 @@ def test_abelian_and_frobenius_checks_match_pairwise_oracles(case):
         assert _centralizers_central(
             _images(a_part), _images(b_part), _images(center)
         ) == pairwise_centralizers_central(a_part, b_part, center)
+
+
+def _is_closed_under_products(elements: list[Permutation]) -> bool:
+    """A finite set is a subgroup iff it is closed under products; public products only."""
+    members = set(elements)
+    return all(x * y in members for x in elements for y in elements)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_perm_groups())
+def test_pi_subgroup_matches_public_closure(group):
+    primes = [p for p in sieve_primes(group.order) if group.order % p == 0]
+    # Element orders divide the group order, so they factor over `primes`.
+    primes_of = {x: {p for p in primes if x.order() % p == 0} for x in group.elements()}
+    assert group.pi_subgroup(frozenset(primes)) is group
+    for r in range(len(primes)):
+        for sigma in combinations(primes, r):
+            pi_elements = [x for x, ps in primes_of.items() if ps <= set(sigma)]
+            sub = group.pi_subgroup(frozenset(sigma))
+            if not _is_closed_under_products(pi_elements):
+                assert sub is None, sigma
+                continue
+            assert sub is not None and set(sub.elements()) == set(pi_elements), sigma
+            fresh = PermGroup(sub.generators)
+            assert set(fresh.elements()) == set(pi_elements)
+            assert sub.class_size_spectrum() == full_scan_class_sizes(fresh), sigma
 
 
 # -- to_permutation --------------------------------------------------------------------
@@ -455,3 +492,22 @@ def test_to_permutation_preserves_order(corpus):
     for entry in corpus:
         if isinstance(entry.group, MetabelianGroup) and entry.order <= 2000:
             assert to_permutation(entry.group).order == entry.order
+
+
+def test_module_functions_take_either_kind_of_group():
+    for structured, perm in (
+        (evaluate(Frobenius((7,), 3)), to_permutation(evaluate(Frobenius((7,), 3)))),
+        (evaluate(Cyclic(6)), symmetric_group(3)),
+    ):
+        assert class_size_spectrum(structured) == structured.class_size_spectrum()
+        assert class_size_spectrum(perm) == perm.class_size_spectrum()
+        assert to_permutation(perm) is perm
+        assert to_permutation(structured).order == structured.order
+    assert dict(class_size_spectrum(symmetric_group(3))) == {1: 1, 2: 1, 3: 1}
+    # Keyword arguments reach the group's own method.
+    f21 = evaluate(Frobenius((7,), 3))
+    assert to_permutation(f21, verify_order=False).order == 21
+    assert to_permutation(f21, cap=21).cap == 21
+    with pytest.raises(CapExceeded):
+        class_size_spectrum(evaluate(Semidirect((7,), (9,), ((2,),))), cap=62)
+    assert to_permutation(symmetric_group(3), cap=5).order == 6

@@ -11,6 +11,7 @@ from classgraph import (
     ElementNotInGroup,
     Frobenius,
     NotNormal,
+    NotSubgroup,
     PermGroup,
     Permutation,
     SubgroupWitness,
@@ -263,35 +264,34 @@ def test_sylow_central_f21_x_z5():
     assert not g.sylow_is_central(3)
 
 
-# -- pi_elements -----------------------------------------------------------------
+# -- pi_subgroup -----------------------------------------------------------------
 
 
-def test_pi_elements_empty_set():
-    r = s3().pi_elements(frozenset())
-    assert r.elements == frozenset([s3().identity()])
-    assert r.is_subgroup
+def test_pi_subgroup_empty_set_is_trivial():
+    g = s3()
+    r = g.pi_subgroup(frozenset())
+    assert r is not None
+    assert r.elements() == (g.identity(),)
+    assert r.order == 1
 
 
-def test_pi_elements_f21_order7():
-    r = f21_perm().pi_elements(frozenset({7}))
-    assert len(r.elements) == 7
-    assert r.is_subgroup
+def test_pi_subgroup_f21_order7():
+    r = f21_perm().pi_subgroup(frozenset({7}))
+    assert r is not None
+    assert r.order == 7
+    assert all(p.order() in (1, 7) for p in r.elements())
 
 
-def test_pi_elements_s3_not_subgroup():
-    r = s3().pi_elements(frozenset({2}))
-    assert len(r.elements) == 4  # identity plus three transpositions
-    assert not r.is_subgroup
+def test_pi_subgroup_s3_not_subgroup():
+    # The identity and three transpositions do not form a subgroup.
+    assert s3().pi_subgroup(frozenset({2})) is None
 
 
-def test_pi_elements_whole_prime_set_gives_group(corpus):
+def test_pi_subgroup_whole_prime_set_is_the_group(corpus):
     for entry in corpus:
-        if entry.order > 2000:
-            continue
         g = entry.perm
-        r = g.pi_elements(frozenset(prime_factors(g.order)))
-        assert len(r.elements) == g.order
-        assert r.is_subgroup
+        assert g.pi_subgroup(frozenset(prime_factors(g.order))) is g
+        assert g.pi_subgroup(frozenset(prime_factors(g.order)) | {101}) is g
 
 
 # -- frobenius_pair_check ----------------------------------------------------------
@@ -307,10 +307,10 @@ def test_frobenius_pair_s3():
 
 def test_frobenius_pair_z6_fails():
     g = z6_perm()
-    three = g.pi_elements(frozenset({3}))
-    two = g.pi_elements(frozenset({2}))
-    kernel = SubgroupWitness(three.elements, True)
-    complement = SubgroupWitness(two.elements, True)
+    three = g.pi_subgroup(frozenset({3}))
+    two = g.pi_subgroup(frozenset({2}))
+    kernel = SubgroupWitness(frozenset(three.elements()), True)
+    complement = SubgroupWitness(frozenset(two.elements()), True)
     assert not g.frobenius_pair_check(kernel, complement)
 
 
@@ -322,6 +322,20 @@ def test_frobenius_pair_f21():
         [g.identity(), three_element, three_element * three_element]
     )
     assert g.frobenius_pair_check(kernel, SubgroupWitness(cyclic, False))
+
+
+def test_frobenius_pair_rejects_non_subgroups():
+    g = s3()
+    transpositions = frozenset(p for p in g.elements() if p.order() <= 2)
+    with pytest.raises(NotSubgroup):
+        g.frobenius_pair_check(SubgroupWitness(transpositions, False), g.derived_subgroup())
+    # A subgroup of the symmetric group that is not inside this group.
+    z6 = z6_perm()
+    swap = Permutation((1, 0) + tuple(range(2, z6.degree)))
+    assert swap not in z6
+    foreign = SubgroupWitness(frozenset([z6.identity(), swap]), False)
+    with pytest.raises(NotSubgroup):
+        z6.frobenius_pair_check(z6.derived_subgroup(), foreign)
 
 
 def test_frobenius_pair_rejects_non_normal_kernel():
@@ -367,7 +381,7 @@ def test_direct_product_f21_f55_class_size_set():
     assert set(g.class_size_spectrum()) == {1, 3, 7, 5, 11, 15, 35, 33, 77}
 
 
-# -- helpers / restriction ----------------------------------------------------------
+# -- helpers / subgroup views ----------------------------------------------------------
 
 
 def test_symmetric_group_helper():
@@ -379,11 +393,15 @@ def test_symmetric_group_helper():
     assert sorted(symmetric_group(4).class_size_spectrum().elements()) == [1, 3, 6, 6, 8]
 
 
-def test_restricted_subgroup_standalone():
+def test_pi_subgroup_is_a_view_of_its_parent():
     g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Cyclic(5)))))
-    r = g.pi_elements(frozenset({3, 7}))
-    assert r.is_subgroup
-    core = g.restricted(r.elements)
+    g.class_size_spectrum()
+    orders = dict(zip(g.elements(), g._element_orders()))
+    core = g.pi_subgroup(frozenset({3, 7}))
+    assert core is not None
     assert core.order == 21
-    assert core.degree < g.degree
+    assert core.degree == g.degree
+    assert core.elements() == tuple(p for p in g.elements() if p in core)
+    assert core._element_orders() == tuple(orders[p] for p in core.elements())
+    assert all(gen in core for gen in core.generators)
     assert sorted(core.class_size_spectrum().elements()) == [1, 3, 3, 7, 7]
