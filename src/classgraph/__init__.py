@@ -60,8 +60,6 @@ from .errors import (
     FaithfulnessFailure,
     InternalInvariantError,
     InvalidMultiplier,
-    NotNormal,
-    NotSubgroup,
     PredictionMismatch,
     SpecFileError,
     TooManyVertices,

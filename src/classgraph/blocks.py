@@ -9,6 +9,12 @@ single vertex of pi1 adjacent into both pi2 and pi3 (and likewise for
 pi4); ``weak_witness=True`` only demands that edges exist from pi1 to each
 of pi2 and pi3 separately, possibly from different vertices.  For graphs
 arising from groups the two coincide; they differ on hand-built graphs.
+
+The square has 8 symmetries of block positions; partitions in one orbit
+count as one.  :func:`find_block_partitions` returns each orbit's least
+valid member and its search reaches no other leaf: the symmetries inside
+each pair (pi1, pi4) and (pi2, pi3) are broken while branching, the swap
+of the two pairs at the leaf.
 """
 
 from __future__ import annotations
@@ -185,12 +191,21 @@ def find_block_partitions(
 ) -> list[BlockPartition]:
     """All block-square partitions, one canonical representative per orbit.
 
-    Exhaustive assignment of vertices to the four blocks, pruning as soon
-    as a pi1-pi4 or pi2-pi3 edge or an unfillable empty block appears.
-    Every valid ordered assignment is collected, so each symmetry orbit is
-    reduced to its least valid member afterwards.  Returns [] iff the
-    graph is not a block square.  Raises TooManyVertices past
-    `max_vertices`.
+    The representative is the least valid member of the orbit under the 8
+    square symmetries (what :func:`canonical_partition` returns), and the
+    search reaches no other leaf.  Vertices are assigned in increasing
+    order, pruning as soon as a pi1-pi4 or pi2-pi3 edge or an unfillable
+    empty block appears.  Blocks are disjoint, so they compare by their
+    least vertices:
+
+    - swapping pi1 with pi4, or pi2 with pi3, keeps both witness readings,
+      so pi4 (pi3) may open only once pi1 (pi2) is nonempty;
+    - the least vertex then lies in pi1 or pi2.  In pi2, the pairing with
+      pi2 and pi3 as the ends gives a smaller member of the same orbit,
+      so the leaf is dropped when that pairing is valid too.
+
+    Returns [] iff the graph is not a block square.  Raises
+    TooManyVertices past `max_vertices`.
     """
     vertices = graph.vertices
     n = len(vertices)
@@ -199,35 +214,39 @@ def find_block_partitions(
     if n < 4:
         return []
 
-    # High-degree vertices first: their adjacency prunes earliest.
-    order = sorted(range(n), key=lambda i: (-len(graph.neighbors(vertices[i])), i))
-    vertex_at = [vertices[order[pos]] for pos in range(n)]
-    index_of = {vertex_at[pos]: pos for pos in range(n)}
+    index_of = {v: i for i, v in enumerate(vertices)}
     adj = [0] * n
     for p, q in graph.edges:
         adj[index_of[p]] |= 1 << index_of[q]
         adj[index_of[q]] |= 1 << index_of[p]
 
-    # Conflicting block per block: placing v into b forbids adjacency into it.
-    opposite = (3, 2, 1, 0)
-    found: set[tuple[int, int, int, int]] = set()
+    found: list[_Blocks] = []
     masks = [0, 0, 0, 0]
 
     def assign(pos: int, empty: int) -> None:
         if pos == n:
-            if empty:
-                return
-            if _mask_witness(adj, masks[0], masks[1], masks[2], weak_witness) and _mask_witness(
-                adj, masks[3], masks[1], masks[2], weak_witness
+            m1, m2, m3, m4 = masks
+            if empty or not (
+                _mask_witness(adj, m1, m2, m3, weak_witness)
+                and _mask_witness(adj, m4, m2, m3, weak_witness)
             ):
-                found.add((masks[0], masks[1], masks[2], masks[3]))
+                return
+            if m2 & 1 and (
+                _mask_witness(adj, m2, m1, m4, weak_witness)
+                and _mask_witness(adj, m3, m1, m4, weak_witness)
+            ):
+                return
+            found.append(
+                tuple(tuple(v for i, v in enumerate(vertices) if m >> i & 1) for m in masks)
+            )
             return
         if empty > n - pos:
             return
         a = adj[pos]
         bit = 1 << pos
         for b in range(4):
-            if a & masks[opposite[b]]:
+            # Block 3 - b is b's non-adjacent partner; pi3 and pi4 open after it.
+            if a & masks[3 - b] or (b >= 2 and not masks[3 - b]):
                 continue
             was_empty = masks[b] == 0
             masks[b] |= bit
@@ -235,26 +254,4 @@ def find_block_partitions(
             masks[b] &= ~bit
 
     assign(0, 4)
-    if not found:
-        return []
-
-    def decode(mask: int) -> tuple[int, ...]:
-        out = []
-        while mask:
-            pos = (mask & -mask).bit_length() - 1
-            out.append(vertex_at[pos])
-            mask &= mask - 1
-        return tuple(sorted(out))
-
-    # The no-edge conditions are symmetry-invariant and every valid image is
-    # itself a visited leaf, so an orbit's valid members are exactly its
-    # intersection with `found`.
-    canonical: set[_Blocks] = set()
-    for quad in found:
-        valid_images = [
-            tuple(quad[sym[i]] for i in range(4))
-            for sym in SQUARE_SYMMETRIES
-            if tuple(quad[sym[i]] for i in range(4)) in found
-        ]
-        canonical.add(min(tuple(decode(m) for m in image) for image in valid_images))
-    return [BlockPartition(*blocks) for blocks in sorted(canonical)]
+    return [BlockPartition(*blocks) for blocks in sorted(found)]

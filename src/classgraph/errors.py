@@ -15,14 +15,6 @@ class ElementNotInGroup(ClassGraphError):
     """Queried element does not belong to the enumerated group."""
 
 
-class NotSubgroup(ClassGraphError):
-    """An element set claimed to be a subgroup is not closed."""
-
-
-class NotNormal(ClassGraphError):
-    """A subgroup claimed to be normal is not conjugation-invariant."""
-
-
 class InvalidMultiplier(ClassGraphError):
     """A semidirect-action multiplier is not a unit or has the wrong order."""
 

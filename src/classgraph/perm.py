@@ -35,7 +35,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import CapExceeded, ElementNotInGroup, NotNormal, NotSubgroup
+from .errors import CapExceeded, ElementNotInGroup
 from .primes import prime_factors, valuation
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -168,10 +168,9 @@ class Permutation:
 
 @dataclass(frozen=True)
 class SubgroupWitness:
-    """A subgroup given as an explicit element set, with a normality flag."""
+    """A subgroup given as an explicit element set."""
 
     elements: frozenset[Permutation]
-    is_normal: bool
 
     @property
     def order(self) -> int:
@@ -284,8 +283,13 @@ class PermGroup:
             self._orders = tuple(_order_of_images(p.images) for p in self.elements())
         return self._orders
 
-    def to_permutation(self, *, cap: int | None = None) -> "PermGroup":
-        """The group itself: it already carries its own enumeration cap."""
+    def to_permutation(
+        self, *, cap: int | None = None, verify_order: bool | None = None
+    ) -> "PermGroup":
+        """The group itself, which is its own enumeration with its own cap.
+
+        Takes the keywords of ``MetabelianGroup.to_permutation`` and ignores them.
+        """
         return self
 
     def _images_set(self) -> frozenset[Images]:
@@ -339,24 +343,11 @@ class PermGroup:
 
     # -- subgroup queries ------------------------------------------------
 
-    def centralizer(self, g: Permutation) -> SubgroupWitness:
-        """All elements commuting with g."""
-        if g not in self:
-            raise ElementNotInGroup(f"{g!r} is not in {self!r}")
-        gi = g.images
-        hits = [h for h in self.elements() if _compose(h.images, gi) == _compose(gi, h.images)]
-        elems = frozenset(hits)
-        return SubgroupWitness(elems, self._set_is_normal(elems))
-
     def center(self) -> SubgroupWitness:
-        """Elements commuting with every generator (hence with everything)."""
-        gens = [g.images for g in self.generators]
-        hits = [
-            h
-            for h in self.elements()
-            if all(_compose(h.images, g) == _compose(g, h.images) for g in gens)
-        ]
-        return SubgroupWitness(frozenset(hits), True)
+        """The union of the size-1 conjugacy classes."""
+        return SubgroupWitness(
+            frozenset(c.representative for c in self.conjugacy_classes() if c.size == 1)
+        )
 
     def derived_subgroup(self) -> SubgroupWitness:
         """Normal closure of the commutators of all generator pairs."""
@@ -379,7 +370,7 @@ class PermGroup:
             if not new:
                 break
             current = closure(current, sorted(new), _compose) or current
-        return SubgroupWitness(frozenset(Permutation._trusted(x) for x in current), True)
+        return SubgroupWitness(frozenset(Permutation._trusted(x) for x in current))
 
     def sylow_is_central(self, p: int) -> bool:
         """True iff the p-part of |Z(G)| equals the p-part of |G|."""
@@ -418,47 +409,6 @@ class PermGroup:
         sub._orders = tuple(self._element_orders()[i] for i in kept)
         sub._element_set = frozenset(images)
         return sub
-
-    def _set_is_normal(self, elements: frozenset[Permutation]) -> bool:
-        images = {p.images for p in elements}
-        for g in self.generators:
-            pair = (g.images, _invert(g.images))
-            if any(_conjugate(x, pair) not in images for x in images):
-                return False
-        return True
-
-    # -- Frobenius pair test ---------------------------------------------
-
-    def frobenius_pair_check(
-        self, kernel: SubgroupWitness, complement: SubgroupWitness
-    ) -> bool:
-        """True iff (kernel, complement) exhibits this group as Frobenius.
-
-        Checks: kernel normal, trivial intersection, orders multiplying to
-        |G|, and every nontrivial complement element conjugating no
-        nontrivial kernel element to itself.
-        """
-        n_imgs = {p.images for p in kernel.elements}
-        c_imgs = {p.images for p in complement.elements}
-        if self._subgroup(n_imgs) is None:
-            raise NotSubgroup("kernel candidate is not a subgroup")
-        if self._subgroup(c_imgs) is None:
-            raise NotSubgroup("complement candidate is not a subgroup")
-        if not self._set_is_normal(kernel.elements):
-            raise NotNormal("kernel candidate is not normal")
-        ident = tuple(range(self.degree))
-        if n_imgs & c_imgs != {ident}:
-            return False
-        if len(n_imgs) * len(c_imgs) != self.order:
-            return False
-        for c in c_imgs:
-            if c == ident:
-                continue
-            pair = (c, _invert(c))
-            for x in n_imgs:
-                if x != ident and _conjugate(x, pair) == x:
-                    return False
-        return True
 
     # -- constructions -----------------------------------------------------
 

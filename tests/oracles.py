@@ -3,7 +3,8 @@
 Nothing here shares code with the implementations under test: class sizes
 come from conjugating by every group element, commuting from public
 ``Permutation`` products of every pair, primality from a sieve, and block
-squares from enumerating every 4-block set partition.
+squares from enumerating every 4-block set partition and every ordering
+of its blocks.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ def full_scan_class_sizes(group: PermGroup) -> Counter[int]:
 def pairwise_is_abelian(elements: Collection[Permutation]) -> bool:
     """Every pair of elements commutes, by public products."""
     return all(a * b == b * a for a, b in combinations(elements, 2))
+
+
+def pairwise_center(group: PermGroup) -> frozenset[Permutation]:
+    """Elements commuting with every element, by public products."""
+    elems = group.elements()
+    return frozenset(x for x in elems if all(x * g == g * x for g in elems))
 
 
 def pairwise_centralizers_central(
@@ -102,6 +109,41 @@ def naive_block_square_exists(graph: PrimeGraph, *, weak: bool = False) -> bool:
     return False
 
 
+# The three ways to split four block labels into two pairs.
+_MATCHINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+
+
+def canonical_block_partitions(graph: PrimeGraph, *, weak: bool = False) -> list[BlockPartition]:
+    """The least valid ordering of every block-square orbit, sorted.
+
+    An orbit is a 4-block set partition with one of the 3 matchings of its
+    blocks into the two non-adjacent pairs; its orderings put either pair
+    at the ends, in either order, and the other pair between them, in
+    either order.  Validity is the public predicate on each ordering.
+    """
+    out = []
+    for blocks in set_partitions_into_4(graph.vertices):
+        for pair, other in _MATCHINGS:
+            # Every ordering of the orbit has the same non-adjacent pairs.
+            if any(
+                graph.has_edge(p, q)
+                for i, j in (pair, other)
+                for p in blocks[i]
+                for q in blocks[j]
+            ):
+                continue
+            orderings = (
+                BlockPartition(blocks[a], blocks[c], blocks[d], blocks[b])
+                for ends, mids in ((pair, other), (other, pair))
+                for a, b in (ends, ends[::-1])
+                for c, d in (mids, mids[::-1])
+            )
+            valid = [p for p in orderings if is_block_square_partition(graph, p, weak_witness=weak)]
+            if valid:
+                out.append(min(valid, key=BlockPartition.blocks))
+    return sorted(out, key=BlockPartition.blocks)
+
+
 @lru_cache(maxsize=None)
 def _four_block_partitions(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Every partition of {0..n-1} into 4 unordered nonempty blocks.
@@ -132,9 +174,6 @@ def _four_block_partitions(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ..
 
     rec(0, 0, [])
     return tuple(out)
-
-
-_MATCHINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
 def fast_block_square_exists(adj: list[int], n: int, *, weak: bool = False) -> bool:

@@ -15,15 +15,20 @@ from classgraph import (
     is_block_square_partition,
 )
 from classgraph.blocks import SQUARE_SYMMETRIES, apply_symmetry
-from oracles import fast_block_square_exists, naive_block_square_exists
+from oracles import (
+    canonical_block_partitions,
+    fast_block_square_exists,
+    naive_block_square_exists,
+    sieve_primes,
+)
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17)
 
 SQUARE = PrimeGraph((3, 5, 7, 11), frozenset({(3, 5), (3, 11), (5, 7), (7, 11)}))
 
 
-def graph_from_bits(n: int, bits: int) -> PrimeGraph:
-    vertices = PRIMES[:n]
+def graph_from_bits(n: int, bits: int, vertices: tuple[int, ...] = PRIMES) -> PrimeGraph:
+    vertices = vertices[:n]
     edges = set()
     k = 0
     for i in range(n):
@@ -174,6 +179,25 @@ def test_detector_agrees_with_naive_public_api_oracle():
         for weak in (False, True):
             found = bool(find_block_partitions(g, weak_witness=weak))
             assert found == naive_block_square_exists(g, weak=weak), (g, weak)
+
+
+def test_detector_returns_the_canonical_list():
+    # Every graph on <= 5 vertices, then random graphs on 6-7 vertices
+    # labelled by spread-out primes; the whole list, both witness readings.
+    cases = [
+        graph_from_bits(n, bits) for n in range(6) for bits in range(1 << (n * (n - 1) // 2))
+    ]
+    rng = random.Random(17)
+    labels = sieve_primes(100)
+    for _ in range(120):
+        n = rng.randint(6, 7)
+        vertices = tuple(sorted(rng.sample(labels, n)))
+        cases.append(graph_from_bits(n, rng.getrandbits(n * (n - 1) // 2), vertices))
+    for g in cases:
+        for weak in (False, True):
+            assert find_block_partitions(g, weak_witness=weak) == canonical_block_partitions(
+                g, weak=weak
+            ), (g, weak)
 
 
 def test_fast_oracle_agrees_with_naive_oracle():
