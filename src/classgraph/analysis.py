@@ -1,13 +1,15 @@
 """Structure recognition: D-groups, central stripping, block-square splitting.
 
-A D-group is a group G = AB with A normal abelian, B abelian, |A| and |B|
-coprime, Z(G) <= B, and G/Z(G) Frobenius with kernel AZ(G)/Z(G).  These
-are exactly the groups whose class-size prime graph is disconnected, and
-they have class-size set {1, |A|, |B|/|Z(G)|}.
+A D-group is a group whose class-size prime graph is disconnected.  By
+Bertram, Herzog and Mann these are the groups G = AB with A normal
+abelian, B abelian, A and B meeting trivially, Z(G) <= B, and G/Z(G)
+Frobenius with kernel AZ(G)/Z(G); their class sizes are {1, |A|, |B:Z(G)|}.
+|Z(G)| may share primes with |A|: C3 x S3 is a D-group with A = C3, B = C6.
 
 Two independent recognizers are provided: a spectral one (count the
-components of the graph) and a structural one (exhibit A and B and check
-the Frobenius condition elementwise).  The block-square verifier combines
+components of the graph) and a structural one (exhibit A = G' and B, the
+centralizer of an element whose class has size |A|, and check the
+Frobenius condition elementwise).  The block-square verifier combines
 them: a group whose graph is a block square must split, up to central
 Sylow factors, as a direct product of two coprime D-groups, one per
 non-adjacent block pair.
@@ -16,30 +18,19 @@ non-adjacent block pair.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 from .blocks import BlockPartition, find_block_partitions
 from .construction import MetabelianGroup
-from .errors import CapExceeded, DecompositionFailure
+from .errors import DecompositionFailure
 from .graph import PrimeGraph, delta_of
-from .perm import (
-    Images,
-    PermGroup,
-    Permutation,
-    _compose,
-    _generating_subset,
-    closure,
-)
+from .perm import Images, PermGroup, Permutation, _compose, _generating_subset
 from .primes import prime_factors, valuation
 
 VERIFIED = "VERIFIED"
 COUNTEREXAMPLE_CANDIDATE = "COUNTEREXAMPLE_CANDIDATE"
 NOT_BLOCK_SQUARE = "not a block square"
-
-# Budget for the complement search inside dgroup_witness; prevents silent
-# wrong answers by failing loudly instead of giving up quietly.
-_SEARCH_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -107,60 +98,6 @@ def is_dgroup_spectral(spectrum: Counter[int] | list[int]) -> bool:
 # -- structural recognizer, permutation route --------------------------------
 
 
-def _find_subgroup_of_order(group: PermGroup, target: int) -> frozenset[Images] | None:
-    """First subgroup of exactly `target` elements all of order dividing target.
-
-    Deterministic breadth-first search over generated subgroups, seeded
-    from single elements and extended one candidate at a time.  All
-    elements of such a subgroup necessarily have order dividing target, so
-    candidates are prefiltered accordingly.  The search runs on, and
-    returns, image tuples.
-    """
-    ident = group.identity().images
-    if target == 1:
-        return frozenset([ident])
-    orders = {
-        p.images: o
-        for p, o in zip(group.elements(), group._element_orders())
-        if target % o == 0 and p.images != ident
-    }
-    candidates = list(orders)
-
-    def generated(gens: tuple) -> frozenset | None:
-        grown = closure({ident}, gens, _compose, limit=target)
-        return None if grown is None else frozenset(grown)
-
-    # Cyclic seeds first: the closure of a single element is its power list,
-    # so the first element of order exactly `target` decides immediately.
-    for x in candidates:
-        if orders[x] == target:
-            grown = generated((x,))
-            assert grown is not None and len(grown) == target
-            return grown
-    budget = _SEARCH_BUDGET
-    seen: set[frozenset] = set()
-    queue: deque[tuple[frozenset, tuple]] = deque([(frozenset([ident]), ())])
-    while queue:
-        subgroup, gens = queue.popleft()
-        for x in candidates:
-            if x in subgroup:
-                continue
-            budget -= 1
-            if budget < 0:
-                raise CapExceeded("complement search budget exceeded")
-            new_gens = gens + (x,)
-            grown = generated(new_gens)
-            if grown is None or target % len(grown) != 0:
-                continue
-            if len(grown) == target:
-                # Lagrange keeps element orders dividing target automatically.
-                return grown
-            if grown not in seen:
-                seen.add(grown)
-                queue.append((grown, new_gens))
-    return None
-
-
 def _images(witness_elements: frozenset[Permutation]) -> set[Images]:
     return {p.images for p in witness_elements}
 
@@ -191,25 +128,36 @@ def _centralizers_central(a_set: set[Images], b_set: set[Images], center: set[Im
 def dgroup_witness(group: PermGroup) -> DGroupWitness | None:
     """Structural D-group recognizer on an enumerated permutation group.
 
-    A is taken to be the derived subgroup (it must be nontrivial, abelian,
-    and of order coprime to its index).  B is the first subgroup of the
-    complementary order found among elements of coprime order; all such
-    complements are conjugate, so one candidate decides.  The Frobenius
-    condition is checked as: C_B(a) <= Z(G) for every nontrivial a in A.
+    A is the derived subgroup, which must be nontrivial and abelian.  B is
+    C_G(x) for the representative x of the first class of size |A|, so
+    |B| = |G|/|A|.  In a D-group, G/Z is Frobenius with kernel AZ/Z and
+    abelian complement B/Z, and this B is always a complement:
+
+    - for x in B outside Z, C_G(x) = B, so the class of x has size |A|;
+    - a non-central element of AZ has class size |B:Z|, coprime to |A|
+      and above 1, so never |A|;
+    - every element of G/Z lies in the kernel or in a conjugate of the
+      complement, so x lies in some B^g and C_G(x) = B^g.
+
+    Otherwise the checks below reject C_G(x).  The Frobenius condition is
+    checked as C_B(a) <= Z(G) for every nontrivial a in A; as x is not
+    central, it also makes A and B meet trivially.
     """
-    order = group.order
     derived = group.derived_subgroup()
     a_order = derived.order
-    if a_order == 1 or order % a_order != 0:
+    if a_order == 1:
         return None
-    b_order = order // a_order
-    if math.gcd(a_order, b_order) != 1:
-        return None
+    b_order = group.order // a_order
     a_images = _images(derived.elements)
     if not _is_abelian_set(a_images):
         return None
-    b_images = _find_subgroup_of_order(group, b_order)
-    if b_images is None or not _is_abelian_set(b_images):
+    x = next(
+        (c.representative.images for c in group.conjugacy_classes() if c.size == a_order), None
+    )
+    if x is None:
+        return None
+    b_images = {g for g in group._images_set() if _compose(g, x) == _compose(x, g)}
+    if not _is_abelian_set(b_images):
         return None
     center = group.center()
     center_images = _images(center.elements)

@@ -6,12 +6,12 @@ generators, capped), and every query below is a direct scan or orbit walk
 over those elements.  No stabilizer chains, no cleverness; at the scale
 this package targets (orders in the tens of thousands) the simple thing is
 fast enough and easy to trust.  The one closure loop, :func:`closure`, also
-serves the structured groups and the subgroup search elsewhere in the package.
+serves the structured groups and the block-square symmetries.
 
 Validation happens once, at the boundary: the public ``Permutation(...)``
 constructor checks its images, and that covers spec parsing,
 :meth:`Permutation.from_cycles`, group generators and user input.  Internal
-work (composition, closure, class orbits, subgroup search) runs on raw image
+work (composition, closure, class orbits, subgroups) runs on raw image
 tuples, and results known to be permutations, such as products, inverses
 and enumerated elements, are wrapped by the unchecked
 :meth:`Permutation._trusted`.  A product of two permutations of different
@@ -181,7 +181,6 @@ class SubgroupWitness:
 class ConjugacyClass:
     representative: Permutation
     size: int
-    members: frozenset[Permutation]
 
 
 def _order_of_images(images: Images) -> int:
@@ -319,8 +318,7 @@ class PermGroup:
                 continue
             orbit = closure({x}, gen_pairs, _conjugate)
             assert orbit is not None
-            members = frozenset(Permutation._trusted(y) for y in orbit)
-            classes.append(ConjugacyClass(rep, len(orbit), members))
+            classes.append(ConjugacyClass(rep, len(orbit)))
             for y in orbit:
                 size_by_images[y] = len(orbit)
         total = sum(c.size for c in classes)

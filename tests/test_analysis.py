@@ -68,6 +68,15 @@ def test_witness_f21_x_z5_center_inside_b():
     assert w.class_sizes == frozenset({1, 7, 3})
 
 
+def test_witness_c3_x_s3_center_shares_a_prime_with_a():
+    # Z = C3 and A = C3: |A| divides |B| = 6, yet Delta is disconnected
+    # (sizes 1, 2, 3), so C3 x S3 is a D-group.
+    w = dgroup_witness(evaluate(Direct((Cyclic(3), S3_PERM))))
+    assert w is not None
+    assert (w.a_order, w.b_order, w.center_order) == (3, 6, 3)
+    assert w.class_sizes == frozenset({1, 2, 3})
+
+
 def test_witness_non_cyclic_complement():
     # S3 x Z2 needs B = Z2 x Z2 (not cyclic), S3 x Z2 x Z2 needs three generators.
     g = evaluate(Direct((S3_PERM, Cyclic(2))))
@@ -218,21 +227,33 @@ def test_verify_with_central_factor():
     assert (perm_report.witness.a_order, perm_report.witness.b_order) == (21, 55)
 
 
-def test_verify_after_dgroup_witness_computes_no_element_order(monkeypatch):
-    # The core and both Hall subgroups read the element orders that
-    # dgroup_witness already computed on the whole group.
+def test_dgroup_witness_computes_no_element_order_and_verify_computes_each_once(monkeypatch):
+    # dgroup_witness reads B off the classes, so it needs no element order.
+    # The verifier computes each order once, on the whole group; the core
+    # and both Hall subgroups read those orders and compute none.
     import classgraph.perm as perm
 
     g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Frobenius((11,), 5), Cyclic(2)))))
-    assert dgroup_witness(g) is None
     calls = []
     real = perm._order_of_images
     monkeypatch.setattr(perm, "_order_of_images", lambda images: calls.append(1) or real(images))
+    assert dgroup_witness(g) is None
+    assert len(calls) == 0
     report = verify_decomposition(g)
     assert report.status == VERIFIED
     assert report.witness.central_primes == (2,)
     assert (report.witness.a_order, report.witness.b_order) == (21, 55)
-    assert len(calls) == 0
+    assert len(calls) == g.order
+
+
+def test_verify_c3_x_s3_x_f55():
+    # The Sylow 3-subgroup of C3 x S3 is not central, so nothing is
+    # stripped: the A factor is the D-group C3 x S3 itself.
+    g = evaluate(Direct((Cyclic(3), S3_PERM, Frobenius((11,), 5))))
+    report = verify_decomposition(g)
+    assert report.status == VERIFIED
+    assert report.witness.central_primes == ()
+    assert (report.witness.a_order, report.witness.b_order) == (18, 55)
 
 
 def test_verify_product_of_dgroups_with_centers():

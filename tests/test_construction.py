@@ -4,7 +4,7 @@ import math
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from classgraph import (
@@ -27,6 +27,7 @@ from classgraph import (
     dgroup_witness,
     dgroup_witness_of,
     evaluate,
+    is_dgroup_spectral,
     is_frobenius_action,
     symmetric_group,
     to_permutation,
@@ -415,6 +416,22 @@ def small_perm_groups():
         coprime_semidirect_products(max_kernel=1).map(to_permutation),
         st.sampled_from([evaluate(S4_PERM), symmetric_group(5)]),
     )
+
+
+def f21_times_c3_power(k: int) -> PermGroup:
+    """F21 x C3^k as a permutation group; the shared prime 3 forces the permutation route."""
+    f21 = Frobenius((7,), 3)
+    return to_permutation(evaluate(Direct((f21, Abelian((3,) * k))) if k else f21))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_perm_groups(), st.integers(0, 3).map(f21_times_c3_power)))
+@example(f21_times_c3_power(3))
+def test_dgroup_witness_exactly_when_delta_is_disconnected(group):
+    # D-groups are exactly the groups with disconnected Delta, so the
+    # structural recognizer must find its complement whenever the spectral
+    # one says yes, overlap products such as F21 x C3^3 included.
+    assert (dgroup_witness(group) is not None) == is_dgroup_spectral(group.class_size_spectrum())
 
 
 @st.composite
