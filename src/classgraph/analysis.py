@@ -26,7 +26,7 @@ from .construction import MetabelianGroup
 from .errors import DecompositionFailure
 from .graph import PrimeGraph, delta_of
 from .perm import Images, PermGroup, Permutation, _compose, _generating_subset
-from .primes import prime_factors, valuation
+from .primes import valuation
 
 VERIFIED = "VERIFIED"
 COUNTEREXAMPLE_CANDIDATE = "COUNTEREXAMPLE_CANDIDATE"
@@ -256,9 +256,9 @@ def strip_central_sylows(group: PermGroup) -> CentralSplit:
     order = group.order
     center_order = group.center().order
     central = tuple(
-        p for p in prime_factors(order) if valuation(center_order, p) == valuation(order, p)
+        p for p in group.primes if valuation(center_order, p) == valuation(order, p)
     )
-    core = group.pi_subgroup(frozenset(prime_factors(order)) - frozenset(central))
+    core = group.pi_subgroup(frozenset(group.primes) - frozenset(central))
     if core is None:
         raise DecompositionFailure(
             "elements of non-central order do not form a subgroup"
@@ -286,14 +286,14 @@ def _structural_decomposition(
         return None
     central_primes: set[int] = set()
     for part in abelian:
-        central_primes.update(prime_factors(part.order))
+        central_primes.update(part.primes)
     for partition in partitions:
         sigma_a = frozenset(partition.pi1) | frozenset(partition.pi4)
         sigma_b = frozenset(partition.pi2) | frozenset(partition.pi3)
         for first, second in ((fa, fb), (fb, fa)):
             if (
-                frozenset(prime_factors(first.order)) == sigma_a
-                and frozenset(prime_factors(second.order)) == sigma_b
+                frozenset(first.primes) == sigma_a
+                and frozenset(second.primes) == sigma_b
             ):
                 wa = _witness_from_parts(([], [first]))
                 wb = _witness_from_parts(([], [second]))
@@ -363,7 +363,7 @@ def verify_decomposition(
     if spectrum is None:
         spectrum = group.class_size_spectrum()
     if graph is None:
-        graph = delta_of(spectrum)
+        graph = delta_of(spectrum, primes=group.primes)
     if partitions is None:
         partitions = tuple(find_block_partitions(graph, weak_witness=weak_witness))
     split = _structural_parts(group)

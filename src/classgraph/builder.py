@@ -127,7 +127,7 @@ def _build_once(
     group = evaluate(expr)
     if group.factors is None or not all(f.frobenius for f in group.factors):
         raise PredictionMismatch("constructed factors lost their Frobenius structure")
-    computed = delta_of(group.class_size_spectrum())
+    computed = delta_of(group.class_size_spectrum(), primes=group.primes)
     if computed != predicted:
         raise PredictionMismatch(
             f"computed graph {computed.to_json_obj()} differs from "

@@ -155,7 +155,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     _, expr = parse_spec_file(args.spec)
     group = evaluate(expr, cap=_enumeration_cap())
-    sys.stdout.write(delta_of(group.class_size_spectrum()).to_dot())
+    sys.stdout.write(delta_of(group.class_size_spectrum(), primes=group.primes).to_dot())
     return EXIT_OK
 
 

@@ -8,7 +8,7 @@ those.  Each carries enough structure to compute its conjugacy class-size
 spectrum without enumerating elements whenever a fast path applies; the
 permutation engine (``to_permutation``) stays available as the independent
 cross-check.  A :class:`MetabelianGroup` offers the same ``order``,
-``class_size_spectrum()`` and ``to_permutation()`` as a
+``primes``, ``class_size_spectrum()`` and ``to_permutation()`` as a
 :class:`~classgraph.perm.PermGroup`.
 
 Elements of a :class:`MetabelianGroup` are pairs ``(k, l)`` of residue
@@ -114,6 +114,15 @@ class MetabelianGroup:
     @property
     def order(self) -> int:
         return self.kernel.order * self.top.order
+
+    @cached_property
+    def primes(self) -> tuple[int, ...]:
+        """The primes of the group order, ascending, read off the cyclic factor orders."""
+        out: set[int] = set()
+        for n in self.kernel.factor_orders + self.top.factor_orders:
+            # Frobenius kernel entries are checked prime when the node is built.
+            out.update((n,) if is_prime(n) else prime_factors(n))
+        return tuple(sorted(out))
 
     @property
     def is_abelian(self) -> bool:

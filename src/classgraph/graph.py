@@ -2,9 +2,12 @@
 
 Vertices are the primes dividing some conjugacy class size; two distinct
 primes p, q are joined exactly when pq divides some class size.  Since
-class sizes are exact integers, so is everything here: spectra are
-factored exactly (see :mod:`classgraph.primes`), and graphs compare by
-strict equality of vertex and edge sets.
+class sizes are exact integers, so is everything here, and graphs compare
+by strict equality of vertex and edge sets.  Every class size divides the
+group order, so a group's sizes are read against its own primes
+(``group.primes``): each size is divided by those primes, and a cofactor
+other than 1 is an internal error, never a smaller graph.  A bare spectrum
+is factored exactly instead (see :mod:`classgraph.primes`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .errors import VertexNotInGraph
+from .errors import InternalInvariantError, VertexNotInGraph
 from .primes import is_prime, prime_factors
 
 Edge = tuple[int, int]
@@ -120,12 +123,35 @@ def _as_counter(spectrum: Mapping[int, int] | Iterable[int]) -> Counter[int]:
     return Counter(spectrum)
 
 
-def delta_of(spectrum: Mapping[int, int] | Iterable[int]) -> PrimeGraph:
+def _primes_dividing(size: int, primes: tuple[int, ...]) -> tuple[int, ...]:
+    """The given primes that divide size; they must account for all of it."""
+    ps = []
+    rest = size
+    for p in primes:
+        if rest % p == 0:
+            ps.append(p)
+            while rest % p == 0:
+                rest //= p
+    if rest != 1:
+        raise InternalInvariantError(
+            f"class size {size} leaves the cofactor {rest} outside the group's primes"
+        )
+    return tuple(ps)
+
+
+def delta_of(
+    spectrum: Mapping[int, int] | Iterable[int], primes: tuple[int, ...] | None = None
+) -> PrimeGraph:
     """Prime graph of a class-size multiset.
 
     Accepts either a {size: multiplicity} mapping or a plain iterable of
     sizes.  The identity class contributes size 1; its absence usually
     means the spectrum is not from a group, so it only warns.
+
+    Without ``primes`` each size is factored from scratch.  With
+    ``primes``, the primes of the group order (``group.primes``), each
+    size is divided by them instead and no size is factored; a size with
+    a prime factor outside them raises InternalInvariantError.
     """
     counts = _as_counter(spectrum)
     if not counts:
@@ -139,7 +165,7 @@ def delta_of(spectrum: Mapping[int, int] | Iterable[int]) -> PrimeGraph:
     for size in counts:
         if size == 1:
             continue
-        ps = prime_factors(size)
+        ps = prime_factors(size) if primes is None else _primes_dividing(size, primes)
         vertices.update(ps)
         # p != q both dividing size means pq divides size.
         for i in range(len(ps)):

@@ -33,6 +33,7 @@ import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .errors import CapExceeded, ElementNotInGroup
@@ -221,9 +222,9 @@ def _generating_subset(elements: list[Images], limit: int | None = None) -> list
 class PermGroup:
     """A finite group given by permutation generators; queries enumerate it.
 
-    Shares ``order``, ``class_size_spectrum()`` and ``to_permutation()``
-    with :class:`~classgraph.construction.MetabelianGroup`, so callers need
-    not ask which kind of group they hold.
+    Shares ``order``, ``primes``, ``class_size_spectrum()`` and
+    ``to_permutation()`` with :class:`~classgraph.construction.MetabelianGroup`,
+    so callers need not ask which kind of group they hold.
     """
 
     def __init__(
@@ -275,6 +276,11 @@ class PermGroup:
     @property
     def order(self) -> int:
         return len(self.elements())
+
+    @cached_property
+    def primes(self) -> tuple[int, ...]:
+        """The primes of the group order, ascending: one factorisation, kept."""
+        return prime_factors(self.order)
 
     def _element_orders(self) -> tuple[int, ...]:
         """The order of each element, in the order of :meth:`elements`; computed once."""
@@ -380,11 +386,12 @@ class PermGroup:
         None when those elements do not form a subgroup; the group itself
         when pi covers every prime of its order.
         """
-        pi = frozenset(pi)
-        if pi.issuperset(prime_factors(self.order)):
+        outside = [p for p in self.primes if p not in pi]
+        if not outside:
             return self
         orders = self._element_orders()
-        allowed = {o for o in set(orders) if pi.issuperset(prime_factors(o))}
+        # Element orders divide the group order, so their primes are among self.primes.
+        allowed = {o for o in set(orders) if all(o % p for p in outside)}
         return self._subgroup({p.images for p, o in zip(self.elements(), orders) if o in allowed})
 
     def _subgroup(self, images: set[Images]) -> PermGroup | None:

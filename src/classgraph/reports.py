@@ -36,7 +36,7 @@ def analyze_expr(
     """Run the whole pipeline on a construction tree and assemble the report."""
     group = evaluate(expr, cap=enumeration_cap)
     spectrum = group.class_size_spectrum()
-    graph = delta_of(spectrum)
+    graph = delta_of(spectrum, primes=group.primes)
     partitions = tuple(find_block_partitions(graph, weak_witness=weak_witness))
     witness = dgroup_witness_of(group, cap=enumeration_cap)
     decomposition = verify_decomposition(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from classgraph import (
@@ -11,8 +13,11 @@ from classgraph import (
     find_block_partitions,
     is_admissible_block_square,
     is_block_square_partition,
+    parse_spec_text,
+    serialize_spec,
     verify_decomposition,
 )
+from classgraph.reports import analyze_expr
 
 
 def test_unit_square_is_the_classic_realization():
@@ -71,6 +76,35 @@ def test_verification_pass_matches_computed_graph():
     assert delta_of(group.class_size_spectrum()) == result.graph
     report = verify_decomposition(group)
     assert report.status == VERIFIED
+
+
+def test_construct_and_analyze_factor_only_cyclic_factor_orders(monkeypatch):
+    # Class sizes are read against the group's primes, which come from the
+    # cyclic factor orders, so nothing else is ever factored: the kernel
+    # primes are checked by is_prime alone, a complement order is trial
+    # divided by small primes, and Pollard rho never runs.  Every tuple of
+    # total <= 8 runs, and two of total 10 whose class sizes include a
+    # product of two kernel primes above 10**6, which only rho could split.
+    import classgraph.primes as primes
+
+    factored: list[int] = []
+    rho: list[int] = []
+    real_factorize, real_rho = primes.factorize, primes._pollard_rho
+    monkeypatch.setattr(primes, "factorize", lambda n: factored.append(n) or real_factorize(n))
+    monkeypatch.setattr(primes, "_pollard_rho", lambda n: rho.append(n) or real_rho(n))
+    factor_orders: set[int] = set()
+    tuples = [m for m in product(range(1, 6), repeat=4) if sum(m) <= 8]
+    for m in tuples + [(2, 1, 1, 6), (1, 2, 5, 2)]:
+        built = construct_block_square_group(*m)
+        name, expr = parse_spec_text(serialize_spec("built", built.expr))
+        report = analyze_expr(name, expr)
+        assert report["decomposition"]["status"] == VERIFIED, m
+        for factor in (built.factor_a, built.factor_b):
+            factor_orders.update(factor.kernel)
+            factor_orders.add(factor.complement)
+    assert factored, "the complement orders are factored"
+    assert set(factored) <= factor_orders
+    assert rho == []
 
 
 def test_prime_sets_disjoint_and_coprime_orders():

@@ -88,6 +88,17 @@ def test_analyze_reports_byte_stable(f21_spec):
     assert a == b
 
 
+def test_export_dot_exits_4_when_a_class_size_escapes_the_group_primes(
+    f21_spec, monkeypatch, capsys
+):
+    from classgraph import MetabelianGroup
+    from classgraph.cli import main
+
+    monkeypatch.setattr(MetabelianGroup, "primes", (3,))
+    assert main(["export-dot", str(f21_spec)]) == 4
+    assert "outside the group's primes" in capsys.readouterr().err
+
+
 def test_export_dot(tmp_path):
     spec = write_spec(tmp_path, "s4", S4_PERM)
     proc = run_cli(["export-dot", str(spec)])

@@ -24,6 +24,7 @@ from classgraph import (
     class_size,
     class_size_spectrum,
     convolve_spectra,
+    delta_of,
     dgroup_witness,
     dgroup_witness_of,
     evaluate,
@@ -34,6 +35,7 @@ from classgraph import (
 )
 from classgraph.analysis import _centralizers_central, _images, _is_abelian_set
 from classgraph.construction import MultiplierAction, auto_multiplier
+from classgraph.primes import prime_factors
 from corpus import S3_PERM, S4_PERM
 from oracles import (
     full_scan_class_sizes,
@@ -432,6 +434,20 @@ def test_dgroup_witness_exactly_when_delta_is_disconnected(group):
     # structural recognizer must find its complement whenever the spectral
     # one says yes, overlap products such as F21 x C3^3 included.
     assert (dgroup_witness(group) is not None) == is_dgroup_spectral(group.class_size_spectrum())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_semidirect_groups(), coprime_semidirect_products(), small_perm_groups()))
+def test_group_primes_are_the_primes_of_the_order_and_give_the_same_delta(group):
+    assert group.primes == prime_factors(group.order)
+    spectrum = group.class_size_spectrum()
+    assert delta_of(spectrum, primes=group.primes) == delta_of(spectrum)
+    if isinstance(group, PermGroup):
+        # A subgroup view finds its own primes, not its parent's.
+        for p in group.primes:
+            sub = group.pi_subgroup({p})
+            if sub is not None:
+                assert sub.primes == prime_factors(sub.order)
 
 
 @st.composite

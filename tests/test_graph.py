@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classgraph import PrimeGraph, VertexNotInGraph, delta_of, convolve_spectra
+from classgraph import (
+    InternalInvariantError,
+    PrimeGraph,
+    VertexNotInGraph,
+    convolve_spectra,
+    delta_of,
+)
 
 
 SQUARE = PrimeGraph((3, 5, 7, 11), frozenset({(3, 5), (3, 11), (5, 7), (7, 11)}))
@@ -48,6 +54,22 @@ def test_delta_of_s4_spectrum():
 
 def test_delta_of_accepts_counter():
     assert delta_of(Counter({1: 1, 3: 2, 7: 2})) == delta_of([1, 3, 3, 7, 7])
+
+
+def test_delta_of_reads_sizes_against_given_primes():
+    assert delta_of([1, 6, 8, 3, 6], primes=(2, 3)) == delta_of([1, 6, 8, 3, 6])
+    # Primes that divide no size are not vertices.
+    assert delta_of([1, 3, 3, 7, 7], primes=(2, 3, 7)) == delta_of([1, 3, 3, 7, 7])
+
+
+def test_delta_of_raises_when_given_primes_miss_a_prime_of_a_size():
+    with pytest.raises(InternalInvariantError, match="outside"):
+        delta_of([1, 3, 3, 7, 7], primes=(3,))
+    # The missed prime may hide beside given ones, or as a higher power.
+    with pytest.raises(InternalInvariantError):
+        delta_of([1, 6], primes=(3,))
+    with pytest.raises(InternalInvariantError):
+        delta_of([1, 12, 3], primes=(3,))
 
 
 def test_delta_of_rejects_empty_and_warns_without_identity():
