@@ -40,7 +40,6 @@ from .construction import (
     MultiplierAction,
     Perm,
     Semidirect,
-    class_size,
     class_size_spectrum,
     convolve_spectra,
     evaluate,

@@ -230,15 +230,11 @@ def _witness_from_parts(split: _Split) -> DGroupWitness | None:
     )
 
 
-def dgroup_witness_of(
-    group: MetabelianGroup | PermGroup,
-    *,
-    cap: int | None = None,
-) -> DGroupWitness | None:
+def dgroup_witness_of(group: MetabelianGroup | PermGroup) -> DGroupWitness | None:
     """Structural decision when the structure allows, else enumerate."""
     split = _structural_parts(group)
     if split is None:
-        return dgroup_witness(group.to_permutation(cap=cap))
+        return dgroup_witness(group.to_permutation())
     return _witness_from_parts(split)
 
 
@@ -254,10 +250,7 @@ def strip_central_sylows(group: PermGroup) -> CentralSplit:
     multiplies back to |G|.
     """
     order = group.order
-    center_order = group.center().order
-    central = tuple(
-        p for p in group.primes if valuation(center_order, p) == valuation(order, p)
-    )
+    central = tuple(p for p in group.primes if group.sylow_is_central(p))
     core = group.pi_subgroup(frozenset(group.primes) - frozenset(central))
     if core is None:
         raise DecompositionFailure(
@@ -348,7 +341,6 @@ def verify_decomposition(
     graph: PrimeGraph | None = None,
     partitions: tuple[BlockPartition, ...] | None = None,
     weak_witness: bool = False,
-    cap: int | None = None,
 ) -> DecompositionReport:
     """Check that a block-square graph forces the predicted product structure.
 
@@ -374,6 +366,6 @@ def verify_decomposition(
     if split is not None:
         witness = _structural_decomposition(split, partitions)
     else:
-        witness = _permutation_decomposition(group.to_permutation(cap=cap), partitions)
+        witness = _permutation_decomposition(group.to_permutation(), partitions)
     status = VERIFIED if witness is not None else COUNTEREXAMPLE_CANDIDATE
     return DecompositionReport(status, spectrum, graph, partitions, witness)

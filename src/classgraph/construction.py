@@ -11,16 +11,15 @@ cross-check.  A :class:`MetabelianGroup` offers the same ``order``,
 ``primes``, ``class_size_spectrum()`` and ``to_permutation()`` as a
 :class:`~classgraph.perm.PermGroup`.
 
-Elements of a :class:`MetabelianGroup` are pairs ``(k, l)`` of residue
-tuples with multiplication ``(k1, l1) * (k2, l2) = (k1 + phi_l1(k2), l1 + l2)``,
-where ``phi_l`` multiplies kernel factor ``j`` by ``prod_i u[i][j] ** l[i]``.
+A spectrum with no closed form comes from the cached permutation
+realization, which carries the group's enumeration ``cap``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
@@ -31,12 +30,8 @@ from .errors import (
     FaithfulnessFailure,
     InvalidMultiplier,
 )
-from .perm import Permutation, PermGroup, closure
+from .perm import DEFAULT_ENUMERATION_CAP, Permutation, PermGroup
 from .primes import is_prime, multiplicative_order, prime_factors
-
-DEFAULT_SPECTRUM_CAP = 10**7
-
-Element = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -53,15 +48,6 @@ class AbelianGroup:
     @property
     def order(self) -> int:
         return math.prod(self.factor_orders)
-
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * len(self.factor_orders)
-
-    def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.factor_orders))
-
-    def neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((-x) % n for x, n in zip(a, self.factor_orders))
 
     def elements(self):
         return product(*(range(n) for n in self.factor_orders))
@@ -80,13 +66,6 @@ class MultiplierAction:
                 m = m * pow(self.multipliers[i][j], li, modulus) % modulus
         return m
 
-    def apply(
-        self, l: tuple[int, ...], k: tuple[int, ...], kernel_orders: tuple[int, ...]
-    ) -> tuple[int, ...]:
-        return tuple(
-            k[j] * self.multiplier_for(l, j, n) % n for j, n in enumerate(kernel_orders)
-        )
-
     def is_trivial(self) -> bool:
         return all(u == 1 for row in self.multipliers for u in row)
 
@@ -96,13 +75,16 @@ class MetabelianGroup:
     """Semidirect product kernel x| top, with optional product provenance.
 
     ``factors`` records the coprime direct-product parts a folded product
-    was assembled from (enables the convolution spectrum).
+    was assembled from (enables the convolution spectrum).  ``cap`` bounds
+    the enumeration of the permutation realization, as ``PermGroup.cap``
+    does, and takes no part in equality.
     """
 
     kernel: AbelianGroup
     top: AbelianGroup
     action: MultiplierAction
     factors: tuple["MetabelianGroup", ...] | None = None
+    cap: int = field(default=DEFAULT_ENUMERATION_CAP, compare=False)
 
     def __post_init__(self) -> None:
         rows = self.action.multipliers
@@ -133,57 +115,19 @@ class MetabelianGroup:
         """True iff the top acts fixed-point-freely (enables the closed-form spectrum)."""
         return is_frobenius_action(self)
 
-    def identity(self) -> Element:
-        return (self.kernel.identity(), self.top.identity())
-
-    def mul(self, x: Element, y: Element) -> Element:
-        (k1, l1), (k2, l2) = x, y
-        shifted = self.action.apply(l1, k2, self.kernel.factor_orders)
-        return (self.kernel.add(k1, shifted), self.top.add(l1, l2))
-
-    def inv(self, x: Element) -> Element:
-        k, l = x
-        lneg = self.top.neg(l)
-        return (self.action.apply(lneg, self.kernel.neg(k), self.kernel.factor_orders), lneg)
-
-    def conjugate(self, x: Element, g: Element) -> Element:
-        """``g * x * g**-1``."""
-        return self.mul(self.mul(g, x), self.inv(g))
-
-    def elements(self):
-        for k in self.kernel.elements():
-            for l in self.top.elements():
-                yield (k, l)
-
-    def generators(self) -> list[Element]:
-        """Standard generators: one unit vector per kernel and top factor."""
-        gens = []
-        nk, nt = len(self.kernel.factor_orders), len(self.top.factor_orders)
-        for j in range(nk):
-            k = tuple(1 if i == j else 0 for i in range(nk))
-            gens.append((k, self.top.identity()))
-        for j in range(nt):
-            l = tuple(1 if i == j else 0 for i in range(nt))
-            gens.append((self.kernel.identity(), l))
-        return gens
-
-    def _conjugators(self) -> list[Element]:
-        """The standard generators and their inverses."""
-        gens = self.generators()
-        return gens + [self.inv(e) for e in gens]
-
-    def class_size_spectrum(self, *, cap: int = DEFAULT_SPECTRUM_CAP) -> Counter[int]:
+    def class_size_spectrum(self) -> Counter[int]:
         """Full class-size multiset as {size: multiplicity}.
 
         Fast paths: trivial action (all singletons), fixed-point-free action
         (three sizes in closed form), and coprime direct products
-        (convolution of factor spectra).  Otherwise the orbit partition runs
-        over all elements, capped at ``cap``.
+        (convolution of factor spectra).  Otherwise the classes of the
+        cached permutation realization; a group whose order exceeds ``cap``
+        raises CapExceeded before enumerating.
         """
         if self.factors:
             out = Counter({1: 1})
             for part in self.factors:
-                out = convolve_spectra(out, part.class_size_spectrum(cap=cap))
+                out = convolve_spectra(out, part.class_size_spectrum())
             if spectrum_total(out) != self.order:  # pragma: no cover - internal sanity
                 raise AssertionError("product spectrum does not sum to group order")
             return out
@@ -193,40 +137,44 @@ class MetabelianGroup:
             kernel_order = self.kernel.order
             n = self.top.order
             return Counter({1: 1, n: (kernel_order - 1) // n, kernel_order: n - 1})
-        if self.order > cap:
+        if self.order > self.cap:
             raise CapExceeded(
-                f"group of order {self.order} exceeds spectrum cap {cap} "
+                f"group of order {self.order} exceeds enumeration cap {self.cap} "
                 "and no structured fast path applies"
             )
-        conjugators = self._conjugators()
-        seen: set[Element] = set()
-        spectrum: Counter[int] = Counter()
-        for x in self.elements():
-            if x in seen:
-                continue
-            orbit = closure({x}, conjugators, self.conjugate)
-            assert orbit is not None
-            seen |= orbit
-            spectrum[len(orbit)] += 1
-        return spectrum
+        return self.to_permutation().class_size_spectrum()
 
-    def to_permutation(
-        self, *, cap: int | None = None, verify_order: bool | None = None
-    ) -> PermGroup:
-        """Faithful permutation realization on one point block per cyclic factor.
+    def to_permutation(self, *, verify_order: bool | None = None) -> PermGroup:
+        """Faithful permutation realization, built once per group and cached.
+
+        The realization enumerates at most ``cap`` elements.  Its enumerated
+        order is checked against the group order (FaithfulnessFailure
+        otherwise) when ``verify_order`` is true, which by default it is
+        whenever the order is at most ``cap``.
+        """
+        group = self._realization
+        if verify_order is None:
+            verify_order = self.order <= group.cap
+        if verify_order and group.order != self.order:
+            raise FaithfulnessFailure(
+                f"permutation realization has order {group.order}, expected {self.order}"
+            )
+        return group
+
+    @cached_property
+    def _realization(self) -> PermGroup:
+        """The realization on one point block per cyclic factor.
 
         Kernel generators translate their own block; each top generator
         multiplies every kernel block by its unit and translates its own top
         block.  The top blocks make the top part faithful, the kernel blocks
-        the rest; the enumerated order is checked against the group order
-        whenever the group is small enough to enumerate (FaithfulnessFailure
-        otherwise).
+        the rest.
         """
         kernel_orders = self.kernel.factor_orders
         top_orders = self.top.factor_orders
         blocks = list(kernel_orders) + list(top_orders)
         if not blocks:
-            return PermGroup([Permutation.identity(1)], name="1")
+            return PermGroup([Permutation.identity(1)], name="1", cap=self.cap)
         offsets = []
         off = 0
         for n in blocks:
@@ -251,14 +199,7 @@ class MetabelianGroup:
             for x in range(n):
                 images[base + x] = base + (x + 1) % n
             gens.append(Permutation(tuple(images)))
-        group = PermGroup(gens) if cap is None else PermGroup(gens, cap=cap)
-        if verify_order is None:
-            verify_order = self.order <= group.cap
-        if verify_order and group.order != self.order:
-            raise FaithfulnessFailure(
-                f"permutation realization has order {group.order}, expected {self.order}"
-            )
-        return group
+        return PermGroup(gens, cap=self.cap)
 
 
 # -- construction tree -------------------------------------------------------
@@ -338,17 +279,18 @@ def _checked_multiplier(u: int, m: int, n: int) -> int:
     return u
 
 
-def _abelian_group(orders: tuple[int, ...]) -> MetabelianGroup:
+def _abelian_group(orders: tuple[int, ...], cap: int) -> MetabelianGroup:
     orders = tuple(n for n in orders if n > 1)
     top = AbelianGroup(orders)
     return MetabelianGroup(
         kernel=AbelianGroup(()),
         top=top,
         action=MultiplierAction(tuple(() for _ in orders)),
+        cap=cap,
     )
 
 
-def _frobenius_group(node: Frobenius) -> MetabelianGroup:
+def _frobenius_group(node: Frobenius, cap: int) -> MetabelianGroup:
     kernel = tuple(node.kernel)
     n = node.complement
     if not kernel:
@@ -374,10 +316,11 @@ def _frobenius_group(node: Frobenius) -> MetabelianGroup:
         kernel=AbelianGroup(kernel),
         top=AbelianGroup((n,)),
         action=MultiplierAction((mults,)),
+        cap=cap,
     )
 
 
-def _semidirect_group(node: Semidirect) -> MetabelianGroup:
+def _semidirect_group(node: Semidirect, cap: int) -> MetabelianGroup:
     kernel = AbelianGroup(tuple(node.kernel))
     top = AbelianGroup(tuple(node.top))
     rows = tuple(tuple(int(u) for u in row) for row in node.multipliers)
@@ -389,10 +332,10 @@ def _semidirect_group(node: Semidirect) -> MetabelianGroup:
         tuple(_checked_multiplier(u, m, n) for u, m in zip(row, kernel.factor_orders))
         for row, n in zip(rows, top.factor_orders)
     )
-    return MetabelianGroup(kernel=kernel, top=top, action=MultiplierAction(rows))
+    return MetabelianGroup(kernel=kernel, top=top, action=MultiplierAction(rows), cap=cap)
 
 
-def _fold_direct(parts: list[MetabelianGroup]) -> MetabelianGroup:
+def _fold_direct(parts: list[MetabelianGroup], cap: int) -> MetabelianGroup:
     """Block-diagonal fold of pairwise-coprime metabelian factors."""
     kernel_orders: list[int] = []
     top_orders: list[int] = []
@@ -413,6 +356,7 @@ def _fold_direct(parts: list[MetabelianGroup]) -> MetabelianGroup:
         top=AbelianGroup(tuple(top_orders)),
         action=MultiplierAction(tuple(rows)),
         factors=tuple(parts),
+        cap=cap,
     )
 
 
@@ -422,27 +366,29 @@ def evaluate(expr: GroupExpr, *, cap: int | None = None) -> MetabelianGroup | Pe
     Direct products of structured children fold into one metabelian group
     (block-diagonal action) when the children's orders are pairwise
     coprime; any prime overlap, or any permutation child, routes the whole
-    product through the permutation engine instead.
+    product through the permutation engine instead.  Every group built
+    carries ``cap`` (default ``DEFAULT_ENUMERATION_CAP``), the bound on any
+    enumeration of it.
     """
+    if cap is None:
+        cap = DEFAULT_ENUMERATION_CAP
     if isinstance(expr, Cyclic):
         if expr.n < 1:
             raise ExprError(f"cyclic order must be >= 1, got {expr.n}")
-        return _abelian_group((expr.n,) if expr.n > 1 else ())
+        return _abelian_group((expr.n,) if expr.n > 1 else (), cap)
     if isinstance(expr, Abelian):
         if any(n < 1 for n in expr.orders):
             raise ExprError(f"abelian orders must be >= 1, got {expr.orders}")
-        return _abelian_group(tuple(expr.orders))
+        return _abelian_group(tuple(expr.orders), cap)
     if isinstance(expr, Frobenius):
-        return _frobenius_group(expr)
+        return _frobenius_group(expr, cap)
     if isinstance(expr, Semidirect):
-        return _semidirect_group(expr)
+        return _semidirect_group(expr, cap)
     if isinstance(expr, Perm):
         gens = [Permutation(tuple(images)) for images in expr.generators]
         if any(g.degree != expr.degree for g in gens):
             raise ExprError("generator degree does not match declared degree")
-        if cap is not None:
-            return PermGroup(gens, cap=cap)
-        return PermGroup(gens)
+        return PermGroup(gens, cap=cap)
     if isinstance(expr, Direct):
         if not expr.factors:
             raise ExprError("direct product needs at least one factor")
@@ -460,10 +406,10 @@ def evaluate(expr: GroupExpr, *, cap: int | None = None) -> MetabelianGroup | Pe
                 flat: list[MetabelianGroup] = []
                 for g in parts:
                     flat.extend(g.factors if g.factors else (g,))
-                return _fold_direct(flat)
-        out = parts[0].to_permutation(cap=cap)
+                return _fold_direct(flat, cap)
+        out = parts[0].to_permutation()
         for g in parts[1:]:
-            out = out.direct_product(g.to_permutation(cap=cap))
+            out = out.direct_product(g.to_permutation())
         return out
     raise ExprError(f"unknown construction node {expr!r}")
 
@@ -498,22 +444,6 @@ def is_frobenius_action(g: MetabelianGroup) -> bool:
     return True
 
 
-def class_size(g: MetabelianGroup, x: Element) -> int:
-    """Conjugacy class size of x, via the kernel fast path or orbit closure."""
-    k, l = x
-    if all(v == 0 for v in l):
-        # Kernel elements: conjugation by the kernel fixes them (kernel is
-        # abelian), so the class is the top-orbit of k under the action.
-        stab = 0
-        for t in g.top.elements():
-            if g.action.apply(t, k, g.kernel.factor_orders) == k:
-                stab += 1
-        return g.top.order // stab
-    orbit = closure({x}, g._conjugators(), g.conjugate)
-    assert orbit is not None
-    return len(orbit)
-
-
 def convolve_spectra(a: Counter[int], b: Counter[int]) -> Counter[int]:
     """Spectrum of a direct product: pairwise products with multiplicity."""
     out: Counter[int] = Counter()
@@ -529,8 +459,8 @@ def spectrum_total(spectrum: Counter[int]) -> int:
 
 
 # Module-level spellings of the shared group interface, for either kind of group.
-def class_size_spectrum(group: MetabelianGroup | PermGroup, **kwargs) -> Counter[int]:
-    return group.class_size_spectrum(**kwargs)
+def class_size_spectrum(group: MetabelianGroup | PermGroup) -> Counter[int]:
+    return group.class_size_spectrum()
 
 
 def to_permutation(group: MetabelianGroup | PermGroup, **kwargs) -> PermGroup:

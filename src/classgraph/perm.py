@@ -6,7 +6,7 @@ generators, capped), and every query below is a direct scan or orbit walk
 over those elements.  No stabilizer chains, no cleverness; at the scale
 this package targets (orders in the tens of thousands) the simple thing is
 fast enough and easy to trust.  The one closure loop, :func:`closure`, also
-serves the structured groups and the block-square symmetries.
+serves the block-square symmetries.
 
 Validation happens once, at the boundary: the public ``Permutation(...)``
 constructor checks its images, and that covers spec parsing,
@@ -288,12 +288,10 @@ class PermGroup:
             self._orders = tuple(_order_of_images(p.images) for p in self.elements())
         return self._orders
 
-    def to_permutation(
-        self, *, cap: int | None = None, verify_order: bool | None = None
-    ) -> "PermGroup":
+    def to_permutation(self, *, verify_order: bool | None = None) -> "PermGroup":
         """The group itself, which is its own enumeration with its own cap.
 
-        Takes the keywords of ``MetabelianGroup.to_permutation`` and ignores them.
+        Takes ``verify_order`` like ``MetabelianGroup.to_permutation`` and ignores it.
         """
         return self
 

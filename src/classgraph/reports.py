@@ -38,14 +38,13 @@ def analyze_expr(
     spectrum = group.class_size_spectrum()
     graph = delta_of(spectrum, primes=group.primes)
     partitions = tuple(find_block_partitions(graph, weak_witness=weak_witness))
-    witness = dgroup_witness_of(group, cap=enumeration_cap)
+    witness = dgroup_witness_of(group)
     decomposition = verify_decomposition(
         group,
         spectrum=spectrum,
         graph=graph,
         partitions=partitions,
         weak_witness=weak_witness,
-        cap=enumeration_cap,
     )
     return {
         "name": name,

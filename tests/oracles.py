@@ -1,7 +1,8 @@
 """Independent brute-force oracles the tests check the library against.
 
 Nothing here shares code with the implementations under test: class sizes
-come from conjugating by every group element, commuting from public
+come from conjugating by every group element, or for a semidirect product
+of cyclic groups from its own pair arithmetic, commuting from public
 ``Permutation`` products of every pair, primality from a sieve, and block
 squares from enumerating every 4-block set partition and every ordering
 of its blocks.
@@ -9,10 +10,11 @@ of its blocks.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Collection
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from classgraph import (
     BlockPartition,
@@ -43,6 +45,64 @@ def full_scan_class_sizes(group: PermGroup) -> Counter[int]:
         orbit = {g * x * g.inverse() for g in elems}
         assert orbit <= remaining
         remaining -= orbit
+        sizes[len(orbit)] += 1
+    return sizes
+
+
+def semidirect_class_sizes(
+    kernel_orders: tuple[int, ...],
+    top_orders: tuple[int, ...],
+    multipliers: tuple[tuple[int, ...], ...],
+) -> Counter[int]:
+    """Class sizes of the semidirect product of two sums of cyclic groups.
+
+    Elements are pairs ``(k, l)`` of residue tuples.  Top factor i multiplies
+    kernel factor j by ``multipliers[i][j]``, so the product is
+    ``(k1, l1)(k2, l2) = (k1 + l1 . k2, l1 + l2)``.  Each class is grown
+    breadth-first as the orbit of conjugation by the standard generators,
+    which visits every element once.
+    """
+
+    def act(l, k):
+        return tuple(
+            x * math.prod(pow(row[j], e, m) for row, e in zip(multipliers, l)) % m
+            for j, (x, m) in enumerate(zip(k, kernel_orders))
+        )
+
+    def add(a, b, orders):
+        return tuple((x + y) % n for x, y, n in zip(a, b, orders))
+
+    def mul(x, y):
+        return add(x[0], act(x[1], y[0]), kernel_orders), add(x[1], y[1], top_orders)
+
+    def inv(x):
+        l = tuple(-e % n for e, n in zip(x[1], top_orders))
+        return act(l, tuple(-e % m for e, m in zip(x[0], kernel_orders))), l
+
+    nk, nt = len(kernel_orders), len(top_orders)
+
+    def unit(i, n):
+        return tuple(int(i == j) for j in range(n))
+
+    gens = [(unit(j, nk), (0,) * nt) for j in range(nk)]
+    gens += [((0,) * nk, unit(i, nt)) for i in range(nt)]
+    pairs = [(g, inv(g)) for g in gens]
+    seen: set = set()
+    sizes: Counter[int] = Counter()
+    for x in product(product(*map(range, kernel_orders)), product(*map(range, top_orders))):
+        if x in seen:
+            continue
+        orbit, frontier = {x}, [x]
+        while frontier:
+            grown = []
+            for z in frontier:
+                for g, g_inv in pairs:
+                    y = mul(mul(g, z), g_inv)
+                    if y not in orbit:
+                        orbit.add(y)
+                        grown.append(y)
+            frontier = grown
+        seen |= orbit
         sizes[len(orbit)] += 1
     return sizes
 

@@ -35,7 +35,7 @@ from classgraph import (
 )
 from classgraph.primes import prime_factors
 from corpus import corpus_entries
-from oracles import fast_block_square_exists
+from oracles import fast_block_square_exists, semidirect_class_sizes
 from test_blocks import adjacency_bitmasks, graph_from_bits
 
 
@@ -135,9 +135,13 @@ def test_structured_vs_oracle_spectra():
         structured = class_size_spectrum(group)
         oracle = to_permutation(group).class_size_spectrum()
         assert structured == oracle, entry.name
+        pairs = semidirect_class_sizes(
+            group.kernel.factor_orders, group.top.factor_orders, group.action.multipliers
+        )
+        assert structured == pairs, entry.name
         checked += 1
     assert checked >= 7
-    _report("structured vs permutation-oracle spectra", t0, 60.0)
+    _report("structured vs permutation and pair-arithmetic oracle spectra", t0, 60.0)
 
 
 def test_detector_vs_partition_oracle():

@@ -246,6 +246,29 @@ def test_dgroup_witness_computes_no_element_order_and_verify_computes_each_once(
     assert len(calls) == g.order
 
 
+def test_analyze_enumerates_a_structured_group_with_no_closed_form_once(monkeypatch):
+    # The semidirect factor is not Frobenius, so neither the D-group
+    # recognizer nor the verifier can decide from structure; both use the
+    # one cached realization of the whole group (degree 7+6+11+5 = 29).
+    from classgraph import PermGroup
+    from classgraph.reports import analyze_expr
+
+    degrees = []
+    elements = PermGroup.elements
+
+    def recorded(self):
+        if self._elements is None:
+            degrees.append(self.degree)
+        return elements(self)
+
+    monkeypatch.setattr(PermGroup, "elements", recorded)
+    expr = Direct((Semidirect((7,), (6,), ((2,),)), Frobenius((11,), 5)))
+    report = analyze_expr("z7_rtimes_z6_x_f55", expr)
+    assert report["order"] == 2310
+    assert report["decomposition"]["status"] == VERIFIED
+    assert degrees.count(29) == 1
+
+
 def test_verify_c3_x_s3_x_f55():
     # The Sylow 3-subgroup of C3 x S3 is not central, so nothing is
     # stripped: the A factor is the D-group C3 x S3 itself.

@@ -106,6 +106,18 @@ def test_export_dot(tmp_path):
     assert proc.stdout == "graph delta {\n  2;\n  3;\n  2 -- 3;\n}\n"
 
 
+def test_cap_env_bounds_export_dot_like_analyze(tmp_path):
+    # z7 x| z9 (order 63) has no closed-form spectrum, so both commands
+    # enumerate its permutation realization, which the cap stops.
+    spec = write_spec(tmp_path, "z7_rtimes_z9", entry_by_name("z7_rtimes_z9").expr)
+    for command in ("analyze", "export-dot"):
+        proc = run_cli([command, str(spec)], env={"CLASSGRAPH_CAP": "62"})
+        assert proc.returncode == 3, (command, proc.stderr)
+        assert proc.stdout == ""
+        proc = run_cli([command, str(spec)], env={"CLASSGRAPH_CAP": "63"})
+        assert proc.returncode == 0, (command, proc.stderr)
+
+
 def test_construct_writes_and_verifies(tmp_path):
     proc = run_cli(["construct", "--blocks", "1,1,1,1", "--out", str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
