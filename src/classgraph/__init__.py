@@ -69,7 +69,6 @@ from .perm import (
     ConjugacyClass,
     PermGroup,
     Permutation,
-    SubgroupWitness,
     symmetric_group,
     trivial_group,
 )

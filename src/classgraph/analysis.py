@@ -8,11 +8,11 @@ Frobenius with kernel AZ(G)/Z(G); their class sizes are {1, |A|, |B:Z(G)|}.
 
 Two independent recognizers are provided: a spectral one (count the
 components of the graph) and a structural one (exhibit A = G' and B, the
-centralizer of an element whose class has size |A|, and check the
-Frobenius condition elementwise).  The block-square verifier combines
-them: a group whose graph is a block square must split, up to central
-Sylow factors, as a direct product of two coprime D-groups, one per
-non-adjacent block pair.
+centralizer of an element whose class has size |A|, and check that they
+are abelian, meet trivially and give the predicted class sizes).  The
+block-square verifier combines them: a group whose graph is a block
+square must split, up to central Sylow factors, as a direct product of
+two coprime D-groups, one per non-adjacent block pair.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .blocks import BlockPartition, find_block_partitions
 from .construction import MetabelianGroup
 from .errors import DecompositionFailure
 from .graph import PrimeGraph, delta_of
-from .perm import Images, PermGroup, Permutation, _compose, _generating_subset
+from .perm import PermGroup
 from .primes import valuation
 
 VERIFIED = "VERIFIED"
@@ -98,33 +98,6 @@ def is_dgroup_spectral(spectrum: Counter[int] | list[int]) -> bool:
 # -- structural recognizer, permutation route --------------------------------
 
 
-def _images(witness_elements: frozenset[Permutation]) -> set[Images]:
-    return {p.images for p in witness_elements}
-
-
-def _is_abelian_set(elements: set[Images]) -> bool:
-    """True iff the subgroup formed by `elements` is abelian.
-
-    Exact only for a subgroup: its generators commute pairwise.
-    """
-    gens = _generating_subset(sorted(elements))
-    return all(
-        _compose(a, b) == _compose(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]
-    )
-
-
-def _centralizers_central(a_set: set[Images], b_set: set[Images], center: set[Images]) -> bool:
-    """True iff C_B(a) <= Z for every nontrivial a in A, elementwise."""
-    non_central = [b for b in b_set if b not in center]
-    for a in a_set:
-        if a == tuple(range(len(a))):
-            continue
-        for b in non_central:
-            if _compose(a, b) == _compose(b, a):
-                return False
-    return True
-
-
 def dgroup_witness(group: PermGroup) -> DGroupWitness | None:
     """Structural D-group recognizer on an enumerated permutation group.
 
@@ -139,42 +112,31 @@ def dgroup_witness(group: PermGroup) -> DGroupWitness | None:
     - every element of G/Z lies in the kernel or in a conjugate of the
       complement, so x lies in some B^g and C_G(x) = B^g.
 
-    Otherwise the checks below reject C_G(x).  The Frobenius condition is
-    checked as C_B(a) <= Z(G) for every nontrivial a in A; as x is not
-    central, it also makes A and B meet trivially.
+    Conversely, B abelian, A and B meeting trivially and the class sizes
+    {1, |A|, |B:Z|} make G a D-group.  Z <= C_G(x) = B, and |A||B| = |G|
+    gives G = AB.  For a nontrivial a in A, a is not central (A meets
+    B >= Z trivially), and its class is its B-orbit inside A minus 1, of
+    size neither 1 nor |A|.  So that size is |B:Z|, and C_B(a), which
+    contains Z, is Z: G/Z is Frobenius.
     """
-    derived = group.derived_subgroup()
-    a_order = derived.order
-    if a_order == 1:
+    a = group.derived_subgroup()
+    if a.order == 1 or not a.is_abelian():
         return None
-    b_order = group.order // a_order
-    a_images = _images(derived.elements)
-    if not _is_abelian_set(a_images):
-        return None
-    x = next(
-        (c.representative.images for c in group.conjugacy_classes() if c.size == a_order), None
-    )
+    x = next((c.representative for c in group.conjugacy_classes() if c.size == a.order), None)
     if x is None:
         return None
-    b_images = {g for g in group._images_set() if _compose(g, x) == _compose(x, g)}
-    if not _is_abelian_set(b_images):
+    b = group.centralizer(x)
+    if not b.is_abelian() or any(y in b for y in a.elements() if not y.is_identity()):
         return None
-    center = group.center()
-    center_images = _images(center.elements)
-    if not center_images <= b_images:
-        return None
-    # Frobenius condition, quotient-free: nontrivial kernel elements may
-    # only be centralized inside B by central elements.
-    if not _centralizers_central(a_images, b_images, center_images):
-        return None
-    sizes = frozenset(group.class_size_spectrum())
-    expected = frozenset({1, a_order, b_order // center.order})
-    if sizes != expected:  # pragma: no cover - excluded by the checks above
+    spectrum = group.class_size_spectrum()
+    center_order = spectrum[1]  # the size-1 classes are the central elements
+    sizes = frozenset(spectrum)
+    if sizes != frozenset({1, a.order, b.order // center_order}):
         return None
     return DGroupWitness(
-        a_order=a_order,
-        b_order=b_order,
-        center_order=center.order,
+        a_order=a.order,
+        b_order=b.order,
+        center_order=center_order,
         class_sizes=sizes,
     )
 
@@ -250,13 +212,15 @@ def strip_central_sylows(group: PermGroup) -> CentralSplit:
     multiplies back to |G|.
     """
     order = group.order
-    central = tuple(p for p in group.primes if group.sylow_is_central(p))
+    sylow_orders = {p: p ** valuation(order, p) for p in group.primes}
+    center_order = group.class_size_spectrum()[1]
+    central = tuple(p for p, q in sylow_orders.items() if center_order % q == 0)
     core = group.pi_subgroup(frozenset(group.primes) - frozenset(central))
     if core is None:
         raise DecompositionFailure(
             "elements of non-central order do not form a subgroup"
         )
-    central_part = math.prod(p ** valuation(order, p) for p in central) if central else 1
+    central_part = math.prod(sylow_orders[p] for p in central)
     if core.order * central_part != order:
         raise DecompositionFailure(
             f"core order {core.order} times central part {central_part} "

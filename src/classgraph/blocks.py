@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .errors import BadPartition, TooManyVertices
 from .graph import PrimeGraph
-from .perm import _compose, closure
 
 DEFAULT_SEARCH_BOUND = 20
 
@@ -55,16 +54,20 @@ class BlockPartition:
         }
 
 
-# The square has an 8-element symmetry group on block positions, generated
-# by pi1<->pi4, pi2<->pi3, and swapping the pair (pi1,pi4) with (pi2,pi3).
-def _symmetry_maps() -> tuple[tuple[int, int, int, int], ...]:
-    gens = [(3, 1, 2, 0), (0, 2, 1, 3), (1, 0, 3, 2)]
-    maps = closure({(0, 1, 2, 3)}, gens, _compose)
-    assert maps is not None
-    return tuple(sorted(maps))
-
-
-SQUARE_SYMMETRIES = _symmetry_maps()
+# The square's 8 symmetries of block positions, sorted; position i of an
+# image takes block sym[i] (see apply_symmetry).  They are generated by
+# pi1<->pi4 (3, 1, 2, 0), pi2<->pi3 (0, 2, 1, 3), and swapping the pair
+# (pi1,pi4) with (pi2,pi3) (1, 0, 3, 2).
+SQUARE_SYMMETRIES: tuple[tuple[int, int, int, int], ...] = (
+    (0, 1, 2, 3),
+    (0, 2, 1, 3),
+    (1, 0, 3, 2),
+    (1, 3, 0, 2),
+    (2, 0, 3, 1),
+    (2, 3, 0, 1),
+    (3, 1, 2, 0),
+    (3, 2, 1, 0),
+)
 
 
 def apply_symmetry(part: BlockPartition, sym: tuple[int, int, int, int]) -> BlockPartition:

@@ -5,8 +5,8 @@ are enumerated as explicit element sets (breadth-first closure over the
 generators, capped), and every query below is a direct scan or orbit walk
 over those elements.  No stabilizer chains, no cleverness; at the scale
 this package targets (orders in the tens of thousands) the simple thing is
-fast enough and easy to trust.  The one closure loop, :func:`closure`, also
-serves the block-square symmetries.
+fast enough and easy to trust.  One closure loop, :func:`closure`, serves
+enumeration, conjugacy classes and subgroup generation.
 
 Validation happens once, at the boundary: the public ``Permutation(...)``
 constructor checks its images, and that covers spec parsing,
@@ -17,9 +17,11 @@ and enumerated elements, are wrapped by the unchecked
 :meth:`Permutation._trusted`.  A product of two permutations of different
 degrees raises ``ValueError``.
 
-A subgroup found inside an enumerated group (:meth:`PermGroup.pi_subgroup`)
-is a view of its parent: a :class:`PermGroup` on the same points that takes
-the parent's sorted elements and element orders, filtered.  It is never
+Every subgroup found inside an enumerated group (:meth:`PermGroup.center`,
+:meth:`PermGroup.derived_subgroup`, :meth:`PermGroup.centralizer` and
+:meth:`PermGroup.pi_subgroup`) is a view of its parent: a :class:`PermGroup`
+on the same points that takes the parent's sorted elements, filtered, and
+its element orders when the parent has computed them.  It is never
 re-indexed to fewer points and never enumerated again.
 
 Composition convention: ``(p * q)(i) == p(q(i))`` (apply q first).
@@ -165,17 +167,6 @@ class Permutation:
                 j = self.images[j]
             out.append(tuple(cycle))
         return tuple(out)
-
-
-@dataclass(frozen=True)
-class SubgroupWitness:
-    """A subgroup given as an explicit element set."""
-
-    elements: frozenset[Permutation]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
 
 @dataclass(frozen=True)
@@ -345,38 +336,54 @@ class PermGroup:
 
     # -- subgroup queries ------------------------------------------------
 
-    def center(self) -> SubgroupWitness:
-        """The union of the size-1 conjugacy classes."""
-        return SubgroupWitness(
-            frozenset(c.representative for c in self.conjugacy_classes() if c.size == 1)
+    def is_abelian(self) -> bool:
+        """True iff the generators commute pairwise."""
+        gens = [g.images for g in self.generators]
+        return all(
+            _compose(a, b) == _compose(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]
         )
 
-    def derived_subgroup(self) -> SubgroupWitness:
-        """Normal closure of the commutators of all generator pairs."""
-        gens = [g.images for g in self.generators]
-        inv = {g: _invert(g) for g in gens}
+    def center(self) -> PermGroup:
+        """Z(G): the union of the size-1 conjugacy classes, as a view."""
+        central = {c.representative.images for c in self.conjugacy_classes() if c.size == 1}
+        return self._view(central)
+
+    def centralizer(self, g: Permutation) -> PermGroup:
+        """C_G(g): one scan of the elements, as a view."""
+        if g not in self:
+            raise ElementNotInGroup(f"{g!r} is not in {self!r}")
+        x = g.images
+        return self._view({y for y in self._images_set() if _compose(y, x) == _compose(x, y)})
+
+    def derived_subgroup(self) -> PermGroup:
+        """G': the normal closure of the generator commutators, as a view.
+
+        The group is enumerated first, so its cap applies.  The closure is
+        normal once every conjugate of its own generators by the group's
+        generators lies in it; each conjugate that does not is added as a
+        generator.
+        """
+        self.elements()
+        pairs = [(g.images, _invert(g.images)) for g in self.generators]
         ident = tuple(range(self.degree))
-        comms = {
-            _compose(_compose(inv[a], inv[b]), _compose(a, b))
-            for a in gens
-            for b in gens
+        commutators = {
+            _compose(_compose(ainv, binv), _compose(a, b)) for a, ainv in pairs for b, binv in pairs
         }
-        comms.discard(ident)
-        current = closure({ident}, sorted(comms), _compose) or {ident}
-        while True:
-            new = {
-                _conjugate(x, (g, inv[g]))
-                for g in gens
-                for x in current
-            } - current
-            if not new:
-                break
-            current = closure(current, sorted(new), _compose) or current
-        return SubgroupWitness(frozenset(Permutation._trusted(x) for x in current))
+        normal_gens = sorted(commutators - {ident})
+        current = closure({ident}, normal_gens, _compose)
+        assert current is not None
+        for x in normal_gens:  # grows while it is walked
+            for pair in pairs:
+                y = _conjugate(x, pair)
+                if y not in current:
+                    normal_gens.append(y)
+                    current = closure(current, normal_gens, _compose)
+                    assert current is not None
+        return self._view(current, normal_gens)
 
     def sylow_is_central(self, p: int) -> bool:
         """True iff the p-part of |Z(G)| equals the p-part of |G|."""
-        return valuation(self.center().order, p) == valuation(self.order, p)
+        return valuation(self.class_size_spectrum()[1], p) == valuation(self.order, p)
 
     def pi_subgroup(self, pi: set[int] | frozenset[int]) -> PermGroup | None:
         """The elements whose order has all its prime divisors in pi, as a subgroup.
@@ -395,10 +402,7 @@ class PermGroup:
     def _subgroup(self, images: set[Images]) -> PermGroup | None:
         """The subgroup on `images`, or None when they do not form one.
 
-        One closure tests the set and finds the subgroup's generators.  The
-        subgroup is a view of this group: it takes this group's sorted
-        elements and element orders, filtered, and is never re-indexed or
-        enumerated again.
+        One closure tests the set and finds the subgroup's generators.
         """
         if tuple(range(self.degree)) not in images or not images <= self._images_set():
             return None
@@ -406,10 +410,23 @@ class PermGroup:
         if gens is None:
             return None
         # The generated group contains `images` and is no larger, so it is `images`.
+        return self._view(images, gens)
+
+    def _view(self, images: set[Images], gens: list[Images] | None = None) -> PermGroup:
+        """The subgroup on `images`, known to be one, generated by `gens`.
+
+        The subgroup takes this group's sorted elements, filtered, and its
+        element orders only when this group has already computed them.
+        Without `gens`, one closure finds a generating set.
+        """
+        if gens is None:
+            gens = _generating_subset(sorted(images))
+            assert gens is not None
         sub = PermGroup([Permutation._trusted(g) for g in gens] or [self.identity()], cap=self.cap)
         kept = [i for i, p in enumerate(self.elements()) if p.images in images]
         sub._elements = tuple(self.elements()[i] for i in kept)
-        sub._orders = tuple(self._element_orders()[i] for i in kept)
+        if self._orders is not None:
+            sub._orders = tuple(self._orders[i] for i in kept)
         sub._element_set = frozenset(images)
         return sub
 

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import pytest
+
 from classgraph import (
     COUNTEREXAMPLE_CANDIDATE,
     NOT_BLOCK_SQUARE,
     VERIFIED,
+    CapExceeded,
     Cyclic,
     Direct,
     Frobenius,
     MetabelianGroup,
+    PermGroup,
     Semidirect,
     delta_of,
     dgroup_witness,
@@ -16,6 +20,7 @@ from classgraph import (
     is_dgroup_spectral,
     strip_central_sylows,
     structural_dgroup_witness,
+    symmetric_group,
     to_permutation,
     verify_decomposition,
 )
@@ -99,6 +104,40 @@ def test_witness_semidirect_with_central_complement_part():
 def test_witness_absent_for_f21_x_f55():
     g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Frobenius((11,), 5)))))
     assert dgroup_witness(g) is None
+
+
+def test_witness_rejected_by_class_sizes_alone():
+    # C91 x| C6 with multiplier 3 on both kernel factors: A = C91 and B = C6
+    # are abelian and meet trivially, but the order-2 element of the top
+    # fixes Z13, so G/Z is not Frobenius and the class sizes show it.
+    g = to_permutation(evaluate(Semidirect((7, 13), (6,), ((3, 3),))))
+    a = g.derived_subgroup()
+    x = next(c.representative for c in g.conjugacy_classes() if c.size == a.order)
+    b = g.centralizer(x)
+    assert a.is_abelian() and b.is_abelian()
+    assert set(a.elements()) & set(b.elements()) == {g.identity()}
+    assert frozenset(g.class_size_spectrum()) != {1, a.order, b.order // g.center().order}
+    assert dgroup_witness(g) is None
+
+
+def test_capped_group_raises_before_any_normal_closure(monkeypatch):
+    # The only closures allowed are the capped enumerations of the group.
+    import classgraph.perm as perm
+
+    limits = []
+    real = perm.closure
+
+    def recorded(*args, **kwargs):
+        limits.append(kwargs.get("limit"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(perm, "closure", recorded)
+    g = PermGroup(list(symmetric_group(7).generators), cap=100)
+    with pytest.raises(CapExceeded):
+        g.derived_subgroup()
+    with pytest.raises(CapExceeded):
+        dgroup_witness(g)
+    assert limits == [100, 100]
 
 
 # -- structural recognizer (construction route) ---------------------------------------
@@ -250,7 +289,6 @@ def test_analyze_enumerates_a_structured_group_with_no_closed_form_once(monkeypa
     # The semidirect factor is not Frobenius, so neither the D-group
     # recognizer nor the verifier can decide from structure; both use the
     # one cached realization of the whole group (degree 7+6+11+5 = 29).
-    from classgraph import PermGroup
     from classgraph.reports import analyze_expr
 
     degrees = []
@@ -306,11 +344,10 @@ def test_no_complete_vertex_forces_abelian_coprime_derived_subgroup(corpus):
             continue
         g = entry.perm
         derived = g.derived_subgroup()
-        assert all(
-            a * b == b * a for a in derived.elements for b in derived.elements
-        ), entry.name
+        a_part = frozenset(derived.elements())
+        assert all(a * b == b * a for a in a_part for b in a_part), entry.name
         assert math.gcd(derived.order, g.order // derived.order) == 1, entry.name
-        assert derived.elements & g.center().elements == {g.identity()}, entry.name
+        assert a_part & frozenset(g.center().elements()) == {g.identity()}, entry.name
         checked.add(entry.name)
     assert {"f21", "a4", "f21_x_f55", "s3_x_z2", "z7_rtimes_z9"} <= checked
 

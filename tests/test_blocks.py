@@ -93,6 +93,15 @@ def test_symmetry_group_has_eight_elements():
     assert len(SQUARE_SYMMETRIES) == 8
 
 
+def test_symmetry_literal_holds_its_generators_and_is_closed():
+    # pi1<->pi4, pi2<->pi3, and the swap of the pairs (pi1,pi4) and (pi2,pi3).
+    assert {(3, 1, 2, 0), (0, 2, 1, 3), (1, 0, 3, 2)} <= set(SQUARE_SYMMETRIES)
+    assert list(SQUARE_SYMMETRIES) == sorted(set(SQUARE_SYMMETRIES))
+    for a in SQUARE_SYMMETRIES:
+        for b in SQUARE_SYMMETRIES:
+            assert tuple(a[b[i]] for i in range(4)) in SQUARE_SYMMETRIES
+
+
 def test_symmetry_images_of_square_partition_all_valid():
     part = BlockPartition((3,), (5,), (11,), (7,))
     images = {apply_symmetry(part, sym).blocks() for sym in SQUARE_SYMMETRIES}

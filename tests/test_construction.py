@@ -32,7 +32,6 @@ from classgraph import (
     symmetric_group,
     to_permutation,
 )
-from classgraph.analysis import _centralizers_central, _images, _is_abelian_set
 from classgraph.construction import MultiplierAction, auto_multiplier
 from classgraph.primes import prime_factors
 from corpus import S3_PERM, S4_PERM
@@ -400,23 +399,31 @@ def groups_with_subgroup(draw):
     group = draw(small_perm_groups())
     elems = group.elements()
     picks = draw(st.lists(st.integers(0, len(elems) - 1), min_size=1, max_size=2))
-    return group, frozenset(PermGroup([elems[i] for i in picks]).elements())
+    return group, PermGroup([elems[i] for i in picks])
 
 
 @settings(max_examples=40, deadline=None)
 @given(groups_with_subgroup())
 def test_abelian_and_frobenius_checks_match_pairwise_oracles(case):
     group, sub = case
-    derived = group.derived_subgroup().elements
-    center = group.center().elements
-    g = max(sub)
-    centralizer = frozenset(h for h in group.elements() if h * g == g * h)
+    derived = group.derived_subgroup()
+    center = group.center()
+    centralizer = group.centralizer(max(sub.elements()))
     for part in (sub, derived, center, centralizer):
-        assert _is_abelian_set(_images(part)) == pairwise_is_abelian(part)
-    for a_part, b_part in ((derived, sub), (derived, centralizer), (sub, derived)):
-        assert _centralizers_central(
-            _images(a_part), _images(b_part), _images(center)
-        ) == pairwise_centralizers_central(a_part, b_part, center)
+        assert part.is_abelian() == pairwise_is_abelian(part.elements())
+    # G' holds the generators' commutators and is normal, by public products.
+    gens = group.generators
+    assert all(a.inverse() * b.inverse() * a * b in derived for a in gens for b in gens)
+    assert all(g * d * g.inverse() in derived for g in gens for d in derived.elements())
+    witness = dgroup_witness(group)
+    if witness is not None:
+        # The witness's B is the centralizer of the first class of size |A|.
+        x = next(c.representative for c in group.conjugacy_classes() if c.size == derived.order)
+        b_part = frozenset(group.centralizer(x).elements())
+        assert (witness.a_order, witness.b_order) == (derived.order, len(b_part))
+        assert witness.center_order == center.order
+        a_part, z_part = frozenset(derived.elements()), frozenset(center.elements())
+        assert pairwise_centralizers_central(a_part, b_part, z_part)
 
 
 def _is_closed_under_products(elements: list[Permutation]) -> bool:

@@ -197,12 +197,12 @@ def test_center_f21_x_z5_is_z5():
     g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Cyclic(5)))))
     w = g.center()
     assert w.order == 5
-    assert all(p.order() in (1, 5) for p in w.elements)
+    assert all(p.order() in (1, 5) for p in w.elements())
 
 
 def test_center_matches_pairwise_oracle():
     for g in (s4(), f21_perm(), evaluate(Q8_PERM), z6_perm()):
-        assert g.center().elements == pairwise_center(g)
+        assert frozenset(g.center().elements()) == pairwise_center(g)
 
 
 def test_derived_abelian_trivial():
@@ -212,7 +212,7 @@ def test_derived_abelian_trivial():
 def test_derived_s3():
     w = s3().derived_subgroup()
     assert w.order == 3
-    assert all(p.order() in (1, 3) for p in w.elements)
+    assert all(p.order() in (1, 3) for p in w.elements())
 
 
 def test_derived_f21():
@@ -287,7 +287,7 @@ def test_subgroup_rejects_non_subgroups():
     swap = Permutation((1, 0) + tuple(range(2, z6.degree)))
     assert swap not in z6
     assert z6._subgroup({z6.identity().images, swap.images}) is None
-    three = {p.images for p in g.derived_subgroup().elements}
+    three = {p.images for p in g.derived_subgroup().elements()}
     assert g._subgroup(three).order == 3
 
 
