@@ -7,14 +7,18 @@ witness vertices in pi1 and in pi4 adjacent into both pi2 and pi3.
 The witness clause admits two readings.  The default ("strict") demands a
 single vertex of pi1 adjacent into both pi2 and pi3 (and likewise for
 pi4); ``weak_witness=True`` only demands that edges exist from pi1 to each
-of pi2 and pi3 separately, possibly from different vertices.  For graphs
-arising from groups the two coincide; they differ on hand-built graphs.
+of pi2 and pi3 separately, possibly from different vertices.  They
+coincide when the complement is bipartite, as it is for every class-size
+graph (Dolfi, Pacifici, Sanus and Sotomayor, J. Algebra 2020), and differ
+on some hand-built graphs.
 
 The square has 8 symmetries of block positions; partitions in one orbit
 count as one.  :func:`find_block_partitions` returns each orbit's least
-valid member and its search reaches no other leaf: the symmetries inside
-each pair (pi1, pi4) and (pi2, pi3) are broken while branching, the swap
-of the two pairs at the leaf.
+valid member.  When the complement is bipartite it reads them off the
+complement's 2-coloring, in time polynomial in the size of the output.
+Any other graph is searched up to a vertex bound, and the search reaches
+no other leaf: the symmetries inside each pair (pi1, pi4) and (pi2, pi3)
+are broken while branching, the swap of the two pairs at the leaf.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadPartition, TooManyVertices
-from .graph import PrimeGraph
+from .graph import PrimeGraph, mask_components
 
 DEFAULT_SEARCH_BOUND = 20
 
 _Blocks = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+_Masks = tuple[int, int, int, int]  # blocks as vertex bitmasks (PrimeGraph.adjacency)
 
 
 @dataclass(frozen=True)
@@ -79,12 +84,8 @@ def _validate(graph: PrimeGraph, part: BlockPartition) -> None:
     blocks = part.blocks()
     if any(not b for b in blocks):
         raise BadPartition("every block must be nonempty")
-    union: set[int] = set()
-    total = 0
-    for b in blocks:
-        union.update(b)
-        total += len(b)
-    if total != len(union):
+    union = set().union(*blocks)
+    if sum(map(len, blocks)) != len(union):
         raise BadPartition("blocks are not disjoint")
     if union != set(graph.vertices):
         raise BadPartition("blocks do not cover the vertex set exactly")
@@ -163,27 +164,43 @@ def canonical_partition(
     return best
 
 
-def _mask_witness(adj: list[int], ends: int, mid1: int, mid2: int, weak: bool) -> bool:
-    if weak:
-        seen1 = seen2 = False
-        m = ends
-        while m:
-            v = (m & -m).bit_length() - 1
-            a = adj[v]
-            seen1 = seen1 or bool(a & mid1)
-            seen2 = seen2 or bool(a & mid2)
-            if seen1 and seen2:
-                return True
-            m &= m - 1
-        return False
-    m = ends
-    while m:
-        v = (m & -m).bit_length() - 1
-        a = adj[v]
+def _mask_witness(adj: tuple[int, ...], ends: int, mid1: int, mid2: int, weak: bool) -> bool:
+    reach = 0
+    while ends:
+        a = adj[(ends & -ends).bit_length() - 1]
         if a & mid1 and a & mid2:
             return True
-        m &= m - 1
-    return False
+        reach |= a
+        ends &= ends - 1
+    return weak and bool(reach & mid1) and bool(reach & mid2)
+
+
+def _two_clique_partitions(adj: tuple[int, ...], left: int, right: int) -> list[_Masks]:
+    """Least images of the block squares, given a 2-coloring (L, R) of the complement.
+
+    The complement holds the complete bipartite graphs on pi1 U pi4 and on
+    pi2 U pi3, so each block lies in L or in R, opposite its partner, and
+    up to symmetry pi1 U pi2 = L and pi3 U pi4 = R.  Each component of the
+    L-R edges then goes whole to pi1 U pi3 or to pi2 U pi4, and a vertex
+    with no L-R edge either way.  L and R being cliques, the witnesses need
+    an edge-carrying component to go each way.  Of the symmetries only the
+    pair swap keeps pi1 U pi2 = L, so holding linked[0] in pi1 U pi3 reaches
+    each orbit once.
+    """
+    cross = [a & (right if left >> i & 1 else left) for i, a in enumerate(adj)]
+    parts = mask_components(cross, left | right)
+    linked = [c for c in parts if c & (c - 1)]
+    free = [c for c in parts if not c & (c - 1)]
+    found: list[_Masks] = []
+    for chosen in range(1, (1 << len(linked)) - 1, 2):
+        for extra in range(1 << len(free)):
+            first = sum(c for i, c in enumerate(linked) if chosen >> i & 1)
+            first += sum(c for i, c in enumerate(free) if extra >> i & 1)
+            blocks = (left & first, left & ~first, right & first, right & ~first)
+            images = (tuple(blocks[i] for i in sym) for sym in SQUARE_SYMMETRIES)
+            # Disjoint blocks compare by their least vertices.
+            found.append(min(images, key=lambda b: [m & -m for m in b]))
+    return found
 
 
 def find_block_partitions(
@@ -195,35 +212,24 @@ def find_block_partitions(
     """All block-square partitions, one canonical representative per orbit.
 
     The representative is the least valid member of the orbit under the 8
-    square symmetries (what :func:`canonical_partition` returns), and the
-    search reaches no other leaf.  Vertices are assigned in increasing
-    order, pruning as soon as a pi1-pi4 or pi2-pi3 edge or an unfillable
-    empty block appears.  Blocks are disjoint, so they compare by their
-    least vertices:
+    square symmetries (what :func:`canonical_partition` returns); [] means
+    no block square.  The graph picks the route:
 
-    - swapping pi1 with pi4, or pi2 with pi3, keeps both witness readings,
-      so pi4 (pi3) may open only once pi1 (pi2) is nonempty;
-    - the least vertex then lies in pi1 or pi2.  In pi2, the pairing with
-      pi2 and pi3 as the ends gives a smaller member of the same orbit,
-      so the leaf is dropped when that pairing is valid too.
-
-    Returns [] iff the graph is not a block square.  Raises
-    TooManyVertices past `max_vertices`.
+    - A bipartite complement's 2-coloring splits the graph into two
+      cliques, and :func:`_two_clique_partitions` reads the partitions off
+      it.  Each end block shares a clique with a middle block, so both
+      witness readings ask only for an edge into the other: all images valid.
+    - Any other graph is searched; only this route is bounded, raising
+      TooManyVertices past `max_vertices`.  Vertices are assigned in
+      increasing order, pruning as soon as a pi1-pi4 or pi2-pi3 edge or an
+      unfillable empty block appears.  Blocks compare by least vertex, so
+      pi4 (pi3) opens only once pi1 (pi2) is nonempty, and a leaf with the
+      least vertex in pi2 is dropped when pi2 and pi3 could be the ends.
     """
     vertices = graph.vertices
     n = len(vertices)
-    if n > max_vertices:
-        raise TooManyVertices(f"{n} vertices exceeds search bound {max_vertices}")
-    if n < 4:
-        return []
-
-    index_of = {v: i for i, v in enumerate(vertices)}
-    adj = [0] * n
-    for p, q in graph.edges:
-        adj[index_of[p]] |= 1 << index_of[q]
-        adj[index_of[q]] |= 1 << index_of[p]
-
-    found: list[_Blocks] = []
+    adj = graph.adjacency
+    found: list[_Masks] = []
     masks = [0, 0, 0, 0]
 
     def assign(pos: int, empty: int) -> None:
@@ -239,9 +245,7 @@ def find_block_partitions(
                 and _mask_witness(adj, m3, m1, m4, weak_witness)
             ):
                 return
-            found.append(
-                tuple(tuple(v for i, v in enumerate(vertices) if m >> i & 1) for m in masks)
-            )
+            found.append((m1, m2, m3, m4))
             return
         if empty > n - pos:
             return
@@ -256,5 +260,14 @@ def find_block_partitions(
             assign(pos + 1, empty - 1 if was_empty else empty)
             masks[b] &= ~bit
 
-    assign(0, 4)
-    return [BlockPartition(*blocks) for blocks in sorted(found)]
+    if graph.complement_coloring is not None:
+        found.extend(_two_clique_partitions(adj, *graph.complement_coloring))
+    elif n > max_vertices:
+        raise TooManyVertices(f"{n} vertices exceeds search bound {max_vertices}")
+    else:
+        assign(0, 4)
+    parts = (
+        BlockPartition(*(tuple(v for i, v in enumerate(vertices) if m >> i & 1) for m in masks))
+        for masks in found
+    )
+    return sorted(parts, key=BlockPartition.blocks)

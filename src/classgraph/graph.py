@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InternalInvariantError, VertexNotInGraph
 from .primes import is_prime, prime_factors
@@ -45,38 +46,58 @@ class PrimeGraph:
             if p not in vset or q not in vset:
                 raise ValueError(f"edge ({p}, {q}) leaves the vertex set")
 
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """One neighbour bitmask per vertex; bit i stands for ``vertices[i]``."""
+        index_of = {v: i for i, v in enumerate(self.vertices)}
+        adj = [0] * len(self.vertices)
+        for p, q in self.edges:
+            adj[index_of[p]] |= 1 << index_of[q]
+            adj[index_of[q]] |= 1 << index_of[p]
+        return tuple(adj)
+
+    @cached_property
+    def complement_coloring(self) -> tuple[int, int] | None:
+        """A 2-coloring (L, R) of the complement, as vertex bitmasks.
+
+        Each component's least vertex is in L.  L and R are cliques of this
+        graph.  None when the complement is not bipartite, which a class-size
+        graph's always is (Dolfi, Pacifici, Sanus, Sotomayor, J. Algebra 2020).
+        """
+        full = (1 << len(self.vertices)) - 1
+        non_adj = [full & ~(a | 1 << i) for i, a in enumerate(self.adjacency)]
+        side, remaining = [0, 0], full
+        while remaining:
+            frontier, c = remaining & -remaining, 0
+            side[0] |= frontier
+            while frontier:  # one breadth-first layer, all of color c
+                reach = 0
+                while frontier:
+                    reach |= non_adj[(frontier & -frontier).bit_length() - 1]
+                    frontier &= frontier - 1
+                if reach & side[c]:
+                    return None
+                c ^= 1
+                frontier = reach & ~side[c]
+                side[c] |= frontier
+            remaining = full & ~(side[0] | side[1])
+        return side[0], side[1]
+
     def has_edge(self, p: int, q: int) -> bool:
         return (min(p, q), max(p, q)) in self.edges
 
     def neighbors(self, v: int) -> frozenset[int]:
         if v not in self.vertices:
             raise VertexNotInGraph(f"{v} is not a vertex")
-        return frozenset(
-            q if p == v else p for p, q in self.edges if v in (p, q)
-        )
-
-    def non_neighbors(self, v: int) -> frozenset[int]:
-        """Vertices other than v that are not adjacent to v."""
-        nbrs = self.neighbors(v)
-        return frozenset(u for u in self.vertices if u != v and u not in nbrs)
+        return self._members(self.adjacency[self.vertices.index(v)])
 
     def components(self) -> list[frozenset[int]]:
         """Connected components, ordered by least vertex; empty graph gives []."""
-        remaining = set(self.vertices)
-        out = []
-        while remaining:
-            start = min(remaining)
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                v = frontier.pop()
-                for u in self.neighbors(v):
-                    if u not in comp:
-                        comp.add(u)
-                        frontier.append(u)
-            remaining -= comp
-            out.append(frozenset(comp))
-        return out
+        full = (1 << len(self.vertices)) - 1
+        return [self._members(c) for c in mask_components(self.adjacency, full)]
+
+    def _members(self, mask: int) -> frozenset[int]:
+        return frozenset(v for i, v in enumerate(self.vertices) if mask >> i & 1)
 
     def is_connected(self) -> bool:
         """True for the empty and one-component graphs."""
@@ -95,11 +116,6 @@ class PrimeGraph:
             for j in range(i + 1, len(items))
         )
 
-    def complete_vertices(self) -> frozenset[int]:
-        """Vertices adjacent to every other vertex."""
-        n = len(self.vertices)
-        return frozenset(v for v in self.vertices if len(self.neighbors(v)) == n - 1)
-
     def to_dot(self) -> str:
         """Deterministic DOT text: vertices ascending, then edges ascending."""
         lines = ["graph delta {"]
@@ -115,6 +131,20 @@ class PrimeGraph:
             "vertices": list(self.vertices),
             "edges": [list(e) for e in sorted(self.edges)],
         }
+
+
+def mask_components(adj: Sequence[int], vertices: int) -> list[int]:
+    """Components, by least vertex, of the bitmask graph on ``vertices`` with neighbours adj."""
+    out = []
+    while vertices:
+        comp = frontier = vertices & -vertices
+        while frontier:
+            new = adj[(frontier & -frontier).bit_length() - 1] & ~comp
+            comp |= new
+            frontier = (frontier & frontier - 1) | new
+        vertices &= ~comp
+        out.append(comp)
+    return out
 
 
 def _as_counter(spectrum: Mapping[int, int] | Iterable[int]) -> Counter[int]:

@@ -39,7 +39,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import CapExceeded, ElementNotInGroup
-from .primes import prime_factors, valuation
+from .primes import prime_factors
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -380,10 +380,6 @@ class PermGroup:
                     current = closure(current, normal_gens, _compose)
                     assert current is not None
         return self._view(current, normal_gens)
-
-    def sylow_is_central(self, p: int) -> bool:
-        """True iff the p-part of |Z(G)| equals the p-part of |G|."""
-        return valuation(self.class_size_spectrum()[1], p) == valuation(self.order, p)
 
     def pi_subgroup(self, pi: set[int] | frozenset[int]) -> PermGroup | None:
         """The elements whose order has all its prime divisors in pi, as a subgroup.

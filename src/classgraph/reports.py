@@ -23,6 +23,7 @@ import json
 from .analysis import NOT_BLOCK_SQUARE, VERIFIED, dgroup_witness_of, verify_decomposition
 from .blocks import find_block_partitions, is_admissible_block_square
 from .construction import GroupExpr, evaluate
+from .errors import InternalInvariantError
 from .graph import delta_of
 
 
@@ -37,6 +38,10 @@ def analyze_expr(
     group = evaluate(expr, cap=enumeration_cap)
     spectrum = group.class_size_spectrum()
     graph = delta_of(spectrum, primes=group.primes)
+    if graph.complement_coloring is None:
+        raise InternalInvariantError(
+            "the class-size graph's complement is not bipartite, against Dolfi et al. 2020"
+        )
     partitions = tuple(find_block_partitions(graph, weak_witness=weak_witness))
     witness = dgroup_witness_of(group)
     decomposition = verify_decomposition(

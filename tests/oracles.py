@@ -2,8 +2,9 @@
 
 Nothing here shares code with the implementations under test: class sizes
 come from conjugating by every group element, or for a semidirect product
-of cyclic groups from its own pair arithmetic, commuting from public
-``Permutation`` products of every pair, primality from a sieve, and block
+of cyclic groups from its own pair arithmetic, commuting and central
+Sylow subgroups from public ``Permutation`` products of every pair,
+primality from a sieve, neighbourhoods from public edge queries, and block
 squares from enumerating every 4-block set partition and every ordering
 of its blocks.
 """
@@ -131,6 +132,26 @@ def pairwise_centralizers_central(
         for b in b_part
         if a * b == b * a
     )
+
+
+def pairwise_sylow_is_central(group: PermGroup, p: int) -> bool:
+    """The p-part of |Z(G)| is the p-part of |G|, with Z(G) by public products."""
+    center, order = len(pairwise_center(group)), group.order
+    while order % p == 0:
+        if center % p:
+            return False
+        center, order = center // p, order // p
+    return True
+
+
+def non_neighbors(graph: PrimeGraph, v: int) -> frozenset[int]:
+    """Vertices other than v not adjacent to it, by public edge queries."""
+    return frozenset(u for u in graph.vertices if u != v and not graph.has_edge(u, v))
+
+
+def complete_vertices(graph: PrimeGraph) -> frozenset[int]:
+    """Vertices adjacent to every other vertex."""
+    return frozenset(v for v in graph.vertices if not non_neighbors(graph, v))
 
 
 def set_partitions_into_4(items: tuple[int, ...]):

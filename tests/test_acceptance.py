@@ -30,12 +30,13 @@ from classgraph import (
     find_block_partitions,
     is_admissible_block_square,
     is_dgroup_spectral,
+    strip_central_sylows,
     to_permutation,
     verify_decomposition,
 )
 from classgraph.primes import prime_factors
 from corpus import corpus_entries
-from oracles import fast_block_square_exists, semidirect_class_sizes
+from oracles import fast_block_square_exists, non_neighbors, semidirect_class_sizes
 from test_blocks import adjacency_bitmasks, graph_from_bits
 
 
@@ -178,8 +179,9 @@ def test_commuting_coprime_pairs_and_central_sylows():
         spectrum = group.class_size_spectrum()
         vertices = set(delta_of(spectrum).vertices)
         # (b): a prime leaves the graph exactly when its Sylow subgroup is central.
+        central = strip_central_sylows(perm).central_primes
         for p in prime_factors(entry.order):
-            assert (p not in vertices) == perm.sylow_is_central(p), (entry.name, p)
+            assert (p not in vertices) == (p in central), (entry.name, p)
         # (a): commuting coprime-order pairs multiply their class-size prime sets in.
         if entry.order > 2000:
             continue
@@ -210,5 +212,7 @@ def test_non_neighborhood_cliques():
     for entry in corpus_entries():
         graph = delta_of(evaluate(entry.expr).class_size_spectrum())
         for v in graph.vertices:
-            assert graph.is_clique(graph.non_neighbors(v)), (entry.name, v)
+            assert graph.is_clique(non_neighbors(graph, v)), (entry.name, v)
+        # Dolfi, Pacifici, Sanus and Sotomayor: the complement is bipartite.
+        assert graph.complement_coloring is not None, entry.name
     _report("non-neighborhood cliques on corpus graphs", t0, 60.0)

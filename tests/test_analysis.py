@@ -25,6 +25,7 @@ from classgraph import (
     verify_decomposition,
 )
 from corpus import S3_PERM, S4_PERM
+from oracles import complete_vertices
 
 
 # -- spectral recognizer ---------------------------------------------------------
@@ -340,7 +341,7 @@ def test_no_complete_vertex_forces_abelian_coprime_derived_subgroup(corpus):
         if entry.order > 2000:
             continue
         graph = delta_of(entry.spectrum)
-        if not graph.vertices or graph.complete_vertices():
+        if not graph.vertices or complete_vertices(graph):
             continue
         g = entry.perm
         derived = g.derived_subgroup()

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classgraph import (
     BadPartition,
@@ -37,6 +40,11 @@ def graph_from_bits(n: int, bits: int, vertices: tuple[int, ...] = PRIMES) -> Pr
                 edges.add((vertices[i], vertices[j]))
             k += 1
     return PrimeGraph(vertices, frozenset(edges))
+
+
+def cliques_joined(left, right, across) -> frozenset[tuple[int, int]]:
+    """Edges of cliques on left and on right, plus the left-right pairs across."""
+    return frozenset(combinations(left, 2)) | frozenset(combinations(right, 2)) | frozenset(across)
 
 
 def adjacency_bitmasks(graph: PrimeGraph) -> list[int]:
@@ -139,12 +147,30 @@ def test_too_few_vertices():
 
 
 def test_too_many_vertices_guard():
+    # The bound guards only the search, which takes the graphs whose
+    # complement is not bipartite; an edgeless graph's complement is complete.
     vertices = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
     g = PrimeGraph(vertices, frozenset())
     with pytest.raises(TooManyVertices):
         find_block_partitions(g)
     with pytest.raises(TooManyVertices):
-        find_block_partitions(SQUARE, max_vertices=3)
+        find_block_partitions(PrimeGraph((2, 3, 5, 7), frozenset()), max_vertices=3)
+    assert find_block_partitions(SQUARE, max_vertices=3) == [
+        BlockPartition((3,), (5,), (11,), (7,))
+    ]
+    labels = tuple(sieve_primes(100)[:22])
+    # Two disjoint K10, the graph of a D-group on 20 primes.
+    two_k10 = PrimeGraph(labels[:20], cliques_joined(labels[:10], labels[10:20], ()))
+    assert find_block_partitions(two_k10) == []
+    # The admissible 5,5,5,5 square.
+    pi = [labels[i : i + 5] for i in range(0, 20, 5)]
+    across = [*product(pi[0], pi[2]), *product(pi[1], pi[3])]
+    square = PrimeGraph(labels[:20], cliques_joined(pi[0] + pi[1], pi[2] + pi[3], across))
+    assert find_block_partitions(square) == [BlockPartition(*pi)]
+    # 22 primes whose complement is 11 disjoint edges: more than two components.
+    non_edges = {labels[i : i + 2] for i in range(0, 22, 2)}
+    matching = PrimeGraph(labels, frozenset(combinations(labels, 2)) - non_edges)
+    assert find_block_partitions(matching) == []
 
 
 def test_square_has_exactly_one_canonical_partition():
@@ -226,6 +252,43 @@ def test_fast_oracle_agrees_with_naive_oracle():
             assert fast_block_square_exists(adj, n, weak=weak) == naive_block_square_exists(
                 g, weak=weak
             ), (g, weak)
+
+
+@st.composite
+def two_clique_graphs(draw) -> PrimeGraph:
+    """A random split L/R of up to 9 primes, each side a clique, and random L-R edges.
+
+    Either side may be empty.  Cross edges are drawn from sparse to dense,
+    half the time only between the ends and middles of one planted square,
+    and one vertex may be joined to every other.
+    """
+    n = draw(st.sampled_from(range(1, 10)))
+    vertices = tuple(sieve_primes(23)[:n])
+    rng = draw(st.randoms(use_true_random=True))
+    left = [v for v in vertices if rng.random() < 0.5]
+    right = [v for v in vertices if v not in left]
+    pairs = list(product(left, right))
+    allowed = pairs
+    if draw(st.booleans()):
+        # Only edges pi1-pi3 and pi2-pi4 of a random labelling, so that
+        # block squares are common.
+        upper = {v for v in vertices if rng.random() < 0.5}
+        allowed = [(a, b) for a, b in pairs if (a in upper) == (b in upper)]
+    density = draw(st.sampled_from((0.2, 0.35, 0.5, 0.8)))
+    across = [pair for pair in allowed if rng.random() < density]
+    if draw(st.integers(0, 3)) == 0:
+        apex = draw(st.sampled_from(vertices))
+        across += [pair for pair in pairs if apex in pair]
+    return PrimeGraph(vertices, cliques_joined(left, right, across))
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_clique_graphs())
+def test_two_clique_route_returns_the_canonical_list(g):
+    assert g.complement_coloring is not None
+    found = find_block_partitions(g)
+    for weak in (False, True):
+        assert found == canonical_block_partitions(g, weak=weak), weak
 
 
 # -- admissibility ---------------------------------------------------------------------

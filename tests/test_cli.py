@@ -99,6 +99,25 @@ def test_export_dot_exits_4_when_a_class_size_escapes_the_group_primes(
     assert "outside the group's primes" in capsys.readouterr().err
 
 
+def test_analyze_exits_4_without_searching_when_the_complement_is_not_bipartite(
+    f21_spec, monkeypatch, capsys
+):
+    from classgraph import PrimeGraph, reports
+    from classgraph.cli import main
+
+    # The 5-cycle is its own complement, an odd cycle.
+    c5 = PrimeGraph((2, 3, 5, 7, 11), frozenset({(2, 3), (3, 5), (5, 7), (7, 11), (2, 11)}))
+    searched = []
+    monkeypatch.setattr(reports, "delta_of", lambda spectrum, primes=None: c5)
+    monkeypatch.setattr(reports, "find_block_partitions", lambda *a, **k: searched.append(a))
+    assert main(["analyze", str(f21_spec)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not bipartite" in err and "Dolfi" in err
+    assert "Traceback" not in err
+    assert searched == []
+
+
 def test_export_dot(tmp_path):
     spec = write_spec(tmp_path, "s4", S4_PERM)
     proc = run_cli(["export-dot", str(spec)])

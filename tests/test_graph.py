@@ -13,6 +13,7 @@ from classgraph import (
     convolve_spectra,
     delta_of,
 )
+from oracles import complete_vertices, non_neighbors
 
 
 SQUARE = PrimeGraph((3, 5, 7, 11), frozenset({(3, 5), (3, 11), (5, 7), (7, 11)}))
@@ -132,16 +133,41 @@ def test_is_clique():
 
 
 def test_complete_vertices():
+    # A complete vertex is isolated in the complement, so colored L.
     k3 = PrimeGraph((2, 3, 5), frozenset({(2, 3), (2, 5), (3, 5)}))
-    assert k3.complete_vertices() == frozenset({2, 3, 5})
-    assert SQUARE.complete_vertices() == frozenset()
+    assert complete_vertices(k3) == frozenset({2, 3, 5})
+    assert k3.complement_coloring == (0b111, 0)
+    assert complete_vertices(SQUARE) == frozenset()
+    assert SQUARE.complement_coloring == (0b0011, 0b1100)  # 3, 5 | 7, 11
     star = PrimeGraph((2, 3, 5), frozenset({(2, 3), (2, 5)}))
-    assert star.complete_vertices() == frozenset({2})
+    assert complete_vertices(star) == frozenset({2})
+    assert star.complement_coloring == (0b011, 0b100)
+    for g in (k3, SQUARE, star):
+        full = (1 << len(g.vertices)) - 1
+        read = {g.vertices[i] for i, a in enumerate(g.adjacency) if a | 1 << i == full}
+        assert read == complete_vertices(g)
+
+
+def test_complement_coloring_is_none_exactly_on_an_odd_complement_cycle():
+    assert delta_of([1]).complement_coloring == (0, 0)
+    assert PrimeGraph((2, 3, 5), frozenset()).complement_coloring is None  # triangle
+    c5 = PrimeGraph((2, 3, 5, 7, 11), frozenset({(2, 3), (3, 5), (5, 7), (7, 11), (2, 11)}))
+    assert c5.complement_coloring is None  # the 5-cycle is its own complement
+    path = PrimeGraph((2, 3, 5, 7), frozenset({(2, 3), (3, 5), (5, 7)}))
+    # Complement edges 2-5, 2-7, 3-7: one path 5-2-7-3.
+    assert path.complement_coloring == (0b0011, 0b1100)
+    for g in (SQUARE, path, delta_of([1, 6, 10, 15])):
+        for side in g.complement_coloring:
+            assert g.is_clique(v for i, v in enumerate(g.vertices) if side >> i & 1)
 
 
 def test_non_neighbors():
-    assert SQUARE.non_neighbors(3) == frozenset({7})
-    assert SQUARE.non_neighbors(5) == frozenset({11})
+    assert non_neighbors(SQUARE, 3) == frozenset({7})
+    assert non_neighbors(SQUARE, 5) == frozenset({11})
+    for v in SQUARE.vertices:
+        assert SQUARE.neighbors(v) == frozenset(SQUARE.vertices) - {v} - non_neighbors(SQUARE, v)
+    with pytest.raises(VertexNotInGraph):
+        SQUARE.neighbors(13)
 
 
 # -- DOT export ------------------------------------------------------------------

@@ -13,12 +13,13 @@ from classgraph import (
     PermGroup,
     Permutation,
     evaluate,
+    strip_central_sylows,
     to_permutation,
     trivial_group,
 )
 from classgraph.primes import prime_factors
 from corpus import Q8_PERM, S3_PERM, S4_PERM
-from oracles import full_scan_class_sizes, pairwise_center
+from oracles import full_scan_class_sizes, pairwise_center, pairwise_sylow_is_central
 
 
 def s3() -> PermGroup:
@@ -223,26 +224,29 @@ def test_derived_s4_is_a4():
     assert s4().derived_subgroup().order == 12
 
 
-# -- sylow_is_central -----------------------------------------------------------
+# -- central Sylow subgroups ----------------------------------------------------
 
 
 def test_sylow_central_z6():
     g = z6_perm()
-    assert g.sylow_is_central(2)
-    assert g.sylow_is_central(3)
-    assert g.sylow_is_central(5)  # vacuous: 5 does not divide 6
+    assert pairwise_sylow_is_central(g, 2)
+    assert pairwise_sylow_is_central(g, 3)
+    assert pairwise_sylow_is_central(g, 5)  # vacuous: 5 does not divide 6
+    assert strip_central_sylows(g).central_primes == (2, 3)
 
 
 def test_sylow_central_s3():
-    assert not s3().sylow_is_central(3)
-    assert not s3().sylow_is_central(2)
+    assert not pairwise_sylow_is_central(s3(), 3)
+    assert not pairwise_sylow_is_central(s3(), 2)
+    assert strip_central_sylows(s3()).central_primes == ()
 
 
 def test_sylow_central_f21_x_z5():
     g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Cyclic(5)))))
-    assert g.sylow_is_central(5)
-    assert not g.sylow_is_central(7)
-    assert not g.sylow_is_central(3)
+    assert pairwise_sylow_is_central(g, 5)
+    assert not pairwise_sylow_is_central(g, 7)
+    assert not pairwise_sylow_is_central(g, 3)
+    assert strip_central_sylows(g).central_primes == (5,)
 
 
 # -- pi_subgroup -----------------------------------------------------------------
