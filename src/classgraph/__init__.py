@@ -16,7 +16,6 @@ from .analysis import (
     DGroupWitness,
     dgroup_witness,
     dgroup_witness_of,
-    is_dgroup_spectral,
     strip_central_sylows,
     structural_dgroup_witness,
     verify_decomposition,
@@ -31,13 +30,11 @@ from .blocks import (
 from .builder import ConstructionResult, construct_block_square_group
 from .construction import (
     Abelian,
-    AbelianGroup,
     Cyclic,
     Direct,
     Frobenius,
     GroupExpr,
     MetabelianGroup,
-    MultiplierAction,
     Perm,
     Semidirect,
     class_size_spectrum,

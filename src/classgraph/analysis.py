@@ -90,11 +90,6 @@ class DecompositionReport:
     witness: DecompositionWitness | None
 
 
-def is_dgroup_spectral(spectrum: Counter[int] | list[int]) -> bool:
-    """Spectral recognizer: the class-size prime graph is disconnected."""
-    return len(delta_of(spectrum).components()) >= 2
-
-
 # -- structural recognizer, permutation route --------------------------------
 
 
@@ -182,8 +177,8 @@ def _witness_from_parts(split: _Split) -> DGroupWitness | None:
         return None
     frob = frobenius[0]
     central = math.prod(p.order for p in abelian)
-    kernel_order = frob.kernel.order
-    complement = frob.top.order
+    kernel_order = math.prod(frob.kernel)
+    complement = math.prod(frob.top)
     return DGroupWitness(
         a_order=kernel_order,
         b_order=complement * central,
@@ -304,7 +299,6 @@ def verify_decomposition(
     spectrum: Counter[int] | None = None,
     graph: PrimeGraph | None = None,
     partitions: tuple[BlockPartition, ...] | None = None,
-    weak_witness: bool = False,
 ) -> DecompositionReport:
     """Check that a block-square graph forces the predicted product structure.
 
@@ -321,7 +315,7 @@ def verify_decomposition(
     if graph is None:
         graph = delta_of(spectrum, primes=group.primes)
     if partitions is None:
-        partitions = tuple(find_block_partitions(graph, weak_witness=weak_witness))
+        partitions = tuple(find_block_partitions(graph))
     split = _structural_parts(group)
     if not partitions:
         declared_product = split is not None and len(split[1]) == 2

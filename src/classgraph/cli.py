@@ -56,7 +56,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         name,
         expr,
         enumeration_cap=_enumeration_cap(),
-        weak_witness=args.weak_witness,
     )
     violations = report_invariant_violations(report)
     sys.stdout.write(report_to_json(report))
@@ -169,11 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="analyze a group spec file")
     p_analyze.add_argument("spec", help="path to a group spec JSON file")
     p_analyze.add_argument("--dot", help="also write the graph as DOT to this file")
-    p_analyze.add_argument(
-        "--weak-witness",
-        action="store_true",
-        help="use the weak reading of the block-square witness clause",
-    )
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_construct = sub.add_parser(
@@ -205,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         ExprError,
         InvalidMultiplier,
         CoprimalityViolation,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

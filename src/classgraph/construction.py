@@ -11,17 +11,21 @@ cross-check.  A :class:`MetabelianGroup` offers the same ``order``,
 ``primes``, ``class_size_spectrum()`` and ``to_permutation()`` as a
 :class:`~classgraph.perm.PermGroup`.
 
-A spectrum with no closed form comes from the cached permutation
-realization, which carries the group's enumeration ``cap``.
+A :class:`MetabelianGroup` is three tuples: kernel and top cyclic factor
+orders and the unit multipliers of the action.  Whether that action is
+fixed-point-free (Frobenius) is decided in closed form, without walking
+the top: :func:`is_frobenius_action` checks multiplicative orders modulo
+the primes of the kernel factors.  A spectrum with no closed form comes
+from the cached permutation realization, which carries the group's
+enumeration ``cap``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import product
 
 from .errors import (
     CapExceeded,
@@ -35,80 +39,46 @@ from .primes import is_prime, multiplicative_order, prime_factors
 
 
 @dataclass(frozen=True)
-class AbelianGroup:
-    """Direct sum of cyclic groups; elements are reduced residue tuples."""
-
-    factor_orders: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factor_orders", tuple(int(n) for n in self.factor_orders))
-        if any(n < 2 for n in self.factor_orders):
-            raise ExprError(f"cyclic factor orders must be >= 2, got {self.factor_orders}")
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.factor_orders)
-
-    def elements(self):
-        return product(*(range(n) for n in self.factor_orders))
-
-
-@dataclass(frozen=True)
-class MultiplierAction:
-    """Unit multipliers ``multipliers[i][j]`` of top generator i on kernel factor j."""
-
-    multipliers: tuple[tuple[int, ...], ...]
-
-    def multiplier_for(self, l: tuple[int, ...], j: int, modulus: int) -> int:
-        m = 1
-        for i, li in enumerate(l):
-            if li:
-                m = m * pow(self.multipliers[i][j], li, modulus) % modulus
-        return m
-
-    def is_trivial(self) -> bool:
-        return all(u == 1 for row in self.multipliers for u in row)
-
-
-@dataclass(frozen=True)
 class MetabelianGroup:
     """Semidirect product kernel x| top, with optional product provenance.
 
-    ``factors`` records the coprime direct-product parts a folded product
-    was assembled from (enables the convolution spectrum).  ``cap`` bounds
-    the enumeration of the permutation realization, as ``PermGroup.cap``
-    does, and takes no part in equality.
+    ``kernel`` and ``top`` are the orders of the cyclic factors, each at
+    least 2, and top factor i multiplies kernel factor j by the unit
+    ``multipliers[i][j]``.  ``factors`` records the coprime direct-product
+    parts a folded product was assembled from (enables the convolution
+    spectrum).  ``cap`` bounds the enumeration of the permutation
+    realization, as ``PermGroup.cap`` does, and takes no part in equality.
     """
 
-    kernel: AbelianGroup
-    top: AbelianGroup
-    action: MultiplierAction
+    kernel: tuple[int, ...]
+    top: tuple[int, ...]
+    multipliers: tuple[tuple[int, ...], ...]
     factors: tuple["MetabelianGroup", ...] | None = None
     cap: int = field(default=DEFAULT_ENUMERATION_CAP, compare=False)
 
     def __post_init__(self) -> None:
-        rows = self.action.multipliers
-        if len(rows) != len(self.top.factor_orders) or any(
-            len(row) != len(self.kernel.factor_orders) for row in rows
-        ):
-            raise ExprError("action shape does not match kernel/top factors")
+        if any(n < 2 for n in self.kernel + self.top):
+            raise ExprError(f"cyclic factor orders must be >= 2, got {self.kernel + self.top}")
+        rows = self.multipliers
+        if len(rows) != len(self.top) or any(len(row) != len(self.kernel) for row in rows):
+            raise ExprError("multiplier matrix must be top-factors x kernel-factors")
 
     @property
     def order(self) -> int:
-        return self.kernel.order * self.top.order
+        return math.prod(self.kernel + self.top)
 
     @cached_property
     def primes(self) -> tuple[int, ...]:
         """The primes of the group order, ascending, read off the cyclic factor orders."""
         out: set[int] = set()
-        for n in self.kernel.factor_orders + self.top.factor_orders:
+        for n in self.kernel + self.top:
             # Frobenius kernel entries are checked prime when the node is built.
             out.update((n,) if is_prime(n) else prime_factors(n))
         return tuple(sorted(out))
 
     @property
     def is_abelian(self) -> bool:
-        return self.action.is_trivial()
+        return all(u == 1 for row in self.multipliers for u in row)
 
     @cached_property
     def frobenius(self) -> bool:
@@ -134,8 +104,8 @@ class MetabelianGroup:
         if self.is_abelian:
             return Counter({1: self.order})
         if self.frobenius:
-            kernel_order = self.kernel.order
-            n = self.top.order
+            kernel_order = math.prod(self.kernel)
+            n = math.prod(self.top)
             return Counter({1: 1, n: (kernel_order - 1) // n, kernel_order: n - 1})
         if self.order > self.cap:
             raise CapExceeded(
@@ -170,9 +140,7 @@ class MetabelianGroup:
         block.  The top blocks make the top part faithful, the kernel blocks
         the rest.
         """
-        kernel_orders = self.kernel.factor_orders
-        top_orders = self.top.factor_orders
-        blocks = list(kernel_orders) + list(top_orders)
+        blocks = self.kernel + self.top
         if not blocks:
             return PermGroup([Permutation.identity(1)], name="1", cap=self.cap)
         offsets = []
@@ -182,20 +150,20 @@ class MetabelianGroup:
             off += n
         degree = off
         gens = []
-        for j, m in enumerate(kernel_orders):
+        for j, m in enumerate(self.kernel):
             images = list(range(degree))
             base = offsets[j]
             for x in range(m):
                 images[base + x] = base + (x + 1) % m
             gens.append(Permutation(tuple(images)))
-        for i, n in enumerate(top_orders):
+        for i, n in enumerate(self.top):
             images = list(range(degree))
-            for j, m in enumerate(kernel_orders):
+            for j, m in enumerate(self.kernel):
                 base = offsets[j]
-                u = self.action.multipliers[i][j]
+                u = self.multipliers[i][j]
                 for x in range(m):
                     images[base + x] = base + (x * u) % m
-            base = offsets[len(kernel_orders) + i]
+            base = offsets[len(self.kernel) + i]
             for x in range(n):
                 images[base + x] = base + (x + 1) % n
             gens.append(Permutation(tuple(images)))
@@ -281,11 +249,10 @@ def _checked_multiplier(u: int, m: int, n: int) -> int:
 
 def _abelian_group(orders: tuple[int, ...], cap: int) -> MetabelianGroup:
     orders = tuple(n for n in orders if n > 1)
-    top = AbelianGroup(orders)
     return MetabelianGroup(
-        kernel=AbelianGroup(()),
-        top=top,
-        action=MultiplierAction(tuple(() for _ in orders)),
+        kernel=(),
+        top=orders,
+        multipliers=tuple(() for _ in orders),
         cap=cap,
     )
 
@@ -313,48 +280,38 @@ def _frobenius_group(node: Frobenius, cap: int) -> MetabelianGroup:
             raise ExprError("one multiplier per kernel prime required")
         mults = tuple(_checked_multiplier(int(u), p, n) for u, p in zip(node.multipliers, kernel))
     return MetabelianGroup(
-        kernel=AbelianGroup(kernel),
-        top=AbelianGroup((n,)),
-        action=MultiplierAction((mults,)),
+        kernel=kernel,
+        top=(n,),
+        multipliers=(mults,),
         cap=cap,
     )
 
 
 def _semidirect_group(node: Semidirect, cap: int) -> MetabelianGroup:
-    kernel = AbelianGroup(tuple(node.kernel))
-    top = AbelianGroup(tuple(node.top))
+    # Building the group first checks the factor orders and the matrix shape.
     rows = tuple(tuple(int(u) for u in row) for row in node.multipliers)
-    if len(rows) != len(top.factor_orders) or any(
-        len(row) != len(kernel.factor_orders) for row in rows
-    ):
-        raise ExprError("multiplier matrix must be top-factors x kernel-factors")
+    g = MetabelianGroup(tuple(node.kernel), tuple(node.top), rows, cap=cap)
     rows = tuple(
-        tuple(_checked_multiplier(u, m, n) for u, m in zip(row, kernel.factor_orders))
-        for row, n in zip(rows, top.factor_orders)
+        tuple(_checked_multiplier(u, m, n) for u, m in zip(row, g.kernel))
+        for row, n in zip(rows, g.top)
     )
-    return MetabelianGroup(kernel=kernel, top=top, action=MultiplierAction(rows), cap=cap)
+    return replace(g, multipliers=rows)
 
 
 def _fold_direct(parts: list[MetabelianGroup], cap: int) -> MetabelianGroup:
     """Block-diagonal fold of pairwise-coprime metabelian factors."""
-    kernel_orders: list[int] = []
-    top_orders: list[int] = []
-    k_offsets: list[int] = []
+    kernel = tuple(m for g in parts for m in g.kernel)
+    rows: list[tuple[int, ...]] = []
+    before = 0
     for g in parts:
-        k_offsets.append(len(kernel_orders))
-        kernel_orders.extend(g.kernel.factor_orders)
-        top_orders.extend(g.top.factor_orders)
-    rows = []
-    for idx, g in enumerate(parts):
-        for row in g.action.multipliers:
-            full = [1] * len(kernel_orders)
-            for j, u in enumerate(row):
-                full[k_offsets[idx] + j] = u
-            rows.append(tuple(full))
+        # A part's top acts on its own kernel factors and trivially on the rest.
+        after = len(kernel) - before - len(g.kernel)
+        rows.extend((1,) * before + row + (1,) * after for row in g.multipliers)
+        before += len(g.kernel)
     return MetabelianGroup(
-        kernel=AbelianGroup(tuple(kernel_orders)),
-        top=AbelianGroup(tuple(top_orders)),
-        action=MultiplierAction(tuple(rows)),
+        kernel=kernel,
+        top=tuple(n for g in parts for n in g.top),
+        multipliers=tuple(rows),
         factors=tuple(parts),
         cap=cap,
     )
@@ -420,26 +377,23 @@ def evaluate(expr: GroupExpr, *, cap: int | None = None) -> MetabelianGroup | Pe
 def is_frobenius_action(g: MetabelianGroup) -> bool:
     """True iff every nontrivial top element fixes only the zero kernel element.
 
-    The fixed points of ``phi_l`` on cyclic factor ``Z_m`` are the solutions
-    of ``(u - 1) k = 0 (mod m)``, trivial exactly when ``gcd(u - 1, m) == 1``.
+    A unit u fixes a nonzero point of ``Z_m`` exactly when u = 1 mod some
+    prime q dividing m.  For each kernel factor j and each such q, the map
+    sending a top element l to its multiplier on factor j, mod q, is a
+    homomorphism into the cyclic group (Z/q)*, so the action is
+    fixed-point-free iff every one of these maps is injective.  An
+    injective map needs a cyclic top, and on the cyclic top ⊕ Z_{n_i} (n_i
+    pairwise coprime) it is injective iff each u_ij has order exactly n_i
+    mod q; ``_checked_multiplier`` already makes that order divide n_i.
     """
-    if g.kernel.order == 1 or g.top.order == 1:
+    if not g.kernel or not g.top or math.lcm(*g.top) != math.prod(g.top):
         return False
-    orders = g.kernel.factor_orders
-    if len(g.top.factor_orders) == 1 and all(is_prime(m) for m in orders):
-        # One cyclic top generator on prime factors: fixed-point-free iff
-        # each multiplier has order exactly |top|.
-        n = g.top.factor_orders[0]
+    for n, row in zip(g.top, g.multipliers):
         n_primes = prime_factors(n)
-        return all(
-            _has_order(u, n, p, n_primes) for u, p in zip(g.action.multipliers[0], orders)
-        )
-    for l in g.top.elements():
-        if all(x == 0 for x in l):
-            continue
-        for j, m in enumerate(orders):
-            u = g.action.multiplier_for(l, j, m)
-            if math.gcd(u - 1, m) != 1:
+        for u, m in zip(row, g.kernel):
+            # Frobenius kernel entries are checked prime when the node is built.
+            kernel_primes = (m,) if is_prime(m) else prime_factors(m)
+            if not all(_has_order(u, n, q, n_primes) for q in kernel_primes):
                 return False
     return True
 

@@ -151,23 +151,6 @@ class Permutation:
     def order(self) -> int:
         return _order_of_images(self.images)
 
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Nontrivial cycles, each starting at its least point, ascending."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
-                continue
-            cycle = [start]
-            seen[start] = True
-            j = self.images[start]
-            while j != start:
-                seen[j] = True
-                cycle.append(j)
-                j = self.images[j]
-            out.append(tuple(cycle))
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class ConjugacyClass:
@@ -241,7 +224,6 @@ class PermGroup:
         self._element_set: frozenset[Images] | None = None
         self._orders: tuple[int, ...] | None = None
         self._classes: tuple[ConjugacyClass, ...] | None = None
-        self._class_size_by_images: dict[Images, int] | None = None
 
     def __repr__(self) -> str:
         label = self.name or f"degree {self.degree}"
@@ -306,33 +288,24 @@ class PermGroup:
         elems = self.elements()
         gen_pairs = [(g.images, _invert(g.images)) for g in self.generators]
         classes = []
-        size_by_images: dict[Images, int] = {}
+        seen: set[Images] = set()
         for rep in elems:
             x = rep.images
-            if x in size_by_images:
+            if x in seen:
                 continue
             orbit = closure({x}, gen_pairs, _conjugate)
             assert orbit is not None
             classes.append(ConjugacyClass(rep, len(orbit)))
-            for y in orbit:
-                size_by_images[y] = len(orbit)
+            seen |= orbit
         total = sum(c.size for c in classes)
         if total != len(elems):  # pragma: no cover - internal sanity
             raise AssertionError("conjugacy classes do not partition the group")
         self._classes = tuple(classes)
-        self._class_size_by_images = size_by_images
         return self._classes
 
     def class_size_spectrum(self) -> Counter[int]:
         """Multiset of conjugacy class sizes, as {size: multiplicity}."""
         return Counter(c.size for c in self.conjugacy_classes())
-
-    def class_size_of(self, g: Permutation) -> int:
-        if g not in self:
-            raise ElementNotInGroup(f"{g!r} is not in {self!r}")
-        self.conjugacy_classes()
-        assert self._class_size_by_images is not None
-        return self._class_size_by_images[g.images]
 
     # -- subgroup queries ------------------------------------------------
 

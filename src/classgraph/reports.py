@@ -32,7 +32,6 @@ def analyze_expr(
     expr: GroupExpr,
     *,
     enumeration_cap: int | None = None,
-    weak_witness: bool = False,
 ) -> dict:
     """Run the whole pipeline on a construction tree and assemble the report."""
     group = evaluate(expr, cap=enumeration_cap)
@@ -42,14 +41,13 @@ def analyze_expr(
         raise InternalInvariantError(
             "the class-size graph's complement is not bipartite, against Dolfi et al. 2020"
         )
-    partitions = tuple(find_block_partitions(graph, weak_witness=weak_witness))
+    partitions = tuple(find_block_partitions(graph))
     witness = dgroup_witness_of(group)
     decomposition = verify_decomposition(
         group,
         spectrum=spectrum,
         graph=graph,
         partitions=partitions,
-        weak_witness=weak_witness,
     )
     return {
         "name": name,
@@ -58,14 +56,14 @@ def analyze_expr(
         "graph": graph.to_json_obj(),
         "connected": graph.is_connected(),
         "dgroup": {
-            "spectral": len(graph.components()) >= 2,
+            "spectral": not graph.is_connected(),
             "witness": witness.to_json_obj() if witness is not None else None,
         },
         "block_square": {
             "found": bool(partitions),
             "partitions": [p.to_json_obj() for p in partitions],
             "admissible": any(
-                is_admissible_block_square(graph, p, weak_witness=weak_witness)
+                is_admissible_block_square(graph, p)
                 for p in partitions
             ),
         },

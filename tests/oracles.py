@@ -1,12 +1,13 @@
 """Independent brute-force oracles the tests check the library against.
 
 Nothing here shares code with the implementations under test: class sizes
-come from conjugating by every group element, or for a semidirect product
-of cyclic groups from its own pair arithmetic, commuting and central
-Sylow subgroups from public ``Permutation`` products of every pair,
-primality from a sieve, neighbourhoods from public edge queries, and block
-squares from enumerating every 4-block set partition and every ordering
-of its blocks.
+come from conjugating by every group element or by the generators, or for
+a semidirect product of cyclic groups from its own pair arithmetic,
+fixed-point-free actions from products of every kernel and top element
+of the realization, commuting and central Sylow subgroups from public
+``Permutation`` products of every pair, primality from a sieve,
+neighbourhoods from public edge queries, and block squares from
+enumerating every 4-block set partition and every ordering of its blocks.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from itertools import combinations, permutations, product
 
 from classgraph import (
     BlockPartition,
+    MetabelianGroup,
     PermGroup,
     Permutation,
     PrimeGraph,
@@ -142,6 +144,42 @@ def pairwise_sylow_is_central(group: PermGroup, p: int) -> bool:
             return False
         center, order = center // p, order // p
     return True
+
+
+def fixed_point_free_by_scan(g: MetabelianGroup) -> bool:
+    """No nontrivial top element centralises a nontrivial kernel element."""
+    perm = g.to_permutation(verify_order=False)  # only its generators are used
+    nk = len(g.kernel)
+    kernel = PermGroup(perm.generators[:nk]).elements()
+    top = PermGroup(perm.generators[nk:]).elements()
+    return all(
+        t * k != k * t
+        for t in top
+        if not t.is_identity()
+        for k in kernel
+        if not k.is_identity()
+    )
+
+
+def class_sizes_by_conjugation(group: PermGroup) -> dict[Permutation, int]:
+    """Each element's class size: its conjugates under the generators, by public products."""
+    pairs = [(g, g.inverse()) for g in group.generators]
+    out: dict[Permutation, int] = {}
+    for x in group.elements():
+        if x in out:
+            continue
+        orbit, frontier = {x}, [x]
+        while frontier:
+            grown = []
+            for z in frontier:
+                for g, g_inv in pairs:
+                    y = g * z * g_inv
+                    if y not in orbit:
+                        orbit.add(y)
+                        grown.append(y)
+            frontier = grown
+        out.update(dict.fromkeys(orbit, len(orbit)))
+    return out
 
 
 def non_neighbors(graph: PrimeGraph, v: int) -> frozenset[int]:

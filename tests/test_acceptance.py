@@ -29,14 +29,18 @@ from classgraph import (
     evaluate,
     find_block_partitions,
     is_admissible_block_square,
-    is_dgroup_spectral,
     strip_central_sylows,
     to_permutation,
     verify_decomposition,
 )
 from classgraph.primes import prime_factors
 from corpus import corpus_entries
-from oracles import fast_block_square_exists, non_neighbors, semidirect_class_sizes
+from oracles import (
+    class_sizes_by_conjugation,
+    fast_block_square_exists,
+    non_neighbors,
+    semidirect_class_sizes,
+)
 from test_blocks import adjacency_bitmasks, graph_from_bits
 
 
@@ -66,7 +70,7 @@ def test_disconnected_iff_dgroup_full_corpus():
     for entry in entries:
         group = evaluate(entry.expr)
         spectrum = group.class_size_spectrum()
-        spectral = is_dgroup_spectral(spectrum)
+        spectral = not delta_of(spectrum).is_connected()
         perm = group.to_permutation()
         structural = dgroup_witness(perm)
         assert spectral == (structural is not None), entry.name
@@ -136,9 +140,7 @@ def test_structured_vs_oracle_spectra():
         structured = class_size_spectrum(group)
         oracle = to_permutation(group).class_size_spectrum()
         assert structured == oracle, entry.name
-        pairs = semidirect_class_sizes(
-            group.kernel.factor_orders, group.top.factor_orders, group.action.multipliers
-        )
+        pairs = semidirect_class_sizes(group.kernel, group.top, group.multipliers)
         assert structured == pairs, entry.name
         checked += 1
     assert checked >= 7
@@ -186,7 +188,7 @@ def test_commuting_coprime_pairs_and_central_sylows():
         if entry.order > 2000:
             continue
         elements = perm.elements()
-        size_of = {x.images: perm.class_size_of(x) for x in elements}
+        size_of = class_sizes_by_conjugation(perm)
         orders = {x.images: x.order() for x in elements}
         found = 0
         attempts = 0
@@ -200,8 +202,8 @@ def test_commuting_coprime_pairs_and_central_sylows():
             if (y * x).images != xy.images:
                 continue
             found += 1
-            lhs = set(prime_factors(size_of[x.images])) | set(prime_factors(size_of[y.images]))
-            assert lhs <= set(prime_factors(size_of[xy.images])), entry.name
+            lhs = set(prime_factors(size_of[x])) | set(prime_factors(size_of[y]))
+            assert lhs <= set(prime_factors(size_of[xy])), entry.name
         total_pairs += found
     assert total_pairs >= 10_000, total_pairs
     _report(f"commuting coprime pairs ({total_pairs}) and central Sylows", t0, 120.0)

@@ -17,7 +17,6 @@ from classgraph import (
     dgroup_witness,
     dgroup_witness_of,
     evaluate,
-    is_dgroup_spectral,
     strip_central_sylows,
     structural_dgroup_witness,
     symmetric_group,
@@ -32,15 +31,15 @@ from oracles import complete_vertices
 
 
 def test_spectral_f21():
-    assert is_dgroup_spectral([1, 3, 3, 7, 7])
+    assert not delta_of([1, 3, 3, 7, 7]).is_connected()
 
 
 def test_spectral_z6():
-    assert not is_dgroup_spectral([1, 1, 1, 1, 1, 1])
+    assert delta_of([1, 1, 1, 1, 1, 1]).is_connected()
 
 
 def test_spectral_s4():
-    assert not is_dgroup_spectral([1, 6, 8, 3, 6])
+    assert delta_of([1, 6, 8, 3, 6]).is_connected()
 
 
 # -- structural recognizer (permutation route) --------------------------------------
@@ -171,7 +170,7 @@ def test_structural_undecided_falls_back(corpus):
 
 def test_both_routes_agree_on_corpus(corpus):
     for entry in corpus:
-        spectral = is_dgroup_spectral(entry.spectrum)
+        spectral = not delta_of(entry.spectrum).is_connected()
         witness = dgroup_witness_of(entry.group)
         assert spectral == (witness is not None), entry.name
         perm_witness = dgroup_witness(entry.perm)

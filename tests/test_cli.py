@@ -60,6 +60,13 @@ def test_analyze_missing_file_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+def test_analyze_directory_exits_2(tmp_path):
+    proc = run_cli(["analyze", str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_analyze_s4_not_block_square(tmp_path):
     spec = write_spec(tmp_path, "s4", S4_PERM)
     proc = run_cli(["analyze", str(spec)])
@@ -172,6 +179,15 @@ def test_construct_usage_errors(tmp_path):
     assert proc.returncode == 2
     proc = run_cli(["construct", "--blocks", "a,b,c,d", "--out", str(tmp_path)])
     assert proc.returncode == 2
+
+
+def test_construct_out_is_an_existing_file_exits_2(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    proc = run_cli(["construct", "--blocks", "1,1,1,1", "--out", str(taken)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_construct_complement_past_bound_exits_5(tmp_path):

@@ -27,15 +27,15 @@ from classgraph import (
     dgroup_witness,
     dgroup_witness_of,
     evaluate,
-    is_dgroup_spectral,
     is_frobenius_action,
     symmetric_group,
     to_permutation,
 )
-from classgraph.construction import MultiplierAction, auto_multiplier
+from classgraph.construction import auto_multiplier
 from classgraph.primes import prime_factors
 from corpus import S3_PERM, S4_PERM
 from oracles import (
+    fixed_point_free_by_scan,
     full_scan_class_sizes,
     pairwise_centralizers_central,
     pairwise_is_abelian,
@@ -57,7 +57,7 @@ def test_evaluate_cyclic6():
 def test_evaluate_frobenius_auto_multiplier_policy():
     g = evaluate(Frobenius((7,), 3))
     # Units of order 3 mod 7 are {2, 4}; policy picks the smallest.
-    assert g.action.multipliers == ((2,),)
+    assert g.multipliers == ((2,),)
     assert auto_multiplier(7, 3) == 2
     assert auto_multiplier(11, 5) == 3
 
@@ -111,8 +111,8 @@ def test_evaluate_direct_coprime_folds():
     assert isinstance(g, MetabelianGroup)
     assert g.factors is not None and len(g.factors) == 2
     assert g.order == 1155
-    assert g.kernel.factor_orders == (7, 11)
-    assert g.top.factor_orders == (3, 5)
+    assert g.kernel == (7, 11)
+    assert g.top == (3, 5)
 
 
 def test_evaluate_direct_non_coprime_goes_through_permutations():
@@ -163,22 +163,7 @@ def test_non_prime_kernel_fixed_points():
     assert not is_frobenius_action(g)
 
 
-def _fixed_point_free_by_scan(g: MetabelianGroup) -> bool:
-    """No nontrivial top element centralises a nontrivial kernel element."""
-    perm = to_permutation(g)
-    nk = len(g.kernel.factor_orders)
-    kernel = PermGroup(perm.generators[:nk]).elements()
-    top = PermGroup(perm.generators[nk:]).elements()
-    return all(
-        t * k != k * t
-        for t in top
-        if not t.is_identity()
-        for k in kernel
-        if not k.is_identity()
-    )
-
-
-# Shapes outside the single-top, prime-kernel fast path: (kernel, top, multipliers, Frobenius?).
+# Shapes beyond one top factor on prime kernel factors: (kernel, top, multipliers, Frobenius?).
 _GENERAL_LOOP_SHAPES = [
     ((9,), (2,), ((8,),), True),  # x -> -x on Z9
     ((9,), (3,), ((4,),), False),  # x -> 4x fixes 3 and 6
@@ -189,22 +174,53 @@ _GENERAL_LOOP_SHAPES = [
 ]
 
 
-def test_frobenius_action_general_loop_agrees_with_fixed_point_scan(monkeypatch):
-    calls = []
-    multiplier_for = MultiplierAction.multiplier_for
-
-    def counted(self, *args):
-        calls.append(args)
-        return multiplier_for(self, *args)
-
+def test_frobenius_action_general_loop_agrees_with_fixed_point_scan():
     for kernel, top, multipliers, expected in _GENERAL_LOOP_SHAPES:
         g = evaluate(Semidirect(kernel, top, multipliers))
-        calls.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(MultiplierAction, "multiplier_for", counted)
-            assert is_frobenius_action(g) == expected, kernel
-        assert calls, f"{kernel}, {top}: the fast path answered, not the general loop"
-        assert _fixed_point_free_by_scan(g) == expected, kernel
+        assert is_frobenius_action(g) == expected, kernel
+        assert fixed_point_free_by_scan(g) == expected, kernel
+
+
+def _order_mod(u: int, q: int) -> int:
+    k, x = 1, u % q
+    while x != 1:
+        k, x = k + 1, x * u % q
+    return k
+
+
+@st.composite
+def semidirect_nodes(draw):
+    """Semidirect nodes with one or two top factors, coprime or not, on prime-power kernels.
+
+    Half the multipliers, where some exist, have order exactly the top
+    factor's modulo every prime of their kernel factor, so fixed-point-free
+    actions and non-cyclic tops with such multipliers both occur.
+    """
+    kernel = tuple(
+        draw(st.lists(st.sampled_from((3, 4, 5, 7, 8, 9, 13, 25, 27)), min_size=1, max_size=2))
+    )
+    top = tuple(draw(st.lists(st.sampled_from((2, 3, 4, 6)), min_size=1, max_size=2)))
+    rows = []
+    for n in top:
+        row = []
+        for m in kernel:
+            units = [u for u in range(1, m) if math.gcd(u, m) == 1 and pow(u, n, m) == 1]
+            primes = [q for q in sieve_primes(m) if m % q == 0]
+            exact = [u for u in units if all(_order_mod(u, q) == n for q in primes)]
+            row.append(draw(st.sampled_from(exact if exact and draw(st.booleans()) else units)))
+        rows.append(tuple(row))
+    return Semidirect(kernel, top, tuple(rows))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(semidirect_nodes())
+@example(Semidirect((7,), (3, 3), ((2,), (4,))))  # exact orders on a non-cyclic top
+@example(Semidirect((13,), (3, 4), ((3,), (5,))))  # Z3 x Z4 = Z12 acting faithfully
+@example(Semidirect((5, 25), (4,), ((2, 7),)))  # 7 = 2 mod 5 has order 4
+@example(Semidirect((25, 7), (2,), ((24, 6),)))
+def test_frobenius_action_agrees_with_fixed_point_scan(node):
+    g = evaluate(node)
+    assert is_frobenius_action(g) == fixed_point_free_by_scan(g), node
 
 
 # -- spectra ------------------------------------------------------------------------
@@ -237,7 +253,7 @@ def test_spectrum_product_size_set():
 def test_three_class_size_law_for_frobenius_nodes():
     for kernel, n in [((7,), 3), ((11,), 5), ((5,), 2), ((7, 13), 3), ((7, 13), 6)]:
         g = evaluate(Frobenius(kernel, n))
-        kernel_order = g.kernel.order
+        kernel_order = math.prod(g.kernel)
         expected = {1: 1, n: (kernel_order - 1) // n, kernel_order: n - 1}
         assert dict(class_size_spectrum(g)) == expected
 
@@ -319,7 +335,7 @@ def coprime_semidirect_products(draw, max_kernel=2):
 
 def _parts(g: MetabelianGroup):
     """Kernel orders, top orders and multipliers: a semidirect node's fields."""
-    return g.kernel.factor_orders, g.top.factor_orders, g.action.multipliers
+    return g.kernel, g.top, g.multipliers
 
 
 def _as_expr(g: MetabelianGroup) -> Semidirect:
@@ -376,7 +392,8 @@ def test_dgroup_witness_exactly_when_delta_is_disconnected(group):
     # D-groups are exactly the groups with disconnected Delta, so the
     # structural recognizer must find its complement whenever the spectral
     # one says yes, overlap products such as F21 x C3^3 included.
-    assert (dgroup_witness(group) is not None) == is_dgroup_spectral(group.class_size_spectrum())
+    disconnected = not delta_of(group.class_size_spectrum()).is_connected()
+    assert (dgroup_witness(group) is not None) == disconnected
 
 
 @settings(max_examples=40, deadline=None)

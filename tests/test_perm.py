@@ -19,7 +19,12 @@ from classgraph import (
 )
 from classgraph.primes import prime_factors
 from corpus import Q8_PERM, S3_PERM, S4_PERM
-from oracles import full_scan_class_sizes, pairwise_center, pairwise_sylow_is_central
+from oracles import (
+    class_sizes_by_conjugation,
+    full_scan_class_sizes,
+    pairwise_center,
+    pairwise_sylow_is_central,
+)
 
 
 def s3() -> PermGroup:
@@ -77,7 +82,9 @@ def test_from_cycles_and_order():
     p = Permutation.from_cycles(5, [[0, 1, 2], [3, 4]])
     assert p.images == (1, 2, 0, 4, 3)
     assert p.order() == 6
-    assert p.cycles() == ((0, 1, 2), (3, 4))
+    # The cycles (0 1 2) and (3 4): the cube fixes the first, the square the second.
+    assert (p * p * p).images == (0, 1, 2, 4, 3)
+    assert (p * p).images == (2, 0, 1, 3, 4)
     assert Permutation.identity(4).order() == 1
 
 
@@ -136,17 +143,21 @@ def test_enumerate_cap_exceeded():
 def test_orbit_stabilizer_identity_everywhere():
     for g in (s3(), s4(), f21_perm()):
         order = g.order
+        size_of = class_sizes_by_conjugation(g)
         for p in g.elements():
             centralizer_order = sum(1 for h in g.elements() if h * p == p * h)
-            assert g.class_size_of(p) * centralizer_order == order
+            assert size_of[p] * centralizer_order == order
+            assert g.centralizer(p).order == centralizer_order
+        for c in g.conjugacy_classes():
+            assert c.size == size_of[c.representative]
 
 
 # -- class sizes --------------------------------------------------------------
 
 
-def test_class_size_of_requires_membership():
+def test_centralizer_requires_membership():
     with pytest.raises(ElementNotInGroup):
-        s3().class_size_of(Permutation((0, 1, 2, 3)))
+        s3().centralizer(Permutation((0, 1, 2, 3)))
 
 
 def test_class_sizes_z6_all_singletons():

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "classgraph"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "classgraph"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -35,3 +37,15 @@ def test_private_sibling_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_private_name_from_a_sibling(path):
     assert private_sibling_imports(path.read_text()) == []
+
+
+def readme_library_example() -> str:
+    """The Python block under README's "Library example" heading."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library example", 1)[1]
+    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert match is not None, "README's Library example has no python block"
+    return match.group(1)
+
+
+def test_readme_library_example_runs():
+    exec(compile(readme_library_example(), "README.md", "exec"), {})
