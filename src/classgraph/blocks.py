@@ -2,23 +2,18 @@
 
 A block square is a partition of the vertex set into four nonempty blocks
 pi1..pi4 with no edges between pi1 and pi4, none between pi2 and pi3, and
-witness vertices in pi1 and in pi4 adjacent into both pi2 and pi3.
-
-The witness clause admits two readings.  The default ("strict") demands a
-single vertex of pi1 adjacent into both pi2 and pi3 (and likewise for
-pi4); ``weak_witness=True`` only demands that edges exist from pi1 to each
-of pi2 and pi3 separately, possibly from different vertices.  They
-coincide when the complement is bipartite, as it is for every class-size
-graph (Dolfi, Pacifici, Sanus and Sotomayor, J. Algebra 2020), and differ
-on some hand-built graphs.
+witness vertices in pi1 and in pi4 adjacent into both pi2 and pi3.  A
+witness is a single vertex of the end block with a neighbour in each
+middle block.
 
 The square has 8 symmetries of block positions; partitions in one orbit
 count as one.  :func:`find_block_partitions` returns each orbit's least
 valid member.  When the complement is bipartite it reads them off the
 complement's 2-coloring, in time polynomial in the size of the output.
-Any other graph is searched up to a vertex bound, and the search reaches
-no other leaf: the symmetries inside each pair (pi1, pi4) and (pi2, pi3)
-are broken while branching, the swap of the two pairs at the leaf.
+Any other graph is searched up to :data:`SEARCH_BOUND` vertices, and the
+search reaches no other leaf: the symmetries inside each pair (pi1, pi4)
+and (pi2, pi3) are broken while branching, the swap of the two pairs at
+the leaf.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from dataclasses import dataclass
 from .errors import BadPartition, TooManyVertices
 from .graph import PrimeGraph, mask_components
 
-DEFAULT_SEARCH_BOUND = 20
+SEARCH_BOUND = 20
 
 _Blocks = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 _Masks = tuple[int, int, int, int]  # blocks as vertex bitmasks (PrimeGraph.adjacency)
@@ -100,21 +95,14 @@ def _witness_ok(
     source: tuple[int, ...],
     t1: tuple[int, ...],
     t2: tuple[int, ...],
-    weak: bool,
 ) -> bool:
-    if weak:
-        return any(graph.has_edge(p, q) for p in source for q in t1) and any(
-            graph.has_edge(p, q) for p in source for q in t2
-        )
     return any(
         any(graph.has_edge(p, q) for q in t1) and any(graph.has_edge(p, q) for q in t2)
         for p in source
     )
 
 
-def is_block_square_partition(
-    graph: PrimeGraph, part: BlockPartition, *, weak_witness: bool = False
-) -> bool:
+def is_block_square_partition(graph: PrimeGraph, part: BlockPartition) -> bool:
     """Check the four block-square conditions for an explicit partition."""
     _validate(graph, part)
     pi1, pi2, pi3, pi4 = part.blocks()
@@ -122,21 +110,19 @@ def is_block_square_partition(
         return False
     if not _no_edges_between(graph, pi2, pi3):
         return False
-    if not _witness_ok(graph, pi1, pi2, pi3, weak_witness):
+    if not _witness_ok(graph, pi1, pi2, pi3):
         return False
-    return _witness_ok(graph, pi4, pi2, pi3, weak_witness)
+    return _witness_ok(graph, pi4, pi2, pi3)
 
 
-def is_admissible_block_square(
-    graph: PrimeGraph, part: BlockPartition, *, weak_witness: bool = False
-) -> bool:
+def is_admissible_block_square(graph: PrimeGraph, part: BlockPartition) -> bool:
     """Block square whose blocks are cliques with complete cross adjacency.
 
     These are exactly the block squares realizable as a class-size prime
     graph: each pi_i induces a complete subgraph and every vertex of
     pi1 U pi4 is adjacent to every vertex of pi2 U pi3.
     """
-    if not is_block_square_partition(graph, part, weak_witness=weak_witness):
+    if not is_block_square_partition(graph, part):
         return False
     pi1, pi2, pi3, pi4 = part.blocks()
     if not all(graph.is_clique(b) for b in part.blocks()):
@@ -144,19 +130,17 @@ def is_admissible_block_square(
     return all(graph.has_edge(p, q) for p in pi1 + pi4 for q in pi2 + pi3)
 
 
-def canonical_partition(
-    graph: PrimeGraph, part: BlockPartition, *, weak_witness: bool = False
-) -> BlockPartition:
+def canonical_partition(graph: PrimeGraph, part: BlockPartition) -> BlockPartition:
     """Least valid image of `part` under the 8 square symmetries.
 
-    The strict witness reading is not preserved by every symmetry on
+    The witness clause is not preserved by every symmetry on
     arbitrary graphs, so the representative is chosen among the images
     that remain valid (the partition itself always qualifies).
     """
     best: BlockPartition | None = None
     for sym in SQUARE_SYMMETRIES:
         image = apply_symmetry(part, sym)
-        if not is_block_square_partition(graph, image, weak_witness=weak_witness):
+        if not is_block_square_partition(graph, image):
             continue
         if best is None or image.blocks() < best.blocks():
             best = image
@@ -164,15 +148,13 @@ def canonical_partition(
     return best
 
 
-def _mask_witness(adj: tuple[int, ...], ends: int, mid1: int, mid2: int, weak: bool) -> bool:
-    reach = 0
+def _mask_witness(adj: tuple[int, ...], ends: int, mid1: int, mid2: int) -> bool:
     while ends:
         a = adj[(ends & -ends).bit_length() - 1]
         if a & mid1 and a & mid2:
             return True
-        reach |= a
         ends &= ends - 1
-    return weak and bool(reach & mid1) and bool(reach & mid2)
+    return False
 
 
 def _two_clique_partitions(adj: tuple[int, ...], left: int, right: int) -> list[_Masks]:
@@ -203,12 +185,7 @@ def _two_clique_partitions(adj: tuple[int, ...], left: int, right: int) -> list[
     return found
 
 
-def find_block_partitions(
-    graph: PrimeGraph,
-    *,
-    weak_witness: bool = False,
-    max_vertices: int = DEFAULT_SEARCH_BOUND,
-) -> list[BlockPartition]:
+def find_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
     """All block-square partitions, one canonical representative per orbit.
 
     The representative is the least valid member of the orbit under the 8
@@ -217,10 +194,10 @@ def find_block_partitions(
 
     - A bipartite complement's 2-coloring splits the graph into two
       cliques, and :func:`_two_clique_partitions` reads the partitions off
-      it.  Each end block shares a clique with a middle block, so both
-      witness readings ask only for an edge into the other: all images valid.
+      it.  Each end block shares a clique with a middle block, so a
+      witness needs only an edge into the other: all images are valid.
     - Any other graph is searched; only this route is bounded, raising
-      TooManyVertices past `max_vertices`.  Vertices are assigned in
+      TooManyVertices past `SEARCH_BOUND`.  Vertices are assigned in
       increasing order, pruning as soon as a pi1-pi4 or pi2-pi3 edge or an
       unfillable empty block appears.  Blocks compare by least vertex, so
       pi4 (pi3) opens only once pi1 (pi2) is nonempty, and a leaf with the
@@ -235,15 +212,9 @@ def find_block_partitions(
     def assign(pos: int, empty: int) -> None:
         if pos == n:
             m1, m2, m3, m4 = masks
-            if empty or not (
-                _mask_witness(adj, m1, m2, m3, weak_witness)
-                and _mask_witness(adj, m4, m2, m3, weak_witness)
-            ):
+            if empty or not (_mask_witness(adj, m1, m2, m3) and _mask_witness(adj, m4, m2, m3)):
                 return
-            if m2 & 1 and (
-                _mask_witness(adj, m2, m1, m4, weak_witness)
-                and _mask_witness(adj, m3, m1, m4, weak_witness)
-            ):
+            if m2 & 1 and (_mask_witness(adj, m2, m1, m4) and _mask_witness(adj, m3, m1, m4)):
                 return
             found.append((m1, m2, m3, m4))
             return
@@ -262,8 +233,8 @@ def find_block_partitions(
 
     if graph.complement_coloring is not None:
         found.extend(_two_clique_partitions(adj, *graph.complement_coloring))
-    elif n > max_vertices:
-        raise TooManyVertices(f"{n} vertices exceeds search bound {max_vertices}")
+    elif n > SEARCH_BOUND:
+        raise TooManyVertices(f"{n} vertices exceeds search bound {SEARCH_BOUND}")
     else:
         assign(0, 4)
     parts = (

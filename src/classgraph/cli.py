@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Commands: ``analyze``, ``construct``, ``corpus``, ``export-dot``.  Exit
-codes: 0 success, 2 parse/usage error, 3 enumeration cap exceeded,
-4 internal invariant failure, 5 prime search bound exhausted.  The
-environment variable ``CLASSGRAPH_CAP`` overrides the enumeration cap.
+codes: 0 success, 2 parse/usage error, 3 enumeration cap or detector
+vertex bound exceeded, 4 internal invariant failure, 5 prime search bound
+exhausted.  An error exits with its class's ``exit_code``, an unreadable
+file with 2.  The environment variable ``CLASSGRAPH_CAP`` overrides the
+enumeration cap.
 """
 
 from __future__ import annotations
@@ -16,25 +18,14 @@ from pathlib import Path
 
 from .builder import CONGRUENCE_NOTE, construct_block_square_group
 from .construction import evaluate
-from .errors import (
-    BoundExhausted,
-    CapExceeded,
-    ClassGraphError,
-    CoprimalityViolation,
-    ExprError,
-    InternalInvariantError,
-    InvalidMultiplier,
-    SpecFileError,
-)
+from .errors import ClassGraphError, InternalInvariantError, SpecFileError
 from .graph import PrimeGraph, delta_of
 from .reports import analyze_expr, report_invariant_violations, report_to_json
 from .specfile import expr_to_node, parse_spec_file, write_spec_file
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_CAP = 3
 EXIT_INVARIANT = 4
-EXIT_BOUND = 5
 
 
 def _enumeration_cap() -> int | None:
@@ -58,13 +49,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         enumeration_cap=_enumeration_cap(),
     )
     violations = report_invariant_violations(report)
-    sys.stdout.write(report_to_json(report))
     if args.dot:
+        # Written first, so a run that cannot write it prints no report.
         graph = PrimeGraph(
             tuple(report["graph"]["vertices"]),
             frozenset(tuple(e) for e in report["graph"]["edges"]),
         )
         Path(args.dot).write_text(graph.to_dot(), encoding="utf-8")
+    sys.stdout.write(report_to_json(report))
     if violations:
         for v in violations:
             print(f"invariant violation: {v}", file=sys.stderr)
@@ -194,28 +186,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        SpecFileError,
-        ExprError,
-        InvalidMultiplier,
-        CoprimalityViolation,
-        OSError,
-        ValueError,
-    ) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except BoundExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
-    except InternalInvariantError as exc:
-        print(f"internal invariant failure: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except ClassGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        internal = isinstance(exc, InternalInvariantError)
+        print(f"{'internal invariant failure' if internal else 'error'}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

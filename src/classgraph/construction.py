@@ -342,7 +342,10 @@ def evaluate(expr: GroupExpr, *, cap: int | None = None) -> MetabelianGroup | Pe
     if isinstance(expr, Semidirect):
         return _semidirect_group(expr, cap)
     if isinstance(expr, Perm):
-        gens = [Permutation(tuple(images)) for images in expr.generators]
+        try:
+            gens = [Permutation(tuple(images)) for images in expr.generators]
+        except ValueError as exc:
+            raise ExprError(str(exc)) from exc
         if any(g.degree != expr.degree for g in gens):
             raise ExprError("generator degree does not match declared degree")
         return PermGroup(gens, cap=cap)

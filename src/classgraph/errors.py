@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all classgraph modules."""
+"""Exception hierarchy shared by all classgraph modules.
+
+``exit_code`` is each cause's CLI exit code: 2 malformed input, 3 an
+enumeration cap or the detector's vertex bound, 5 an exhausted prime
+search, 4 an internal invariant failure or any other error.
+"""
 
 from __future__ import annotations
 
@@ -6,25 +11,31 @@ from __future__ import annotations
 class ClassGraphError(Exception):
     """Base class for every error raised by this package."""
 
+    exit_code = 4
+
 
 class CapExceeded(ClassGraphError):
     """An enumeration or spectrum computation grew past its configured cap."""
+
+    exit_code = 3
 
 
 class ElementNotInGroup(ClassGraphError):
     """Queried element does not belong to the enumerated group."""
 
 
-class InvalidMultiplier(ClassGraphError):
+class ExprError(ClassGraphError):
+    """A construction tree node is malformed."""
+
+    exit_code = 2
+
+
+class InvalidMultiplier(ExprError):
     """A semidirect-action multiplier is not a unit or has the wrong order."""
 
 
-class CoprimalityViolation(ClassGraphError):
+class CoprimalityViolation(ExprError):
     """A Frobenius construction node mixes a prime between kernel and complement."""
-
-
-class ExprError(ClassGraphError):
-    """A construction tree node is malformed."""
 
 
 class VertexNotInGraph(ClassGraphError):
@@ -38,13 +49,19 @@ class BadPartition(ClassGraphError):
 class TooManyVertices(ClassGraphError):
     """Graph exceeds the exhaustive partition search bound."""
 
+    exit_code = 3
+
 
 class BoundExhausted(ClassGraphError):
     """A prime search in an arithmetic progression hit its ceiling."""
 
+    exit_code = 5
+
 
 class SpecFileError(ClassGraphError):
     """A group spec file failed to parse or validate."""
+
+    exit_code = 2
 
 
 class InternalInvariantError(ClassGraphError):

@@ -146,7 +146,11 @@ def parse_spec_text(text: str) -> tuple[str, GroupExpr]:
 
 
 def parse_spec_file(path: str | Path) -> tuple[str, GroupExpr]:
-    return parse_spec_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"spec file is not UTF-8: {exc}") from exc
+    return parse_spec_text(text)
 
 
 def serialize_spec(name: str, expr: GroupExpr) -> str:

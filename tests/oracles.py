@@ -215,7 +215,7 @@ def set_partitions_into_4(items: tuple[int, ...]):
     yield from rec(0, [])
 
 
-def naive_block_square_exists(graph: PrimeGraph, *, weak: bool = False) -> bool:
+def naive_block_square_exists(graph: PrimeGraph) -> bool:
     """Try all ordered 4-block partitions through the public predicate."""
     vertices = graph.vertices
     if len(vertices) < 4:
@@ -223,7 +223,7 @@ def naive_block_square_exists(graph: PrimeGraph, *, weak: bool = False) -> bool:
     for blocks in set_partitions_into_4(vertices):
         for ordering in permutations(range(4)):
             part = BlockPartition(*(blocks[i] for i in ordering))
-            if is_block_square_partition(graph, part, weak_witness=weak):
+            if is_block_square_partition(graph, part):
                 return True
     return False
 
@@ -232,7 +232,7 @@ def naive_block_square_exists(graph: PrimeGraph, *, weak: bool = False) -> bool:
 _MATCHINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
-def canonical_block_partitions(graph: PrimeGraph, *, weak: bool = False) -> list[BlockPartition]:
+def canonical_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
     """The least valid ordering of every block-square orbit, sorted.
 
     An orbit is a 4-block set partition with one of the 3 matchings of its
@@ -257,7 +257,7 @@ def canonical_block_partitions(graph: PrimeGraph, *, weak: bool = False) -> list
                 for a, b in (ends, ends[::-1])
                 for c, d in (mids, mids[::-1])
             )
-            valid = [p for p in orderings if is_block_square_partition(graph, p, weak_witness=weak)]
+            valid = [p for p in orderings if is_block_square_partition(graph, p)]
             if valid:
                 out.append(min(valid, key=BlockPartition.blocks))
     return sorted(out, key=BlockPartition.blocks)
@@ -295,7 +295,7 @@ def _four_block_partitions(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ..
     return tuple(out)
 
 
-def fast_block_square_exists(adj: list[int], n: int, *, weak: bool = False) -> bool:
+def fast_block_square_exists(adj: list[int], n: int) -> bool:
     """Bitmask brute force over every 4-block set partition.
 
     Independent reformulation used for the large exhaustive sweeps: the
@@ -307,13 +307,6 @@ def fast_block_square_exists(adj: list[int], n: int, *, weak: bool = False) -> b
         return False
 
     def witness(ends_label: int, labels: tuple[int, ...], mid1: int, mid2: int) -> bool:
-        if weak:
-            seen1 = seen2 = False
-            for v in range(n):
-                if labels[v] == ends_label:
-                    seen1 = seen1 or bool(adj[v] & mid1)
-                    seen2 = seen2 or bool(adj[v] & mid2)
-            return seen1 and seen2
         return any(
             adj[v] & mid1 and adj[v] & mid2 for v in range(n) if labels[v] == ends_label
         )

@@ -17,7 +17,7 @@ from classgraph import (
     is_admissible_block_square,
     is_block_square_partition,
 )
-from classgraph.blocks import SQUARE_SYMMETRIES, apply_symmetry
+from classgraph.blocks import SEARCH_BOUND, SQUARE_SYMMETRIES, apply_symmetry
 from oracles import (
     canonical_block_partitions,
     fast_block_square_exists,
@@ -83,7 +83,7 @@ def test_partition_validation():
         is_block_square_partition(SQUARE, BlockPartition((3,), (5,), (11,), (13,)))
 
 
-def test_strict_vs_weak_witness_reading():
+def test_witness_must_be_a_single_vertex():
     # pi1 = {3, 5}: 3 reaches pi2, only 5 reaches pi3; no single witness.
     g = PrimeGraph(
         (2, 3, 5, 7, 11),
@@ -91,7 +91,6 @@ def test_strict_vs_weak_witness_reading():
     )
     part = BlockPartition((3, 5), (7,), (11,), (2,))
     assert not is_block_square_partition(g, part)
-    assert is_block_square_partition(g, part, weak_witness=True)
 
 
 # -- symmetries ------------------------------------------------------------------
@@ -124,21 +123,6 @@ def test_canonical_partition_is_least_valid_image():
     assert canon == BlockPartition((3,), (5,), (11,), (7,))
 
 
-def test_weak_witness_preserved_by_all_symmetries_on_random_graphs():
-    rng = random.Random(7)
-    checked = 0
-    for _ in range(300):
-        n = rng.randint(4, 7)
-        bits = rng.getrandbits(n * (n - 1) // 2)
-        g = graph_from_bits(n, bits)
-        for part in find_block_partitions(g, weak_witness=True):
-            for sym in SQUARE_SYMMETRIES:
-                image = apply_symmetry(part, sym)
-                assert is_block_square_partition(g, image, weak_witness=True)
-                checked += 1
-    assert checked > 50
-
-
 # -- find_block_partitions ----------------------------------------------------------
 
 
@@ -150,15 +134,14 @@ def test_too_many_vertices_guard():
     # The bound guards only the search, which takes the graphs whose
     # complement is not bipartite; an edgeless graph's complement is complete.
     vertices = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
+    assert len(vertices) == SEARCH_BOUND + 1
     g = PrimeGraph(vertices, frozenset())
     with pytest.raises(TooManyVertices):
         find_block_partitions(g)
-    with pytest.raises(TooManyVertices):
-        find_block_partitions(PrimeGraph((2, 3, 5, 7), frozenset()), max_vertices=3)
-    assert find_block_partitions(SQUARE, max_vertices=3) == [
-        BlockPartition((3,), (5,), (11,), (7,))
-    ]
     labels = tuple(sieve_primes(100)[:22])
+    # Two disjoint K11 on 22 primes, past the bound: read off the coloring.
+    two_k11 = PrimeGraph(labels, cliques_joined(labels[:11], labels[11:], ()))
+    assert find_block_partitions(two_k11) == []
     # Two disjoint K10, the graph of a D-group on 20 primes.
     two_k10 = PrimeGraph(labels[:20], cliques_joined(labels[:10], labels[10:20], ()))
     assert find_block_partitions(two_k10) == []
@@ -196,13 +179,12 @@ def test_returned_partitions_pass_the_predicate():
     for _ in range(200):
         n = rng.randint(4, 7)
         g = graph_from_bits(n, rng.getrandbits(n * (n - 1) // 2))
-        for weak in (False, True):
-            for part in find_block_partitions(g, weak_witness=weak):
-                assert is_block_square_partition(g, part, weak_witness=weak)
+        for part in find_block_partitions(g):
+            assert is_block_square_partition(g, part)
 
 
 def test_detector_agrees_with_naive_public_api_oracle():
-    # Exhaustive on <= 4 vertices, random beyond, both witness readings.
+    # Exhaustive on <= 4 vertices, random beyond.
     cases = [
         graph_from_bits(n, bits) for n in range(5) for bits in range(1 << (n * (n - 1) // 2))
     ]
@@ -211,14 +193,12 @@ def test_detector_agrees_with_naive_public_api_oracle():
         n = rng.randint(5, 6)
         cases.append(graph_from_bits(n, rng.getrandbits(n * (n - 1) // 2)))
     for g in cases:
-        for weak in (False, True):
-            found = bool(find_block_partitions(g, weak_witness=weak))
-            assert found == naive_block_square_exists(g, weak=weak), (g, weak)
+        assert bool(find_block_partitions(g)) == naive_block_square_exists(g), g
 
 
 def test_detector_returns_the_canonical_list():
     # Every graph on <= 5 vertices, then random graphs on 6-7 vertices
-    # labelled by spread-out primes; the whole list, both witness readings.
+    # labelled by spread-out primes; the whole list.
     cases = [
         graph_from_bits(n, bits) for n in range(6) for bits in range(1 << (n * (n - 1) // 2))
     ]
@@ -229,10 +209,7 @@ def test_detector_returns_the_canonical_list():
         vertices = tuple(sorted(rng.sample(labels, n)))
         cases.append(graph_from_bits(n, rng.getrandbits(n * (n - 1) // 2), vertices))
     for g in cases:
-        for weak in (False, True):
-            assert find_block_partitions(g, weak_witness=weak) == canonical_block_partitions(
-                g, weak=weak
-            ), (g, weak)
+        assert find_block_partitions(g) == canonical_block_partitions(g), g
 
 
 def test_fast_oracle_agrees_with_naive_oracle():
@@ -248,10 +225,7 @@ def test_fast_oracle_agrees_with_naive_oracle():
     for g in cases:
         adj = adjacency_bitmasks(g)
         n = len(g.vertices)
-        for weak in (False, True):
-            assert fast_block_square_exists(adj, n, weak=weak) == naive_block_square_exists(
-                g, weak=weak
-            ), (g, weak)
+        assert fast_block_square_exists(adj, n) == naive_block_square_exists(g), g
 
 
 @st.composite
@@ -286,9 +260,7 @@ def two_clique_graphs(draw) -> PrimeGraph:
 @given(two_clique_graphs())
 def test_two_clique_route_returns_the_canonical_list(g):
     assert g.complement_coloring is not None
-    found = find_block_partitions(g)
-    for weak in (False, True):
-        assert found == canonical_block_partitions(g, weak=weak), weak
+    assert find_block_partitions(g) == canonical_block_partitions(g)
 
 
 # -- admissibility ---------------------------------------------------------------------

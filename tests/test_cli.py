@@ -7,8 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from classgraph import serialize_spec
+from classgraph.cli import main
 from classgraph.specfile import MAX_NESTING
 from corpus import S3_PERM, S4_PERM, corpus_entries
 
@@ -89,6 +92,13 @@ def test_analyze_dot_output(tmp_path, f21_spec):
     assert text == "graph delta {\n  3;\n  7;\n}\n"
 
 
+def test_analyze_unwritable_dot_exits_2_with_no_report(tmp_path, f21_spec):
+    proc = run_cli(["analyze", str(f21_spec), "--dot", str(tmp_path / "missing" / "x.dot")])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+
+
 def test_analyze_reports_byte_stable(f21_spec):
     a = run_cli(["analyze", str(f21_spec)]).stdout
     b = run_cli(["analyze", str(f21_spec)]).stdout
@@ -99,7 +109,6 @@ def test_export_dot_exits_4_when_a_class_size_escapes_the_group_primes(
     f21_spec, monkeypatch, capsys
 ):
     from classgraph import MetabelianGroup
-    from classgraph.cli import main
 
     monkeypatch.setattr(MetabelianGroup, "primes", (3,))
     assert main(["export-dot", str(f21_spec)]) == 4
@@ -110,7 +119,6 @@ def test_analyze_exits_4_without_searching_when_the_complement_is_not_bipartite(
     f21_spec, monkeypatch, capsys
 ):
     from classgraph import PrimeGraph, reports
-    from classgraph.cli import main
 
     # The 5-cycle is its own complement, an odd cycle.
     c5 = PrimeGraph((2, 3, 5, 7, 11), frozenset({(2, 3), (3, 5), (5, 7), (7, 11), (2, 11)}))
@@ -123,6 +131,49 @@ def test_analyze_exits_4_without_searching_when_the_complement_is_not_bipartite(
     assert "not bipartite" in err and "Dolfi" in err
     assert "Traceback" not in err
     assert searched == []
+
+
+def test_vertex_bound_exits_3(f21_spec, monkeypatch, capsys):
+    from classgraph import TooManyVertices, reports
+
+    def too_many(graph):
+        raise TooManyVertices("21 vertices exceeds search bound 20")
+
+    monkeypatch.setattr(reports, "find_block_partitions", too_many)
+    assert main(["analyze", str(f21_spec)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: 21 vertices exceeds search bound 20\n"
+
+
+def test_builtin_value_error_is_not_an_input_error(f21_spec, monkeypatch):
+    from classgraph import reports
+
+    def broken(spectrum, primes=None):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(reports, "delta_of", broken)
+    with pytest.raises(ValueError, match="a bug, not bad input"):
+        main(["analyze", str(f21_spec)])
+
+
+def test_non_utf8_spec_exits_2(tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_bytes(b"\xff\xfe{")
+    assert main(["analyze", str(spec)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: spec file is not UTF-8")
+
+
+def test_bad_perm_images_exit_2(tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_text(
+        '{"name": "bad", "construct": {"op": "perm", "degree": 3, "generators": [[0, 0, 1]]}}',
+        encoding="utf-8",
+    )
+    assert main(["analyze", str(spec)]) == 2
+    assert capsys.readouterr().err.startswith("error: not a permutation")
 
 
 def test_export_dot(tmp_path):
@@ -256,3 +307,101 @@ def test_analyze_nested_spec_within_limit(tmp_path, depth):
     proc = run_cli(["analyze", str(spec)])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["order"] == 6
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+_SMALL = st.integers(-3, 60)
+_INTS = st.lists(_SMALL, max_size=4)
+# A value of the wrong type or shape for whichever field it lands in.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    _SMALL,
+    _INTS,
+    st.lists(_INTS, max_size=2),
+    st.dictionaries(st.text(max_size=2), _SMALL, max_size=2),
+)
+_FIELDS = ("n", "orders", "kernel", "complement", "multipliers", "top", "factors")
+
+
+@st.composite
+def _perm_nodes(draw) -> dict:
+    """Perm nodes whose generators are permutations, or images that are not."""
+    degree = draw(st.integers(0, 8))
+    perms = st.permutations(range(degree)).map(list)
+    images = st.lists(_SMALL, max_size=degree + 1)
+    gens = draw(st.lists(st.one_of(perms, images), min_size=1, max_size=3))
+    if draw(st.integers(0, 9)) == 9:
+        degree = draw(_SMALL)
+    return {"op": "perm", "degree": degree, "generators": gens}
+
+
+_GOOD_LEAVES = (
+    st.fixed_dictionaries({"op": st.just("cyclic"), "n": _SMALL}),
+    st.fixed_dictionaries({"op": st.just("abelian"), "orders": _INTS}),
+    st.fixed_dictionaries(
+        {"op": st.just("frobenius"), "kernel": _INTS, "complement": _SMALL},
+        optional={"multipliers": _INTS},
+    ),
+    st.fixed_dictionaries(
+        {
+            "op": st.just("semidirect"),
+            "kernel": _INTS,
+            "top": _INTS,
+            "multipliers": st.lists(_INTS, max_size=3),
+        }
+    ),
+    _perm_nodes(),
+)
+# Wrong shapes: a known or unknown op with fields of any type, or no object at all.
+_BAD_LEAVES = (
+    st.fixed_dictionaries(
+        {"op": st.sampled_from(("cyclic", "frobenius", "semidirect", "direct", "perm", "x"))},
+        optional={field: _JUNK for field in _FIELDS},
+    ),
+    _JUNK,
+)
+# Each kind of well-shaped leaf is drawn three times as often as each badly shaped one.
+_LEAVES = st.sampled_from(_GOOD_LEAVES * 3 + _BAD_LEAVES).flatmap(lambda leaf: leaf)
+_NODES = st.recursive(
+    _LEAVES,
+    lambda children: st.fixed_dictionaries(
+        {"op": st.just("direct"), "factors": st.lists(children, min_size=1, max_size=3)}
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _spec_bytes(draw) -> bytes:
+    """A spec file's bytes: well-formed, truncated, junk-prefixed or not UTF-8."""
+    doc = {"name": "fuzz", "construct": draw(_NODES)}
+    # Six intact documents to each damaged one of every kind.
+    damage = draw(st.sampled_from(("none",) * 6 + ("name", "key", "cut", "prefix", "bytes")))
+    if damage == "name":
+        doc["name"] = draw(_JUNK)
+    elif damage == "key":
+        doc["extra"] = 1
+    data = json.dumps(doc).encode("utf-8")
+    if damage == "cut":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif damage == "prefix":
+        data = draw(st.binary(min_size=1, max_size=4)) + data
+    elif damage == "bytes":
+        data = draw(st.sampled_from((b"\xff\xfe{", b"\x80", b'{"name": "\xc3"}')))
+    return data
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=_spec_bytes())
+def test_analyze_fuzz_exits_with_a_documented_code(tmp_path, monkeypatch, data):
+    # The fixtures are set once for the whole run; each example rewrites the file.
+    monkeypatch.setenv("CLASSGRAPH_CAP", "2000")
+    spec = tmp_path / "fuzz.json"
+    spec.write_bytes(data)
+    assert main(["analyze", str(spec)]) in {0, 2, 3, 4, 5}

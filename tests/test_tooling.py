@@ -49,3 +49,29 @@ def readme_library_example() -> str:
 
 def test_readme_library_example_runs():
     exec(compile(readme_library_example(), "README.md", "exec"), {})
+
+
+def exit_code_sentence_codes(text: str) -> set[int]:
+    """The codes listed in the first "Exit codes: ..." sentence of `text`."""
+    match = re.search(r"Exit codes: (.*?)\.(?:\s|$)", " ".join(text.split()))
+    assert match is not None, "no 'Exit codes:' sentence"
+    return {int(code) for code in re.findall(r"(?:^|, )(\d+) ", match.group(1))}
+
+
+def test_exit_code_sentence_codes_are_found():
+    text = "Exit\ncodes: 0 success, 2 parse error, 3 cap\nexceeded.  Later 7 things."
+    assert exit_code_sentence_codes(text) == {0, 2, 3}
+
+
+def test_documented_exit_codes_are_the_error_classes_codes():
+    import classgraph
+    from classgraph import cli
+
+    classes = [
+        c
+        for c in vars(classgraph).values()
+        if isinstance(c, type) and issubclass(c, classgraph.ClassGraphError)
+    ]
+    codes = {0} | {c.exit_code for c in classes}
+    assert exit_code_sentence_codes((ROOT / "README.md").read_text(encoding="utf-8")) == codes
+    assert exit_code_sentence_codes(cli.__doc__) == codes
