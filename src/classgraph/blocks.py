@@ -119,15 +119,21 @@ def is_admissible_block_square(graph: PrimeGraph, part: BlockPartition) -> bool:
     """Block square whose blocks are cliques with complete cross adjacency.
 
     These are exactly the block squares realizable as a class-size prime
-    graph: each pi_i induces a complete subgraph and every vertex of
-    pi1 U pi4 is adjacent to every vertex of pi2 U pi3.
+    graph: each vertex is adjacent to the rest of its own block and to every
+    vertex of the other pair (pi1 U pi4 or pi2 U pi3), and to nothing else.
+    With nonempty blocks that neighbourhood already gives the witnesses and
+    rules out pi1-pi4 and pi2-pi3 edges.
     """
-    if not is_block_square_partition(graph, part):
-        return False
-    pi1, pi2, pi3, pi4 = part.blocks()
-    if not all(graph.is_clique(b) for b in part.blocks()):
-        return False
-    return all(graph.has_edge(p, q) for p in pi1 + pi4 for q in pi2 + pi3)
+    _validate(graph, part)
+    index_of = {v: i for i, v in enumerate(graph.vertices)}
+    blocks = part.blocks()
+    masks = [sum(1 << index_of[v] for v in b) for b in blocks]
+    ends, mids = masks[0] | masks[3], masks[1] | masks[2]
+    return all(
+        graph.adjacency[index_of[v]] == (mask | other) & ~(1 << index_of[v])
+        for b, mask, other in zip(blocks, masks, (mids, ends, ends, mids))
+        for v in b
+    )
 
 
 def canonical_partition(graph: PrimeGraph, part: BlockPartition) -> BlockPartition:

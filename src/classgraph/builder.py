@@ -17,6 +17,10 @@ primes (2 is never used in a complement order, so the smallest realization
 of the plain square lands on {3, 5, 7, 11}); kernel primes are the
 smallest qualifying primes in their progression.  ``avoid`` excludes
 primes from every choice.  The whole procedure is deterministic.
+
+The built group is verified, not trusted: its prime graph is computed from
+the class-size spectrum and must pass
+:func:`~classgraph.blocks.is_admissible_block_square` on the chosen blocks.
 """
 
 from __future__ import annotations
@@ -42,9 +46,8 @@ CONGRUENCE_NOTE = (
 
 @dataclass(frozen=True)
 class ConstructionResult:
-    """A built group expression together with its verified prediction."""
+    """A built group expression together with its verified prime graph."""
 
-    blocks: tuple[int, int, int, int]
     expr: Direct
     graph: PrimeGraph
     partition: BlockPartition
@@ -67,24 +70,6 @@ def _next_odd_primes(count: int, used: set[int]) -> list[int]:
             out.append(candidate)
         candidate += 2
     return out
-
-
-def _predicted_graph(
-    pi1: tuple[int, ...],
-    pi2: tuple[int, ...],
-    pi3: tuple[int, ...],
-    pi4: tuple[int, ...],
-) -> PrimeGraph:
-    vertices = pi1 + pi2 + pi3 + pi4
-    edges: set[tuple[int, int]] = set()
-    for block in (pi1, pi2, pi3, pi4):
-        for i in range(len(block)):
-            for j in range(i + 1, len(block)):
-                edges.add((min(block[i], block[j]), max(block[i], block[j])))
-    for p in pi1 + pi4:
-        for q in pi2 + pi3:
-            edges.add((min(p, q), max(p, q)))
-    return PrimeGraph(tuple(sorted(vertices)), frozenset(edges))
 
 
 def _kernel_primes(count: int, modulus: int, used: set[int], bound: int) -> tuple[int, ...]:
@@ -122,23 +107,20 @@ def _build_once(
     factor_b = Frobenius(kernel=pi2, complement=n3)
     expr = Direct((factor_a, factor_b))
     partition = BlockPartition(pi1, pi2, pi3, pi4)
-    predicted = _predicted_graph(pi1, pi2, pi3, pi4)
 
     group = evaluate(expr)
     if group.factors is None or not all(f.frobenius for f in group.factors):
         raise PredictionMismatch("constructed factors lost their Frobenius structure")
-    computed = delta_of(group.class_size_spectrum(), primes=group.primes)
-    if computed != predicted:
+    graph = delta_of(group.class_size_spectrum(), primes=group.primes)
+    covered = graph.vertices == tuple(sorted(pi1 + pi2 + pi3 + pi4))
+    if not (covered and is_admissible_block_square(graph, partition)):
         raise PredictionMismatch(
-            f"computed graph {computed.to_json_obj()} differs from "
-            f"predicted {predicted.to_json_obj()}"
+            f"computed graph {graph.to_json_obj()} is not the admissible block square "
+            f"on {partition.to_json_obj()}"
         )
-    if not is_admissible_block_square(predicted, partition):
-        raise PredictionMismatch("predicted partition is not an admissible block square")
     return ConstructionResult(
-        blocks=(m1, m2, m3, m4),
         expr=expr,
-        graph=predicted,
+        graph=graph,
         partition=partition,
         order=group.order,
     )
@@ -157,8 +139,9 @@ def construct_block_square_group(
     block square.
 
     Retries once with a doubled search bound before surfacing
-    BoundExhausted; raises PredictionMismatch if the verification pass ever
-    disagrees with the prediction (an internal bug, never expected).
+    BoundExhausted; raises PredictionMismatch if the computed prime graph is
+    ever not the admissible square on the chosen blocks (an internal bug,
+    never expected).
     """
     for m in (m1, m2, m3, m4):
         if m < 1:

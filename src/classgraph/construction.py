@@ -35,7 +35,7 @@ from .errors import (
     InvalidMultiplier,
 )
 from .perm import DEFAULT_ENUMERATION_CAP, Permutation, PermGroup
-from .primes import is_prime, multiplicative_order, prime_factors
+from .primes import is_prime, prime_factors
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,7 @@ class MetabelianGroup:
         """The primes of the group order, ascending, read off the cyclic factor orders."""
         out: set[int] = set()
         for n in self.kernel + self.top:
-            # Frobenius kernel entries are checked prime when the node is built.
-            out.update((n,) if is_prime(n) else prime_factors(n))
+            out.update(prime_factors(n))
         return tuple(sorted(out))
 
     @property
@@ -241,9 +240,9 @@ def _checked_multiplier(u: int, m: int, n: int) -> int:
     u %= m
     if math.gcd(u, m) != 1:
         raise InvalidMultiplier(f"{u} is not a unit mod {m}")
-    order = multiplicative_order(u, m)
-    if n % order != 0:
-        raise InvalidMultiplier(f"{u} has order {order} mod {m}, not dividing top order {n}")
+    # u's order divides n exactly when u^n = 1.
+    if pow(u, n, m) != 1:
+        raise InvalidMultiplier(f"{u} mod {m} has order not dividing top order {n}")
     return u
 
 
@@ -394,9 +393,7 @@ def is_frobenius_action(g: MetabelianGroup) -> bool:
     for n, row in zip(g.top, g.multipliers):
         n_primes = prime_factors(n)
         for u, m in zip(row, g.kernel):
-            # Frobenius kernel entries are checked prime when the node is built.
-            kernel_primes = (m,) if is_prime(m) else prime_factors(m)
-            if not all(_has_order(u, n, q, n_primes) for q in kernel_primes):
+            if not all(_has_order(u, n, q, n_primes) for q in prime_factors(m)):
                 return False
     return True
 

@@ -17,6 +17,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .errors import InternalInvariantError, VertexNotInGraph
 from .primes import is_prime, prime_factors
@@ -103,19 +104,6 @@ class PrimeGraph:
         """True for the empty and one-component graphs."""
         return len(self.components()) <= 1
 
-    def is_clique(self, subset: Iterable[int]) -> bool:
-        """True iff all pairs in subset are adjacent (singletons trivially)."""
-        items = sorted(set(subset))
-        vset = set(self.vertices)
-        for v in items:
-            if v not in vset:
-                raise VertexNotInGraph(f"{v} is not a vertex")
-        return all(
-            self.has_edge(items[i], items[j])
-            for i in range(len(items))
-            for j in range(i + 1, len(items))
-        )
-
     def to_dot(self) -> str:
         """Deterministic DOT text: vertices ascending, then edges ascending."""
         lines = ["graph delta {"]
@@ -190,15 +178,12 @@ def delta_of(
         raise ValueError("class sizes and multiplicities must be positive")
     if counts[1] == 0:
         warnings.warn("spectrum has no identity class (no size-1 entry)", stacklevel=2)
-    vertices: set[int] = set()
-    edges: set[Edge] = set()
-    for size in counts:
-        if size == 1:
-            continue
-        ps = prime_factors(size) if primes is None else _primes_dividing(size, primes)
-        vertices.update(ps)
-        # p != q both dividing size means pq divides size.
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                edges.add((ps[i], ps[j]))
-    return PrimeGraph(tuple(sorted(vertices)), frozenset(edges))
+    # The identity class's size 1 has no primes and adds nothing.
+    prime_sets = {
+        prime_factors(size) if primes is None else _primes_dividing(size, primes)
+        for size in counts
+    }
+    # p != q both dividing a size means pq divides it.
+    edges = frozenset(e for ps in prime_sets for e in combinations(ps, 2))
+    vertices = set().union(*prime_sets)
+    return PrimeGraph(tuple(sorted(vertices)), edges)

@@ -392,8 +392,9 @@ class PermGroup:
             gens = _generating_subset(sorted(images))
             assert gens is not None
         sub = PermGroup([Permutation._trusted(g) for g in gens] or [self.identity()], cap=self.cap)
-        kept = [i for i, p in enumerate(self.elements()) if p.images in images]
-        sub._elements = tuple(self.elements()[i] for i in kept)
+        elements = self.elements()
+        kept = [i for i, p in enumerate(elements) if p.images in images]
+        sub._elements = tuple(elements[i] for i in kept)
         if self._orders is not None:
             sub._orders = tuple(self._orders[i] for i in kept)
         sub._element_set = frozenset(images)

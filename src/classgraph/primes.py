@@ -1,10 +1,10 @@
-"""Exact integer arithmetic: primality, factoring, multiplicative orders.
+"""Exact integer arithmetic: primality and factoring.
 
 Everything here is deterministic.  Primality uses the fixed Miller-Rabin
 witness set below, which is exact for all inputs < 3_317_044_064_679_887_385_961_981
 (in particular for the full 64-bit range); nothing in this package tests
-larger numbers.  Factoring is trial division against a lazily grown prime
-table, with Pollard's rho for the cofactors the table cannot reach.
+larger numbers.  Factoring tests primality first, then trial-divides by
+the primes below 1000, and splits what remains with Pollard's rho.
 """
 
 from __future__ import annotations
@@ -15,14 +15,7 @@ from collections import Counter
 # Exact for n < 3.317e24 (Sorenson-Webster); covers every 64-bit integer.
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-TRIAL_DIVISION_BOUND = 10**6
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-# Lazily extended trial-division table; grows geometrically up to
-# TRIAL_DIVISION_BOUND the first time a factorization needs it.
-_table: list[int] = []
-_table_limit: int = 0
 
 
 def sieve(limit: int) -> list[int]:
@@ -37,17 +30,7 @@ def sieve(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-def _ensure_table(limit: int) -> None:
-    global _table, _table_limit
-    limit = min(limit, TRIAL_DIVISION_BOUND)
-    if limit <= _table_limit:
-        return
-    target = max(1000, _table_limit)
-    while target < limit:
-        target *= 10
-    target = min(target, TRIAL_DIVISION_BOUND)
-    _table = sieve(target)
-    _table_limit = target
+_TRIAL_PRIMES = tuple(sieve(1000))
 
 
 def is_prime(n: int) -> bool:
@@ -96,23 +79,17 @@ def factorize(n: int) -> Counter[int]:
     """Prime factorization of n >= 1 as a Counter {prime: exponent}."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
+    if is_prime(n):
+        return Counter({n: 1})
     out: Counter[int] = Counter()
-    if n == 1:
-        return out
-    _ensure_table(min(math.isqrt(n) + 1, TRIAL_DIVISION_BOUND))
-    for p in _table:
+    for p in _TRIAL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:
             out[p] += 1
             n //= p
-    if n == 1:
-        return out
-    if is_prime(n):
-        out[n] += 1
-        return out
-    # Beyond the table: split recursively with rho.
-    stack = [n]
+    # Past the trial primes: split recursively with rho.
+    stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
         if is_prime(m):
@@ -138,20 +115,3 @@ def valuation(n: int, p: int) -> int:
         n //= p
         e += 1
     return e
-
-
-def multiplicative_order(a: int, m: int) -> int:
-    """Order of a in the unit group mod m; requires gcd(a, m) == 1."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    a %= m
-    if math.gcd(a, m) != 1:
-        raise ValueError(f"{a} is not a unit mod {m}")
-    phi = 1
-    for p, e in factorize(m).items():
-        phi *= (p - 1) * p ** (e - 1)
-    order = phi
-    for q in prime_factors(phi):
-        while order % q == 0 and pow(a, order // q, m) == 1:
-            order //= q
-    return order

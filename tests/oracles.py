@@ -6,8 +6,10 @@ a semidirect product of cyclic groups from its own pair arithmetic,
 fixed-point-free actions from products of every kernel and top element
 of the realization, commuting and central Sylow subgroups from public
 ``Permutation`` products of every pair, primality from a sieve,
-neighbourhoods from public edge queries, and block squares from
-enumerating every 4-block set partition and every ordering of its blocks.
+multiplicative orders from repeated multiplication, neighbourhoods and
+cliques from public edge queries, admissible squares edge by edge, and
+block squares from enumerating every 4-block set partition and every
+ordering of its blocks.
 """
 
 from __future__ import annotations
@@ -26,6 +28,15 @@ from classgraph import (
     PrimeGraph,
     is_block_square_partition,
 )
+
+
+def multiplicative_order_by_scan(a: int, m: int) -> int:
+    """Least k >= 1 with a**k = 1 mod m >= 2, for a unit a, by repeated multiplication."""
+    x, k = a % m, 1
+    while x != 1:
+        x = x * a % m
+        k += 1
+    return k
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -190,6 +201,36 @@ def non_neighbors(graph: PrimeGraph, v: int) -> frozenset[int]:
 def complete_vertices(graph: PrimeGraph) -> frozenset[int]:
     """Vertices adjacent to every other vertex."""
     return frozenset(v for v in graph.vertices if not non_neighbors(graph, v))
+
+
+def is_clique(graph: PrimeGraph, subset: Collection[int]) -> bool:
+    """Every two distinct vertices of subset are adjacent, by public edge queries."""
+    return all(graph.has_edge(p, q) for p, q in combinations(sorted(set(subset)), 2))
+
+
+def admissible_square(
+    pi1: tuple[int, ...], pi2: tuple[int, ...], pi3: tuple[int, ...], pi4: tuple[int, ...]
+) -> PrimeGraph:
+    """The admissible block square on four blocks, edge by edge.
+
+    Each block is a clique, and each vertex of pi1 U pi4 is joined to each
+    vertex of pi2 U pi3.
+    """
+    edges = {e for block in (pi1, pi2, pi3, pi4) for e in combinations(sorted(block), 2)}
+    edges.update((min(p, q), max(p, q)) for p in pi1 + pi4 for q in pi2 + pi3)
+    return PrimeGraph(pi1 + pi2 + pi3 + pi4, frozenset(edges))
+
+
+def admissible_by_three_passes(graph: PrimeGraph, part: BlockPartition) -> bool:
+    """Admissibility as three passes: the public block-square predicate,
+    clique blocks, and every cross pair, by public edge queries."""
+    if not is_block_square_partition(graph, part):
+        return False
+    blocks = part.blocks()
+    if not all(is_clique(graph, b) for b in blocks):
+        return False
+    pi1, pi2, pi3, pi4 = blocks
+    return all(graph.has_edge(p, q) for p in pi1 + pi4 for q in pi2 + pi3)
 
 
 def set_partitions_into_4(items: tuple[int, ...]):

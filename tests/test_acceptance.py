@@ -36,8 +36,10 @@ from classgraph import (
 from classgraph.primes import prime_factors
 from corpus import corpus_entries
 from oracles import (
+    admissible_square,
     class_sizes_by_conjugation,
     fast_block_square_exists,
+    is_clique,
     non_neighbors,
     semidirect_class_sizes,
 )
@@ -117,6 +119,7 @@ def test_realizability_all_block_tuples():
         group = evaluate(result.expr)
         computed = delta_of(class_size_spectrum(group))
         assert computed == result.graph, blocks
+        assert result.graph == admissible_square(*result.partition.blocks()), blocks
         assert is_admissible_block_square(computed, result.partition), blocks
         found = find_block_partitions(computed)
         assert canonical_partition(computed, result.partition) in found, blocks
@@ -214,7 +217,7 @@ def test_non_neighborhood_cliques():
     for entry in corpus_entries():
         graph = delta_of(evaluate(entry.expr).class_size_spectrum())
         for v in graph.vertices:
-            assert graph.is_clique(non_neighbors(graph, v)), (entry.name, v)
+            assert is_clique(graph, non_neighbors(graph, v)), (entry.name, v)
         # Dolfi, Pacifici, Sanus and Sotomayor: the complement is bipartite.
         assert graph.complement_coloring is not None, entry.name
     _report("non-neighborhood cliques on corpus graphs", t0, 60.0)

@@ -19,6 +19,8 @@ from classgraph import (
 )
 from classgraph.blocks import SEARCH_BOUND, SQUARE_SYMMETRIES, apply_symmetry
 from oracles import (
+    admissible_by_three_passes,
+    admissible_square,
     canonical_block_partitions,
     fast_block_square_exists,
     naive_block_square_exists,
@@ -290,3 +292,31 @@ def test_missing_cross_edge_is_not_admissible():
     parts = find_block_partitions(g)
     for part in parts:
         assert not is_admissible_block_square(g, part)
+
+
+@st.composite
+def ordered_partitioned_graphs(draw):
+    """A graph on 4 to 7 primes with an ordered 4-block partition of them.
+
+    Half of the graphs are the admissible square on the partition with 0 to
+    2 vertex pairs flipped, so both answers of the predicate occur often.
+    """
+    n = draw(st.integers(4, 7))
+    vertices = PRIMES[:n]
+    labels = [0, 1, 2, 3] + draw(st.lists(st.integers(0, 3), min_size=n - 4, max_size=n - 4))
+    order = draw(st.permutations(range(n)))
+    blocks = [tuple(vertices[order[i]] for i in range(n) if labels[i] == b) for b in range(4)]
+    pairs = list(combinations(vertices, 2))
+    if draw(st.booleans()):
+        flipped = draw(st.sets(st.sampled_from(pairs), max_size=2))
+        edges = admissible_square(*blocks).edges ^ flipped
+    else:
+        edges = draw(st.sets(st.sampled_from(pairs)))
+    return PrimeGraph(vertices, frozenset(edges)), BlockPartition(*blocks)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ordered_partitioned_graphs())
+def test_admissibility_agrees_with_three_pass_oracle(case):
+    graph, part = case
+    assert is_admissible_block_square(graph, part) == admissible_by_three_passes(graph, part)

@@ -122,15 +122,15 @@ def test_prime_sets_disjoint_and_coprime_orders():
 
 
 def test_prediction_mismatch_aborts(monkeypatch):
-    # If the prediction ever disagreed with the computed graph the
-    # constructor must abort rather than return silently.
+    # If the computed graph were ever not the admissible square on the
+    # chosen blocks, the constructor must abort rather than return silently.
     import classgraph.builder as builder
     from classgraph import PredictionMismatch, PrimeGraph
 
-    def wrong_prediction(pi1, pi2, pi3, pi4):
-        return PrimeGraph(pi1 + pi2 + pi3 + pi4, frozenset())
+    def edgeless(spectrum, primes):
+        return PrimeGraph(primes, frozenset())
 
-    monkeypatch.setattr(builder, "_predicted_graph", wrong_prediction)
+    monkeypatch.setattr(builder, "delta_of", edgeless)
     with pytest.raises(PredictionMismatch):
         construct_block_square_group(1, 1, 1, 1)
 

@@ -5,7 +5,9 @@ Each case's ``report_to_json(analyze_expr(...))`` is stored under
 groups written as fixed-point-free ``semidirect`` nodes (with the same
 multipliers a ``frobenius`` node would pick), and the construction round
 trip for every block tuple with m1 + m2 + m3 + m4 <= 8, stored as one
-SHA-256 digest per tuple.
+SHA-256 digest per tuple.  A spec's report must also not depend on how its
+group is presented: its permutation realization, and a disguised copy of
+that, give the same bytes.
 
 Regenerate after an intended report change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from itertools import product
 from pathlib import Path
 
@@ -24,8 +27,12 @@ from classgraph import (
     Cyclic,
     Direct,
     Frobenius,
+    Perm,
+    PermGroup,
+    Permutation,
     Semidirect,
     construct_block_square_group,
+    evaluate,
     parse_spec_file,
     parse_spec_text,
     serialize_spec,
@@ -101,6 +108,46 @@ def test_fixed_point_free_semidirect_reports_as_frobenius(name):
     assert report_to_json(analyze_expr(name, _semidirect(name))) == report_to_json(
         analyze_expr(name, _frobenius(name))
     )
+
+
+def _perm_node(group: PermGroup) -> Perm:
+    """The group's permutation realization, written out as a ``perm`` spec node."""
+    node = Perm(group.degree, tuple(g.images for g in group.generators))
+    return parse_spec_text(serialize_spec("perm", node))[1]
+
+
+def _disguised(group: PermGroup, rng: random.Random) -> Perm:
+    """The same group on relabelled points, generated otherwise.
+
+    The points are permuted at random; one redundant generator, a product
+    of two others, is added; and three Nielsen moves g_i <- g_i g_j each
+    replace a generator without changing the group generated.
+    """
+    points = list(range(group.degree))
+    rng.shuffle(points)
+    relabel = Permutation(tuple(points))
+    gens = [relabel.inverse() * g * relabel for g in group.generators]
+    gens.append(gens[0] * gens[-1])
+    for _ in range(3):
+        i, j = rng.sample(range(len(gens)), 2)
+        gens[i] = gens[i] * gens[j]
+    return Perm(group.degree, tuple(g.images for g in gens))
+
+
+def test_spec_reports_do_not_depend_on_the_presentation():
+    checked = 0
+    for path in sorted(SPECS.glob("*.json")):
+        name, expr = parse_spec_file(path)
+        group = evaluate(expr)
+        if group.order > 20_000:
+            continue
+        realization = group.to_permutation()
+        presentations = (expr, _perm_node(realization), _disguised(realization, random.Random(name)))
+        reports = [report_to_json(analyze_expr(name, e)) for e in presentations]
+        assert reports[1] == reports[0], name
+        assert reports[2] == reports[0], name
+        checked += 1
+    assert checked == 16
 
 
 def main() -> None:

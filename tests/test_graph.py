@@ -13,7 +13,7 @@ from classgraph import (
     convolve_spectra,
     delta_of,
 )
-from oracles import complete_vertices, non_neighbors
+from oracles import complete_vertices, is_clique, non_neighbors
 
 
 SQUARE = PrimeGraph((3, 5, 7, 11), frozenset({(3, 5), (3, 11), (5, 7), (7, 11)}))
@@ -123,15 +123,6 @@ def test_is_connected_conventions():
     assert not delta_of([1, 3, 3, 7, 7]).is_connected()
 
 
-def test_is_clique():
-    assert SQUARE.is_clique({3})
-    assert SQUARE.is_clique({3, 5})
-    assert not SQUARE.is_clique({3, 7})
-    assert SQUARE.is_clique(set())
-    with pytest.raises(VertexNotInGraph):
-        SQUARE.is_clique({13})
-
-
 def test_complete_vertices():
     # A complete vertex is isolated in the complement, so colored L.
     k3 = PrimeGraph((2, 3, 5), frozenset({(2, 3), (2, 5), (3, 5)}))
@@ -158,7 +149,7 @@ def test_complement_coloring_is_none_exactly_on_an_odd_complement_cycle():
     assert path.complement_coloring == (0b0011, 0b1100)
     for g in (SQUARE, path, delta_of([1, 6, 10, 15])):
         for side in g.complement_coloring:
-            assert g.is_clique(v for i, v in enumerate(g.vertices) if side >> i & 1)
+            assert is_clique(g, {v for i, v in enumerate(g.vertices) if side >> i & 1})
 
 
 def test_non_neighbors():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from classgraph.primes import (
     factorize,
     is_prime,
-    multiplicative_order,
     prime_factors,
     sieve,
     valuation,
@@ -75,23 +74,3 @@ def test_valuation():
     assert valuation(1, 7) == 0
     with pytest.raises(ValueError):
         valuation(0, 2)
-
-
-def test_multiplicative_order_against_scan():
-    for m in (3, 7, 9, 15, 31, 97):
-        for a in range(2, m):
-            if math.gcd(a, m) != 1:
-                with pytest.raises(ValueError):
-                    multiplicative_order(a, m)
-                continue
-            k, x = 1, a % m
-            while x != 1:
-                x = x * a % m
-                k += 1
-            assert multiplicative_order(a, m) == k
-
-
-def test_multiplicative_order_known():
-    assert multiplicative_order(2, 7) == 3
-    assert multiplicative_order(3, 7) == 6
-    assert multiplicative_order(4, 7) == 3
