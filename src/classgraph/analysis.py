@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .blocks import BlockPartition, find_block_partitions
@@ -161,7 +162,7 @@ def _structural_parts(group: MetabelianGroup | PermGroup) -> _Split | None:
     return abelian, frobenius
 
 
-def structural_dgroup_witness(g: MetabelianGroup):
+def structural_dgroup_witness(g: MetabelianGroup | PermGroup):
     """D-group decision from construction structure, without enumerating.
 
     Returns a DGroupWitness, None (definitely not a D-group), or the
@@ -189,10 +190,8 @@ def _witness_from_parts(split: _Split) -> DGroupWitness | None:
 
 def dgroup_witness_of(group: MetabelianGroup | PermGroup) -> DGroupWitness | None:
     """Structural decision when the structure allows, else enumerate."""
-    split = _structural_parts(group)
-    if split is None:
-        return dgroup_witness(group.to_permutation())
-    return _witness_from_parts(split)
+    witness = structural_dgroup_witness(group)
+    return dgroup_witness(group.to_permutation()) if witness is _UNDECIDED else witness
 
 
 # -- central stripping ---------------------------------------------------------
@@ -227,65 +226,34 @@ def strip_central_sylows(group: PermGroup) -> CentralSplit:
 # -- block-square decomposition verifier ---------------------------------------
 
 
-def _structural_decomposition(
-    split: _Split, partitions: tuple[BlockPartition, ...]
+def _first_decomposition(
+    partitions: tuple[BlockPartition, ...],
+    central_primes: tuple[int, ...],
+    core_order: int,
+    part_on: Callable[[frozenset[int]], MetabelianGroup | PermGroup | None],
 ) -> DecompositionWitness | None:
-    abelian, frobenius = split
-    if len(frobenius) != 2:
-        return None
-    fa, fb = frobenius
-    if math.gcd(fa.order, fb.order) != 1:
-        return None
-    central_primes: set[int] = set()
-    for part in abelian:
-        central_primes.update(part.primes)
-    for partition in partitions:
-        sigma_a = frozenset(partition.pi1) | frozenset(partition.pi4)
-        sigma_b = frozenset(partition.pi2) | frozenset(partition.pi3)
-        for first, second in ((fa, fb), (fb, fa)):
-            if (
-                frozenset(first.primes) == sigma_a
-                and frozenset(second.primes) == sigma_b
-            ):
-                wa = _witness_from_parts(([], [first]))
-                wb = _witness_from_parts(([], [second]))
-                assert wa is not None and wb is not None
-                return DecompositionWitness(
-                    central_primes=tuple(sorted(central_primes)),
-                    a_order=first.order,
-                    b_order=second.order,
-                    a_witness=wa,
-                    b_witness=wb,
-                    partition=partition,
-                )
-    return None
+    """The first partition whose two block pairs carry coprime D-groups A x B.
 
-
-def _permutation_decomposition(
-    group: PermGroup, partitions: tuple[BlockPartition, ...]
-) -> DecompositionWitness | None:
-    split = strip_central_sylows(group)
-    core = split.core
-    core_order = core.order
+    ``part_on`` gives the part of the core on a prime set, or None when
+    there is none.  A lies on pi1 | pi4 and B on pi2 | pi3; their orders
+    must be coprime and multiply to ``core_order``, and each must have a
+    D-group witness, taken from its structure when it has one.
+    """
     for partition in partitions:
-        sigma_a = frozenset(partition.pi1) | frozenset(partition.pi4)
-        sigma_b = frozenset(partition.pi2) | frozenset(partition.pi3)
-        a_group = core.pi_subgroup(sigma_a)
-        b_group = core.pi_subgroup(sigma_b)
-        if a_group is None or b_group is None:
+        a = part_on(frozenset(partition.pi1) | frozenset(partition.pi4))
+        b = part_on(frozenset(partition.pi2) | frozenset(partition.pi3))
+        if a is None or b is None:
             continue
-        a_order = a_group.order
-        b_order = b_group.order
-        if a_order * b_order != core_order or math.gcd(a_order, b_order) != 1:
+        if a.order * b.order != core_order or math.gcd(a.order, b.order) != 1:
             continue
-        wa = dgroup_witness(a_group)
-        wb = dgroup_witness(b_group)
+        wa = dgroup_witness_of(a)
+        wb = dgroup_witness_of(b)
         if wa is None or wb is None:
             continue
         return DecompositionWitness(
-            central_primes=split.central_primes,
-            a_order=a_order,
-            b_order=b_order,
+            central_primes=central_primes,
+            a_order=a.order,
+            b_order=b.order,
             a_witness=wa,
             b_witness=wb,
             partition=partition,
@@ -322,8 +290,18 @@ def verify_decomposition(
         status = COUNTEREXAMPLE_CANDIDATE if declared_product else NOT_BLOCK_SQUARE
         return DecompositionReport(status, spectrum, graph, partitions, None)
     if split is not None:
-        witness = _structural_decomposition(split, partitions)
+        # The Frobenius parts are the candidate A and B, the abelian parts central.
+        abelian, frobenius = split
+        witness = _first_decomposition(
+            partitions,
+            tuple(sorted({q for part in abelian for q in part.primes})),
+            math.prod(f.order for f in frobenius),
+            {frozenset(f.primes): f for f in frobenius}.get,
+        )
     else:
-        witness = _permutation_decomposition(group.to_permutation(), partitions)
+        central = strip_central_sylows(group.to_permutation())
+        witness = _first_decomposition(
+            partitions, central.central_primes, central.core.order, central.core.pi_subgroup
+        )
     status = VERIFIED if witness is not None else COUNTEREXAMPLE_CANDIDATE
     return DecompositionReport(status, spectrum, graph, partitions, witness)

@@ -187,8 +187,8 @@ class Frobenius:
     """Squarefree cyclic kernel (distinct primes) with a cyclic complement.
 
     ``multipliers`` aligns with ``kernel``; omitted multipliers are chosen
-    automatically: the smallest unit of multiplicative order exactly
-    ``complement`` modulo each kernel prime.
+    automatically: modulo each kernel prime p, u^((p - 1)/complement) for
+    the least u >= 2 that makes it a unit of order exactly ``complement``.
     """
 
     kernel: tuple[int, ...]
@@ -223,15 +223,17 @@ def _has_order(u: int, n: int, p: int, n_primes: tuple[int, ...]) -> bool:
 
 
 def auto_multiplier(p: int, n: int) -> int:
-    """Smallest unit of multiplicative order exactly n modulo the prime p."""
+    """u^((p - 1)/n) mod the prime p, for the least u >= 2 giving order exactly n."""
     if (p - 1) % n != 0:
         raise InvalidMultiplier(
             f"no unit of order {n} mod {p}: {n} does not divide {p - 1}"
         )
     n_primes = prime_factors(n)
+    # Every primitive root qualifies, so the scan stops by the least one.
     for u in range(2, p):
-        if _has_order(u, n, p, n_primes):
-            return u
+        h = pow(u, (p - 1) // n, p)
+        if _has_order(h, n, p, n_primes):
+            return h
     raise InvalidMultiplier(f"no unit of order {n} mod {p}")  # pragma: no cover
 
 
@@ -355,13 +357,9 @@ def evaluate(expr: GroupExpr, *, cap: int | None = None) -> MetabelianGroup | Pe
         if len(parts) == 1:
             return parts[0]
         if all(isinstance(g, MetabelianGroup) for g in parts):
+            # Orders are pairwise coprime exactly when their lcm is their product.
             orders = [g.order for g in parts]
-            coprime = all(
-                math.gcd(orders[i], orders[j]) == 1
-                for i in range(len(orders))
-                for j in range(i + 1, len(orders))
-            )
-            if coprime:
+            if math.lcm(*orders) == math.prod(orders):
                 flat: list[MetabelianGroup] = []
                 for g in parts:
                     flat.extend(g.factors if g.factors else (g,))
@@ -391,9 +389,9 @@ def is_frobenius_action(g: MetabelianGroup) -> bool:
     if not g.kernel or not g.top or math.lcm(*g.top) != math.prod(g.top):
         return False
     for n, row in zip(g.top, g.multipliers):
-        n_primes = prime_factors(n)
+        n_primes = [q for q in g.primes if n % q == 0]
         for u, m in zip(row, g.kernel):
-            if not all(_has_order(u, n, q, n_primes) for q in prime_factors(m)):
+            if not all(_has_order(u, n, q, n_primes) for q in g.primes if m % q == 0):
                 return False
     return True
 

@@ -39,6 +39,20 @@ def multiplicative_order_by_scan(a: int, m: int) -> int:
     return k
 
 
+def auto_multiplier_by_scan(p: int, n: int) -> int:
+    """u**((p - 1) / n) mod the prime p for the least u >= 2 where that has order exactly n.
+
+    Powers by repeated multiplication, orders by ``multiplicative_order_by_scan``.
+    """
+    for u in range(2, p):
+        h = 1
+        for _ in range((p - 1) // n):
+            h = h * u % p
+        if multiplicative_order_by_scan(h, p) == n:
+            return h
+    raise ValueError(f"no unit of order {n} mod {p}")
+
+
 def sieve_primes(limit: int) -> list[int]:
     flags = [True] * (limit + 1)
     flags[0:2] = [False, False]

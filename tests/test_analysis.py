@@ -264,6 +264,7 @@ def test_verify_with_central_factor():
     assert perm_report.status == VERIFIED
     assert perm_report.witness.central_primes == (13,)
     assert (perm_report.witness.a_order, perm_report.witness.b_order) == (21, 55)
+    assert report.witness == perm_report.witness
 
 
 def test_dgroup_witness_computes_no_element_order_and_verify_computes_each_once(monkeypatch):

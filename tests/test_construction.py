@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+import time
 from itertools import combinations
 
 import pytest
@@ -28,16 +30,18 @@ from classgraph import (
     dgroup_witness_of,
     evaluate,
     is_frobenius_action,
+    parse_spec_text,
     symmetric_group,
     to_permutation,
 )
 from classgraph.construction import auto_multiplier
 from classgraph.primes import prime_factors
+from classgraph.reports import analyze_expr
 from corpus import S3_PERM, S4_PERM
 from oracles import (
+    auto_multiplier_by_scan,
     fixed_point_free_by_scan,
     full_scan_class_sizes,
-    multiplicative_order_by_scan,
     pairwise_centralizers_central,
     pairwise_is_abelian,
     semidirect_class_sizes,
@@ -57,10 +61,15 @@ def test_evaluate_cyclic6():
 
 def test_evaluate_frobenius_auto_multiplier_policy():
     g = evaluate(Frobenius((7,), 3))
-    # Units of order 3 mod 7 are {2, 4}; policy picks the smallest.
-    assert g.multipliers == ((2,),)
-    assert auto_multiplier(7, 3) == 2
-    assert auto_multiplier(11, 5) == 3
+    # 2**((7 - 1) / 3) = 4 has order 3 mod 7, so u = 2 gives the multiplier.
+    assert g.multipliers == ((4,),)
+    assert auto_multiplier(7, 3) == 4
+    # 2**2 = 4 has order 5 mod 11 (3 is the smallest unit of that order).
+    assert auto_multiplier(11, 5) == 4
+    # 2**3 = 1 mod 7, so u = 3 gives 3**3 = 6, the unit of order 2.
+    assert auto_multiplier(7, 2) == 6
+    # 2**10 = 1 mod 31, so u = 3 gives 3**10 = 25 (5 is the smallest of order 3).
+    assert auto_multiplier(31, 3) == 25
 
 
 def test_evaluate_frobenius_bad_multiplier():
@@ -260,9 +269,12 @@ def test_three_class_size_law_for_frobenius_nodes():
 
 
 def test_fixed_point_free_semidirect_is_frobenius():
-    g = evaluate(Semidirect((7, 13), (3,), ((2, 3),)))
+    # The multipliers a frobenius node picks: 2**2 mod 7 and 2**4 mod 13.
+    assert (auto_multiplier_by_scan(7, 3), auto_multiplier_by_scan(13, 3)) == (4, 3)
+    g = evaluate(Semidirect((7, 13), (3,), ((4, 3),)))
     assert g.frobenius
     assert g == evaluate(Frobenius((7, 13), 3))
+    assert g != evaluate(Semidirect((7, 13), (3,), ((2, 3),)))
     assert dict(g.class_size_spectrum()) == {1: 1, 3: 30, 91: 2}
     # Fixed points on the Z9 factor: 4 - 1 = 3 is not a unit mod 9.
     assert not evaluate(Semidirect((9,), (3,), ((4,),))).frobenius
@@ -272,19 +284,21 @@ def test_auto_multiplier_matches_order_definition():
     from classgraph.primes import sieve
 
     for p in sieve(3000)[1:]:
-        # Smallest unit of each order, read off a primitive root's powers:
-        # g**k has order (p - 1) / gcd(k, p - 1).
-        g = next(u for u in range(2, p) if multiplicative_order_by_scan(u, p) == p - 1)
-        smallest: dict[int, int] = {}
-        x = 1
-        for k in range(p - 1):
-            n = (p - 1) // math.gcd(k, p - 1)
-            if x < smallest.get(n, p):
-                smallest[n] = x
-            x = x * g % p
         for n in range(2, p):
             if (p - 1) % n == 0:
-                assert auto_multiplier(p, n) == smallest[n], (p, n)
+                assert auto_multiplier(p, n) == auto_multiplier_by_scan(p, n), (p, n)
+
+
+def test_frobenius_node_on_a_large_kernel_prime_is_analyzed_at_once():
+    # The only unit of order 2 is p - 1: a scan of the units u = 2, 3, ...
+    # meets it last, while u**((p - 1) / 2) gives it at the first non-residue.
+    assert auto_multiplier(1_000_000_007, 2) == 1_000_000_006
+    spec = {"name": "big", "construct": {"op": "frobenius", "kernel": [1000000007], "complement": 2}}
+    name, expr = parse_spec_text(json.dumps(spec))
+    start = time.perf_counter()
+    report = analyze_expr(name, expr)
+    assert time.perf_counter() - start < 1.0
+    assert report["spectrum"] == [[1, 1], [2, 500_000_003], [1_000_000_007, 1]]
 
 
 @settings(max_examples=50, deadline=None)

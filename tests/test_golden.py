@@ -7,7 +7,9 @@ multipliers a ``frobenius`` node would pick), and the construction round
 trip for every block tuple with m1 + m2 + m3 + m4 <= 8, stored as one
 SHA-256 digest per tuple.  A spec's report must also not depend on how its
 group is presented: its permutation realization, and a disguised copy of
-that, give the same bytes.
+that, give the same bytes.  So must Hypothesis-generated trees, under
+reordered and re-associated direct factors, frobenius and semidirect
+nodes swapped, and a disguised realization.
 
 Regenerate after an intended report change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -17,13 +19,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from classgraph import (
+    Abelian,
     Cyclic,
     Direct,
     Frobenius,
@@ -37,6 +44,7 @@ from classgraph import (
     parse_spec_text,
     serialize_spec,
 )
+from classgraph.primes import is_prime
 from classgraph.reports import analyze_expr, report_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,16 +52,17 @@ SPECS = ROOT / "specs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ROUND_TRIP = GOLDEN / "round_trip_sha256.json"
 
-# (kernel primes, top order, multipliers): each multiplier is the smallest
-# unit of order exactly the top order, as ``auto_multiplier`` picks it.
+# (kernel primes, top order, multipliers): each multiplier is the one
+# ``auto_multiplier`` picks for kernel prime p and top order n, the power
+# u**((p - 1) / n) mod p for the least u >= 2 that has order exactly n.
 FIXED_POINT_FREE = {
-    "sd21": ((7,), 3, (2,)),
-    "sd55": ((11,), 5, (3,)),
-    "sd93": ((31,), 3, (5,)),
+    "sd21": ((7,), 3, (4,)),
+    "sd55": ((11,), 5, (4,)),
+    "sd93": ((31,), 3, (25,)),
     "sd155": ((31,), 5, (2,)),
-    "sd203": ((29,), 7, (7,)),
-    "sd301": ((43,), 7, (4,)),
-    "sd273": ((7, 13), 3, (2, 3)),
+    "sd203": ((29,), 7, (16,)),
+    "sd301": ((43,), 7, (21,)),
+    "sd273": ((7, 13), 3, (4, 3)),
 }
 
 
@@ -105,6 +114,8 @@ def test_round_trip_reports_match_golden():
 
 @pytest.mark.parametrize("name", sorted(FIXED_POINT_FREE))
 def test_fixed_point_free_semidirect_reports_as_frobenius(name):
+    kernel, n, _ = FIXED_POINT_FREE[name]
+    assert evaluate(_semidirect(name)) == evaluate(Frobenius(kernel, n))
     assert report_to_json(analyze_expr(name, _semidirect(name))) == report_to_json(
         analyze_expr(name, _frobenius(name))
     )
@@ -148,6 +159,155 @@ def test_spec_reports_do_not_depend_on_the_presentation():
         assert reports[2] == reports[0], name
         checked += 1
     assert checked == 16
+
+
+# Leaves of the generated trees, by kind: every single-factor semidirect
+# node on a kernel of order 3, 5, 7 or 9 and a top of order 2, 3, 4 or 6
+# (trivial, fixed-point-free and neither) and some on two kernel primes;
+# Frobenius nodes; cyclic and abelian nodes.
+_LEAVES = {
+    "semidirect": [
+        Semidirect((m,), (n,), ((u,),))
+        for m in (3, 5, 7, 9)
+        for n in (2, 3, 4, 6)
+        for u in range(1, m)
+        if math.gcd(u, m) == 1 and pow(u, n, m) == 1
+    ]
+    + [Semidirect((7, 13), (3,), (row,)) for row in ((2, 9), (4, 3), (1, 3))],
+    "frobenius": [
+        Frobenius(kernel, n)
+        for kernel, n in (
+            ((3,), 2), ((5,), 2), ((5,), 4), ((7,), 2), ((7,), 3), ((7,), 6), ((11,), 5),
+            ((13,), 3), ((13,), 4), ((7, 13), 3), ((7, 13), 6), ((31,), 5),
+        )
+    ],
+    "cyclic": [Cyclic(n) for n in range(1, 13)],
+    "abelian": [Abelian(orders) for orders in ((2, 2), (2, 3), (3, 3), (2, 4), (2, 2, 2), (5, 5))],
+    # Coprime products of two Frobenius groups, whose graphs are block squares.
+    "square": [
+        Direct((Frobenius(ka, na), Frobenius(kb, nb)))
+        for (ka, na), (kb, nb) in (
+            (((5,), 4), ((7,), 3)), (((3,), 2), ((11,), 5)), (((5,), 2), ((7,), 3)),
+            (((13,), 4), ((7,), 3)), (((7,), 3), ((11,), 5)), (((7,), 2), ((13,), 3)),
+        )
+    ],
+}
+
+
+def _enumerated(group) -> bool:
+    """True when some part of a structured group is neither abelian nor Frobenius.
+
+    The pipeline then analyses the group by enumerating its realization.
+    """
+    return any(not (part.is_abelian or part.frobenius) for part in group.factors or (group,))
+
+
+# (order, enumerated) of each leaf, aligned with ``_LEAVES``.
+_LEAF_FACTS = {
+    kind: [(g.order, _enumerated(g)) for g in map(evaluate, leaves)]
+    for kind, leaves in _LEAVES.items()
+}
+
+
+@st.composite
+def _trees(draw, budget: int = 3000, depth: int = 2) -> tuple:
+    """A construction tree of order at most ``budget``, its order, and whether it is enumerated.
+
+    A tree is a leaf, or a direct product of two or three subtrees, each
+    drawn within what the earlier ones leave of the budget.  A product is
+    enumerated when a factor is, or when two factors share a prime; every
+    presentation of it is then analysed by enumeration, so a factor that
+    would make it so above order 1,000 ends it.  A leaf's kind is drawn
+    first, then a leaf of that kind that fits.
+    """
+    if depth and budget >= 4 and draw(st.booleans()):
+        factors, order, enumerated = [], 1, False
+        for _ in range(draw(st.integers(2, 3))):
+            child, n, flag = draw(_trees(budget // order, depth - 1))
+            joined = enumerated or flag or math.gcd(order, n) != 1
+            if factors and joined and order * n > 1000:
+                break
+            factors.append(child)
+            order, enumerated = order * n, joined
+        return Direct(tuple(factors)), order, enumerated
+    kind = draw(st.sampled_from(sorted(k for k in _LEAVES if min(_LEAF_FACTS[k])[0] <= budget)))
+    fits = [i for i, (n, _) in enumerate(_LEAF_FACTS[kind]) if n <= budget]
+    i = draw(st.sampled_from(fits))
+    return (_LEAVES[kind][i], *_LEAF_FACTS[kind][i])
+
+
+def _reassociated(expr, rng: random.Random):
+    """The same group, every direct product's factors flattened, shuffled and regrouped."""
+    if not isinstance(expr, Direct):
+        return expr
+    factors = []
+    for child in expr.factors:
+        child = _reassociated(child, rng)
+        factors.extend(child.factors if isinstance(child, Direct) else (child,))
+    rng.shuffle(factors)
+    while len(factors) > 2 and rng.random() < 0.7:
+        i = rng.randrange(len(factors) - 1)
+        factors[i : i + 2] = [Direct((factors[i], factors[i + 1]))]
+    return Direct(tuple(factors))
+
+
+def _swapped(expr):
+    """Each frobenius node as the equal semidirect node, and back where the kernel is prime."""
+    if isinstance(expr, Direct):
+        return Direct(tuple(_swapped(child) for child in expr.factors))
+    if isinstance(expr, Frobenius):
+        g = evaluate(expr)
+        return Semidirect(g.kernel, g.top, g.multipliers)
+    if (
+        isinstance(expr, Semidirect)
+        and len(expr.top) == 1
+        and all(is_prime(m) for m in expr.kernel)
+        and evaluate(expr).frobenius
+    ):
+        return Frobenius(expr.kernel, expr.top[0], expr.multipliers[0])
+    return expr
+
+
+def test_generated_tree_reports_do_not_depend_on_the_presentation():
+    # Every move keeps the group, so it must keep the report: reordered and
+    # re-associated direct factors, frobenius and fixed-point-free semidirect
+    # nodes swapped, and the realization on randomly relabelled points.
+    seen: Counter[str] = Counter()
+
+    # A block square with a central factor needs order 2,310 at least, so
+    # two are given explicitly.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_trees(), st.integers(0, 2**32 - 1))
+    @example((Direct((Frobenius((5,), 2), Frobenius((7,), 3), Cyclic(11))), 2310, False), 0)
+    @example((Direct((Direct((Frobenius((7,), 3), Cyclic(2))), Frobenius((11,), 5))), 2310, False), 1)
+    def check(tree, seed):
+        expr, order, enumerated = tree
+        rng = random.Random(seed)
+        group = evaluate(expr)
+        realization = group.to_permutation(verify_order=False)
+        presentations = (
+            expr,
+            _reassociated(expr, rng),
+            _swapped(expr),
+            _disguised(realization, rng),
+        )
+        # A move that leaves the tree as it was needs no second report.
+        reports = {e: report_to_json(analyze_expr("tree", e)) for e in set(presentations)}
+        for e in presentations:
+            assert reports[e] == reports[expr], (expr, e)
+        report = json.loads(reports[expr])
+        assert report["order"] == order <= (1000 if enumerated else 3000)
+        seen["examples"] += 1
+        seen["reassociated"] += presentations[1] != expr
+        seen["swapped"] += presentations[2] != expr
+        seen["permutation route"] += isinstance(group, PermGroup)
+        seen["enumerated"] += enumerated
+        seen["block square"] += report["block_square"]["found"]
+        seen["central factor"] += bool((report["decomposition"]["witness"] or {}).get("central_primes"))
+
+    check()
+    assert seen["examples"] >= 100 + 2  # drawn and given
+    assert min(seen.values()) > 0, seen
 
 
 def main() -> None:
