@@ -22,7 +22,6 @@ from .analysis import (
 )
 from .blocks import (
     BlockPartition,
-    canonical_partition,
     find_block_partitions,
     is_admissible_block_square,
     is_block_square_partition,
@@ -59,7 +58,6 @@ from .errors import (
     PredictionMismatch,
     SpecFileError,
     TooManyVertices,
-    VertexNotInGraph,
 )
 from .graph import PrimeGraph, delta_of
 from .perm import (

@@ -55,7 +55,7 @@ class BlockPartition:
 
 
 # The square's 8 symmetries of block positions, sorted; position i of an
-# image takes block sym[i] (see apply_symmetry).  They are generated by
+# image takes block sym[i].  They are generated by
 # pi1<->pi4 (3, 1, 2, 0), pi2<->pi3 (0, 2, 1, 3), and swapping the pair
 # (pi1,pi4) with (pi2,pi3) (1, 0, 3, 2).
 SQUARE_SYMMETRIES: tuple[tuple[int, int, int, int], ...] = (
@@ -68,11 +68,6 @@ SQUARE_SYMMETRIES: tuple[tuple[int, int, int, int], ...] = (
     (3, 1, 2, 0),
     (3, 2, 1, 0),
 )
-
-
-def apply_symmetry(part: BlockPartition, sym: tuple[int, int, int, int]) -> BlockPartition:
-    blocks = part.blocks()
-    return BlockPartition(*(blocks[sym[i]] for i in range(4)))
 
 
 def _validate(graph: PrimeGraph, part: BlockPartition) -> None:
@@ -136,24 +131,6 @@ def is_admissible_block_square(graph: PrimeGraph, part: BlockPartition) -> bool:
     )
 
 
-def canonical_partition(graph: PrimeGraph, part: BlockPartition) -> BlockPartition:
-    """Least valid image of `part` under the 8 square symmetries.
-
-    The witness clause is not preserved by every symmetry on
-    arbitrary graphs, so the representative is chosen among the images
-    that remain valid (the partition itself always qualifies).
-    """
-    best: BlockPartition | None = None
-    for sym in SQUARE_SYMMETRIES:
-        image = apply_symmetry(part, sym)
-        if not is_block_square_partition(graph, image):
-            continue
-        if best is None or image.blocks() < best.blocks():
-            best = image
-    assert best is not None
-    return best
-
-
 def _mask_witness(adj: tuple[int, ...], ends: int, mid1: int, mid2: int) -> bool:
     while ends:
         a = adj[(ends & -ends).bit_length() - 1]
@@ -195,8 +172,7 @@ def find_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
     """All block-square partitions, one canonical representative per orbit.
 
     The representative is the least valid member of the orbit under the 8
-    square symmetries (what :func:`canonical_partition` returns); [] means
-    no block square.  The graph picks the route:
+    square symmetries; [] means no block square.  The graph picks the route:
 
     - A bipartite complement's 2-coloring splits the graph into two
       cliques, and :func:`_two_clique_partitions` reads the partitions off

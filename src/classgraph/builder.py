@@ -10,7 +10,8 @@ A cyclic complement of order n acts fixed-point-freely on a kernel prime p
 exactly when the unit group mod p has an element of order n, i.e. when
 p = 1 (mod n).  The complement primes are therefore chosen FIRST and the
 kernel primes are found afterwards in the progression 1 (mod n) by a
-deterministic Dirichlet search.
+deterministic Dirichlet search, within the prime search budget of
+:mod:`~classgraph.dirichlet`; a search that runs out raises BoundExhausted.
 
 Prime selection policy: complement primes are the smallest available odd
 primes (2 is never used in a complement order, so the smallest realization
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 
 from .blocks import BlockPartition, is_admissible_block_square
 from .construction import Direct, Frobenius, evaluate
-from .dirichlet import DEFAULT_SEARCH_BOUND, PrimeRequest, find_primes_in_ap
-from .errors import BoundExhausted, PredictionMismatch
+from .dirichlet import PrimeRequest, find_primes_in_ap
+from .errors import PredictionMismatch
 from .graph import PrimeGraph, delta_of
 from .primes import is_prime
 
@@ -62,49 +63,48 @@ class ConstructionResult:
         return self.expr.factors[1]  # type: ignore[return-value]
 
 
-def _next_odd_primes(count: int, used: set[int]) -> list[int]:
+def _next_odd_primes(count: int, used: set[int]) -> tuple[int, ...]:
     out: list[int] = []
     candidate = 3
     while len(out) < count:
         if candidate not in used and is_prime(candidate):
             out.append(candidate)
         candidate += 2
-    return out
+    return tuple(out)
 
 
-def _kernel_primes(count: int, modulus: int, used: set[int], bound: int) -> tuple[int, ...]:
-    """The first `count` unused primes = 1 (mod modulus) below `bound`.
-
-    A modulus at or past the bound leaves no room to search, which is the
-    same exhaustion as an empty progression, not a malformed request.
-    """
-    if modulus >= bound:
-        raise BoundExhausted(
-            f"complement order {modulus} reaches the prime search bound {bound}"
-        )
-    request = PrimeRequest(
-        count=count, modulus=modulus, residue=1, exclude=frozenset(used), bound=bound
-    )
-    return tuple(find_primes_in_ap(request))
-
-
-def _build_once(
-    m1: int, m2: int, m3: int, m4: int, avoid: frozenset[int], bound: int
+def construct_block_square_group(
+    m1: int,
+    m2: int,
+    m3: int,
+    m4: int,
+    *,
+    avoid: Iterable[int] = (),
 ) -> ConstructionResult:
-    used: set[int] = set(avoid)
-    pi4 = tuple(_next_odd_primes(m4, used))
-    used.update(pi4)
-    n4 = math.prod(pi4)
-    pi1 = _kernel_primes(m1, n4, used, bound)
-    used.update(pi1)
-    pi3 = tuple(_next_odd_primes(m3, used))
-    used.update(pi3)
-    n3 = math.prod(pi3)
-    pi2 = _kernel_primes(m2, n3, used, bound)
-    used.update(pi2)
+    """Build, and self-verify, a group whose prime graph is the (m1,m2,m3,m4)
+    block square.
 
-    factor_a = Frobenius(kernel=pi1, complement=n4)
-    factor_b = Frobenius(kernel=pi2, complement=n3)
+    Raises BoundExhausted when a kernel-prime search runs out of its prime
+    search budget; raises PredictionMismatch if the computed prime graph is
+    ever not the admissible square on the chosen blocks (an internal bug,
+    never expected).
+    """
+    for m in (m1, m2, m3, m4):
+        if m < 1:
+            raise ValueError(f"block sizes must be >= 1, got {(m1, m2, m3, m4)}")
+    used = {int(p) for p in avoid}
+    chosen: list[tuple[int, ...]] = []
+    # pi4, pi1, then pi3, pi2: each complement before its kernel.
+    for kernel_count, complement_count in ((m1, m4), (m2, m3)):
+        complement = _next_odd_primes(complement_count, used)
+        used.update(complement)
+        request = PrimeRequest(kernel_count, math.prod(complement), residue=1, exclude=used)
+        kernel = tuple(find_primes_in_ap(request))
+        used.update(kernel)
+        chosen += [complement, kernel]
+    pi4, pi1, pi3, pi2 = chosen
+    factor_a = Frobenius(kernel=pi1, complement=math.prod(pi4))
+    factor_b = Frobenius(kernel=pi2, complement=math.prod(pi3))
     expr = Direct((factor_a, factor_b))
     partition = BlockPartition(pi1, pi2, pi3, pi4)
 
@@ -124,30 +124,3 @@ def _build_once(
         partition=partition,
         order=group.order,
     )
-
-
-def construct_block_square_group(
-    m1: int,
-    m2: int,
-    m3: int,
-    m4: int,
-    *,
-    avoid: Iterable[int] = (),
-    bound: int = DEFAULT_SEARCH_BOUND,
-) -> ConstructionResult:
-    """Build, and self-verify, a group whose prime graph is the (m1,m2,m3,m4)
-    block square.
-
-    Retries once with a doubled search bound before surfacing
-    BoundExhausted; raises PredictionMismatch if the computed prime graph is
-    ever not the admissible square on the chosen blocks (an internal bug,
-    never expected).
-    """
-    for m in (m1, m2, m3, m4):
-        if m < 1:
-            raise ValueError(f"block sizes must be >= 1, got {(m1, m2, m3, m4)}")
-    avoid_set = frozenset(int(p) for p in avoid)
-    try:
-        return _build_once(m1, m2, m3, m4, avoid_set, bound)
-    except BoundExhausted:
-        return _build_once(m1, m2, m3, m4, avoid_set, bound * 2)

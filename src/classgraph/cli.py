@@ -2,7 +2,7 @@
 
 Commands: ``analyze``, ``construct``, ``corpus``, ``export-dot``.  Exit
 codes: 0 success, 2 parse/usage error, 3 enumeration cap or detector
-vertex bound exceeded, 4 internal invariant failure, 5 prime search bound
+vertex bound exceeded, 4 internal invariant failure, 5 prime search budget
 exhausted.  An error exits with its class's ``exit_code``, an unreadable
 file with 2.  The environment variable ``CLASSGRAPH_CAP`` overrides the
 enumeration cap.

@@ -35,7 +35,7 @@ from .errors import (
     InvalidMultiplier,
 )
 from .perm import DEFAULT_ENUMERATION_CAP, Permutation, PermGroup
-from .primes import is_prime, prime_factors
+from .primes import EXACT_BELOW, is_prime, prime_factors
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,8 @@ class MetabelianGroup:
     def __post_init__(self) -> None:
         if any(n < 2 for n in self.kernel + self.top):
             raise ExprError(f"cyclic factor orders must be >= 2, got {self.kernel + self.top}")
+        for n in self.kernel + self.top:
+            _check_exact(n, "cyclic factor order")
         rows = self.multipliers
         if len(rows) != len(self.top) or any(len(row) != len(self.kernel) for row in rows):
             raise ExprError("multiplier matrix must be top-factors x kernel-factors")
@@ -258,6 +260,12 @@ def _abelian_group(orders: tuple[int, ...], cap: int) -> MetabelianGroup:
     )
 
 
+def _check_exact(n: int, what: str) -> None:
+    """Factoring and primality are proven exact only below EXACT_BELOW."""
+    if n >= EXACT_BELOW:
+        raise ExprError(f"{what} {n} is not below the exact-primality limit {EXACT_BELOW}")
+
+
 def _frobenius_group(node: Frobenius, cap: int) -> MetabelianGroup:
     kernel = tuple(node.kernel)
     n = node.complement
@@ -266,10 +274,12 @@ def _frobenius_group(node: Frobenius, cap: int) -> MetabelianGroup:
     if len(set(kernel)) != len(kernel):
         raise ExprError(f"kernel primes must be distinct, got {kernel}")
     for p in kernel:
+        _check_exact(p, "kernel entry")
         if not is_prime(p):
             raise ExprError(f"kernel entry {p} is not prime")
     if n < 2:
         raise ExprError(f"complement order must be >= 2, got {n}")
+    _check_exact(n, "complement order")
     if any(math.gcd(p, n) != 1 for p in kernel):
         raise CoprimalityViolation(
             f"complement order {n} shares a prime with kernel {kernel}"

@@ -2,7 +2,7 @@
 
 ``exit_code`` is each cause's CLI exit code: 2 malformed input, 3 an
 enumeration cap or the detector's vertex bound, 5 an exhausted prime
-search, 4 an internal invariant failure or any other error.
+search budget, 4 an internal invariant failure or any other error.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ class CoprimalityViolation(ExprError):
     """A Frobenius construction node mixes a prime between kernel and complement."""
 
 
-class VertexNotInGraph(ClassGraphError):
-    """A vertex query names a prime outside the graph's vertex set."""
-
-
 class BadPartition(ClassGraphError):
     """Block partition is not disjoint, has an empty block, or misses vertices."""
 
@@ -53,7 +49,11 @@ class TooManyVertices(ClassGraphError):
 
 
 class BoundExhausted(ClassGraphError):
-    """A prime search in an arithmetic progression hit its ceiling."""
+    """A prime search in an arithmetic progression ran out of terms.
+
+    The prime search budget is a number of progression terms per prime
+    asked for, and no term at or past the exact-primality limit is tested.
+    """
 
     exit_code = 5
 

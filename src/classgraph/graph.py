@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .errors import InternalInvariantError, VertexNotInGraph
+from .errors import InternalInvariantError
 from .primes import is_prime, prime_factors
 
 Edge = tuple[int, int]
@@ -87,18 +87,13 @@ class PrimeGraph:
     def has_edge(self, p: int, q: int) -> bool:
         return (min(p, q), max(p, q)) in self.edges
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        if v not in self.vertices:
-            raise VertexNotInGraph(f"{v} is not a vertex")
-        return self._members(self.adjacency[self.vertices.index(v)])
-
     def components(self) -> list[frozenset[int]]:
         """Connected components, ordered by least vertex; empty graph gives []."""
         full = (1 << len(self.vertices)) - 1
-        return [self._members(c) for c in mask_components(self.adjacency, full)]
-
-    def _members(self, mask: int) -> frozenset[int]:
-        return frozenset(v for i, v in enumerate(self.vertices) if mask >> i & 1)
+        return [
+            frozenset(v for i, v in enumerate(self.vertices) if c >> i & 1)
+            for c in mask_components(self.adjacency, full)
+        ]
 
     def is_connected(self) -> bool:
         """True for the empty and one-component graphs."""

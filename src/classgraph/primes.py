@@ -1,7 +1,7 @@
 """Exact integer arithmetic: primality and factoring.
 
 Everything here is deterministic.  Primality uses the fixed Miller-Rabin
-witness set below, which is exact for all inputs < 3_317_044_064_679_887_385_961_981
+witness set below, which is exact for all inputs below :data:`EXACT_BELOW`
 (in particular for the full 64-bit range); nothing in this package tests
 larger numbers.  Factoring tests primality first, then trial-divides by
 the primes below 1000, and splits what remains with Pollard's rho.
@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-# Exact for n < 3.317e24 (Sorenson-Webster); covers every 64-bit integer.
+# Exact for n < EXACT_BELOW (Sorenson-Webster); covers every 64-bit integer.
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 

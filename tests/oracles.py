@@ -306,16 +306,43 @@ def canonical_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
                 for q in blocks[j]
             ):
                 continue
-            orderings = (
-                BlockPartition(blocks[a], blocks[c], blocks[d], blocks[b])
-                for ends, mids in ((pair, other), (other, pair))
-                for a, b in (ends, ends[::-1])
-                for c, d in (mids, mids[::-1])
-            )
-            valid = [p for p in orderings if is_block_square_partition(graph, p)]
+            (i, j), (k, m) = pair, other
+            part = BlockPartition(blocks[i], blocks[k], blocks[m], blocks[j])
+            valid = [p for p in square_orbit(part) if is_block_square_partition(graph, p)]
             if valid:
                 out.append(min(valid, key=BlockPartition.blocks))
     return sorted(out, key=BlockPartition.blocks)
+
+
+def square_orbit(part: BlockPartition) -> list[BlockPartition]:
+    """The 8 orderings of part's blocks that keep (pi1, pi4) and (pi2, pi3) as pairs.
+
+    Either pair goes to the ends, in either order, and the other pair
+    between them, in either order.
+    """
+    pi1, pi2, pi3, pi4 = part.blocks()
+    return [
+        BlockPartition(a, c, d, b)
+        for ends, mids in (((pi1, pi4), (pi2, pi3)), ((pi2, pi3), (pi1, pi4)))
+        for a, b in (ends, ends[::-1])
+        for c, d in (mids, mids[::-1])
+    ]
+
+
+def apply_symmetry(part: BlockPartition, sym: tuple[int, int, int, int]) -> BlockPartition:
+    """The image of part whose position i takes block sym[i]."""
+    blocks = part.blocks()
+    return BlockPartition(*(blocks[i] for i in sym))
+
+
+def canonical_partition(graph: PrimeGraph, part: BlockPartition) -> BlockPartition:
+    """Least valid member of part's orbit under the 8 square symmetries.
+
+    The witness clause is not kept by every symmetry on arbitrary graphs,
+    so the least is taken among the valid orderings; a valid part is one.
+    """
+    valid = [p for p in square_orbit(part) if is_block_square_partition(graph, p)]
+    return min(valid, key=BlockPartition.blocks)
 
 
 @lru_cache(maxsize=None)

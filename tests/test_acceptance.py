@@ -21,7 +21,6 @@ from classgraph import (
     Direct,
     Frobenius,
     MetabelianGroup,
-    canonical_partition,
     class_size_spectrum,
     construct_block_square_group,
     delta_of,
@@ -37,6 +36,7 @@ from classgraph.primes import prime_factors
 from corpus import corpus_entries
 from oracles import (
     admissible_square,
+    canonical_partition,
     class_sizes_by_conjugation,
     fast_block_square_exists,
     is_clique,

@@ -12,19 +12,21 @@ from classgraph import (
     BlockPartition,
     PrimeGraph,
     TooManyVertices,
-    canonical_partition,
     find_block_partitions,
     is_admissible_block_square,
     is_block_square_partition,
 )
-from classgraph.blocks import SEARCH_BOUND, SQUARE_SYMMETRIES, apply_symmetry
+from classgraph.blocks import SEARCH_BOUND, SQUARE_SYMMETRIES
 from oracles import (
     admissible_by_three_passes,
     admissible_square,
+    apply_symmetry,
     canonical_block_partitions,
+    canonical_partition,
     fast_block_square_exists,
     naive_block_square_exists,
     sieve_primes,
+    square_orbit,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17)
@@ -115,6 +117,7 @@ def test_symmetry_images_of_square_partition_all_valid():
     part = BlockPartition((3,), (5,), (11,), (7,))
     images = {apply_symmetry(part, sym).blocks() for sym in SQUARE_SYMMETRIES}
     assert len(images) == 8
+    assert images == {p.blocks() for p in square_orbit(part)}
     for blocks in images:
         assert is_block_square_partition(SQUARE, BlockPartition(*blocks))
 

@@ -6,7 +6,6 @@ import pytest
 
 from classgraph import (
     VERIFIED,
-    canonical_partition,
     construct_block_square_group,
     delta_of,
     evaluate,
@@ -18,6 +17,7 @@ from classgraph import (
     verify_decomposition,
 )
 from classgraph.reports import analyze_expr
+from oracles import canonical_partition
 
 
 def test_unit_square_is_the_classic_realization():
@@ -83,8 +83,10 @@ def test_construct_and_analyze_factor_only_cyclic_factor_orders(monkeypatch):
     # cyclic factor orders, so nothing else is ever factored: the kernel
     # primes are checked by is_prime alone, a complement order is trial
     # divided by small primes, and Pollard rho never runs.  Every tuple of
-    # total <= 8 runs, and two of total 10 whose class sizes include a
-    # product of two kernel primes above 10**6, which only rho could split.
+    # total <= 12 runs.  Among them are (2, 1, 1, 6) and (1, 2, 5, 2), whose
+    # class sizes include a product of two kernel primes above 10**6, which
+    # only rho could split, and (1, 1, 8, 1), whose kernel prime of B is
+    # 95504995301.
     import classgraph.primes as primes
 
     factored: list[int] = []
@@ -93,8 +95,9 @@ def test_construct_and_analyze_factor_only_cyclic_factor_orders(monkeypatch):
     monkeypatch.setattr(primes, "factorize", lambda n: factored.append(n) or real_factorize(n))
     monkeypatch.setattr(primes, "_pollard_rho", lambda n: rho.append(n) or real_rho(n))
     factor_orders: set[int] = set()
-    tuples = [m for m in product(range(1, 6), repeat=4) if sum(m) <= 8]
-    for m in tuples + [(2, 1, 1, 6), (1, 2, 5, 2)]:
+    tuples = [m for m in product(range(1, 10), repeat=4) if sum(m) <= 12]
+    assert len(tuples) == 495
+    for m in tuples:
         built = construct_block_square_group(*m)
         name, expr = parse_spec_text(serialize_spec("built", built.expr))
         report = analyze_expr(name, expr)
@@ -135,26 +138,37 @@ def test_prediction_mismatch_aborts(monkeypatch):
         construct_block_square_group(1, 1, 1, 1)
 
 
-def test_retry_with_doubled_bound_once():
-    # First pass cannot reach 7 = 1 (mod 3); the doubled bound can.
-    result = construct_block_square_group(1, 1, 1, 1, bound=6)
-    assert result.order == 1155
-
-
-def test_bound_exhausted_after_retry():
+def test_bound_exhausted_past_term_budget(monkeypatch):
+    import classgraph.dirichlet as dirichlet
     from classgraph import BoundExhausted
 
-    # Kernel of B needs a prime = 1 (mod 55); the first is 331 > 2 * 100.
-    with pytest.raises(BoundExhausted):
-        construct_block_square_group(1, 1, 2, 1, bound=100)
+    # B's kernel prime = 1 (mod 55) is 331, the seventh term of 1, 56, 111, ...
+    monkeypatch.setattr(dirichlet, "TERMS_PER_PRIME", 6)
+    with pytest.raises(BoundExhausted, match=r"1 \(mod 55\) in the 6 terms allowed"):
+        construct_block_square_group(1, 1, 2, 1)
+    monkeypatch.setattr(dirichlet, "TERMS_PER_PRIME", 7)
+    assert construct_block_square_group(1, 1, 2, 1).factor_b.kernel == (331,)
 
 
-def test_complement_product_past_bound_is_exhausted():
+def test_complement_product_past_bound_is_exhausted(monkeypatch):
+    import classgraph.dirichlet as dirichlet
     from classgraph import BoundExhausted
 
-    # pi3 = eight odd primes, product 4775249765, past even the doubled bound.
-    with pytest.raises(BoundExhausted, match="reaches the prime search bound"):
-        construct_block_square_group(1, 1, 8, 1)
+    # pi3 = eight odd primes, product 4775249765; B's kernel prime is the
+    # 21st term of its progression.
+    result = construct_block_square_group(1, 1, 8, 1)
+    assert result.factor_b.complement == 4775249765
+    assert result.factor_b.kernel == (95504995301,)
+    # Seventeen odd primes multiply past the exact-primality limit, so B's
+    # search tests no term; only A's, 1 (mod 3), tests 4 and 7.
+    tested: list[int] = []
+    real_is_prime = dirichlet.is_prime
+    monkeypatch.setattr(dirichlet, "is_prime", lambda n: tested.append(n) or real_is_prime(n))
+    with pytest.raises(
+        BoundExhausted, match=r"\(mod 13284305479207118118271795\) in the 1 terms allowed by the exact"
+    ):
+        construct_block_square_group(1, 1, 17, 1)
+    assert tested == [4, 7]
 
 
 def test_frozen_golden_values_small_grid():

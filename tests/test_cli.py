@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from classgraph import serialize_spec
 from classgraph.cli import main
+from classgraph.primes import EXACT_BELOW
 from classgraph.specfile import MAX_NESTING
 from corpus import S3_PERM, S4_PERM, corpus_entries
 
@@ -176,6 +177,32 @@ def test_bad_perm_images_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: not a permutation")
 
 
+@pytest.mark.parametrize(
+    "node",
+    [
+        {"op": "frobenius", "kernel": [1000000000000000000000000000057], "complement": 2},
+        {"op": "frobenius", "kernel": [7], "complement": EXACT_BELOW},
+        {"op": "cyclic", "n": EXACT_BELOW},
+        {"op": "abelian", "orders": [2, EXACT_BELOW + 2]},
+        {"op": "semidirect", "kernel": [EXACT_BELOW], "top": [2], "multipliers": [[1]]},
+    ],
+)
+def test_factor_order_past_the_exact_primality_limit_exits_2(tmp_path, capsys, monkeypatch, node):
+    # Past EXACT_BELOW primality is not proven exact, so no such number is tested.
+    import classgraph.construction as construction
+
+    tested: list[int] = []
+    real_is_prime = construction.is_prime
+    monkeypatch.setattr(construction, "is_prime", lambda n: tested.append(n) or real_is_prime(n))
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"name": "big", "construct": node}), encoding="utf-8")
+    assert main(["analyze", str(spec)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and f"exact-primality limit {EXACT_BELOW}" in err
+    assert all(n < EXACT_BELOW for n in tested)
+
+
 def test_export_dot(tmp_path):
     spec = write_spec(tmp_path, "s4", S4_PERM)
     proc = run_cli(["export-dot", str(spec)])
@@ -242,8 +269,9 @@ def test_construct_out_is_an_existing_file_exits_2(tmp_path):
 
 
 def test_construct_complement_past_bound_exits_5(tmp_path):
-    # pi3 = nine odd primes, product 3234846615, past the doubled 10**9 bound.
-    proc = run_cli(["construct", "--blocks", "1,1,1,9", "--out", str(tmp_path)])
+    # pi3 = seventeen odd primes, whose product 13284305479207118118271795
+    # is past the exact-primality limit, so no kernel prime can be tested.
+    proc = run_cli(["construct", "--blocks", "1,1,17,1", "--out", str(tmp_path)])
     assert proc.returncode == 5
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
