@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .blocks import BlockPartition, find_block_partitions
 from .construction import MetabelianGroup
 from .errors import DecompositionFailure
-from .graph import PrimeGraph, delta_of
+from .graph import PrimeGraph
 from .perm import PermGroup
 from .primes import valuation
 
@@ -281,7 +281,7 @@ def verify_decomposition(
     if spectrum is None:
         spectrum = group.class_size_spectrum()
     if graph is None:
-        graph = delta_of(spectrum, primes=group.primes)
+        graph = group.delta()
     if partitions is None:
         partitions = tuple(find_block_partitions(graph))
     split = _structural_parts(group)

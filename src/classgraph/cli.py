@@ -11,7 +11,6 @@ enumeration cap.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -19,9 +18,9 @@ from pathlib import Path
 from .builder import CONGRUENCE_NOTE, construct_block_square_group
 from .construction import evaluate
 from .errors import ClassGraphError, InternalInvariantError, SpecFileError
-from .graph import PrimeGraph, delta_of
+from .graph import PrimeGraph
 from .reports import analyze_expr, report_invariant_violations, report_to_json
-from .specfile import expr_to_node, parse_spec_file, write_spec_file
+from .specfile import expr_to_node, json_text, parse_spec_file, write_spec_file
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -100,7 +99,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         "graph": result.graph.to_json_obj(),
         "verified": True,
     }
-    report_path.write_text(json.dumps(prediction, indent=2) + "\n", encoding="utf-8")
+    report_path.write_text(json_text(prediction) + "\n", encoding="utf-8")
     print(f"wrote {spec_path} and {report_path}")
     return EXIT_OK
 
@@ -145,8 +144,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     _, expr = parse_spec_file(args.spec)
-    group = evaluate(expr, cap=_enumeration_cap())
-    sys.stdout.write(delta_of(group.class_size_spectrum(), primes=group.primes).to_dot())
+    sys.stdout.write(evaluate(expr, cap=_enumeration_cap()).delta().to_dot())
     return EXIT_OK
 
 

@@ -7,9 +7,9 @@ squarefree cyclic kernel and cyclic complement, and direct products of
 those.  Each carries enough structure to compute its conjugacy class-size
 spectrum without enumerating elements whenever a fast path applies; the
 permutation engine (``to_permutation``) stays available as the independent
-cross-check.  A :class:`MetabelianGroup` offers the same ``order``,
-``primes``, ``class_size_spectrum()`` and ``to_permutation()`` as a
-:class:`~classgraph.perm.PermGroup`.
+cross-check.  A :class:`MetabelianGroup` offers the same ``order``, ``primes``,
+``class_size_spectrum()``, ``delta()`` and ``to_permutation()`` as a
+:class:`~classgraph.perm.PermGroup`, and reads its primes and Δ off the tree.
 
 A :class:`MetabelianGroup` is three tuples: kernel and top cyclic factor
 orders and the unit multipliers of the action.  Whether that action is
@@ -26,6 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import combinations
 
 from .errors import (
     CapExceeded,
@@ -34,6 +35,7 @@ from .errors import (
     FaithfulnessFailure,
     InvalidMultiplier,
 )
+from .graph import Edge, PrimeGraph, delta_of
 from .perm import DEFAULT_ENUMERATION_CAP, Permutation, PermGroup
 from .primes import EXACT_BELOW, is_prime, prime_factors
 
@@ -71,11 +73,10 @@ class MetabelianGroup:
 
     @cached_property
     def primes(self) -> tuple[int, ...]:
-        """The primes of the group order, ascending, read off the cyclic factor orders."""
-        out: set[int] = set()
-        for n in self.kernel + self.top:
-            out.update(prime_factors(n))
-        return tuple(sorted(out))
+        """The primes of the group order, ascending: a product's are its factors' primes."""
+        if self.factors:
+            return tuple(sorted({q for part in self.factors for q in part.primes}))
+        return tuple(sorted({q for n in self.kernel + self.top for q in prime_factors(n)}))
 
     @property
     def is_abelian(self) -> bool:
@@ -114,6 +115,29 @@ class MetabelianGroup:
                 "and no structured fast path applies"
             )
         return self.to_permutation().class_size_spectrum()
+
+    def delta(self) -> PrimeGraph:
+        """Δ of the class sizes, read off the construction tree: the join of its parts' Δ.
+
+        A Frobenius part gives two cliques, on the kernel's primes and the
+        complement's; any other part reads its own spectrum with ``delta_of``,
+        which for an abelian part is all 1s and gives nothing.
+        """
+        vertices: list[int] = []
+        edges: set[Edge] = set()
+        for part in self.factors or (self,):
+            if part.frobenius:
+                kernel_order = math.prod(part.kernel)
+                edges.update(combinations([q for q in part.primes if kernel_order % q == 0], 2))
+                edges.update(combinations([q for q in part.primes if kernel_order % q], 2))
+                part_vertices = part.primes
+            else:
+                graph = delta_of(part.class_size_spectrum(), primes=part.primes)
+                part_vertices = graph.vertices
+                edges.update(graph.edges)
+            edges.update((p, q) for p in vertices for q in part_vertices)
+            vertices.extend(part_vertices)
+        return PrimeGraph(tuple(vertices), frozenset(edges))
 
     def to_permutation(self, *, verify_order: bool | None = None) -> PermGroup:
         """Faithful permutation realization, built once per group and cached.
@@ -224,13 +248,10 @@ def _has_order(u: int, n: int, p: int, n_primes: tuple[int, ...]) -> bool:
     return pow(u, n, p) == 1 and all(pow(u, n // q, p) != 1 for q in n_primes)
 
 
-def auto_multiplier(p: int, n: int) -> int:
-    """u^((p - 1)/n) mod the prime p, for the least u >= 2 giving order exactly n."""
+def auto_multiplier(p: int, n: int, n_primes: tuple[int, ...]) -> int:
+    """u^((p - 1)/n) mod the prime p for the least u >= 2 of order exactly n, given n's primes."""
     if (p - 1) % n != 0:
-        raise InvalidMultiplier(
-            f"no unit of order {n} mod {p}: {n} does not divide {p - 1}"
-        )
-    n_primes = prime_factors(n)
+        raise InvalidMultiplier(f"no unit of order {n} mod {p}: {n} does not divide {p - 1}")
     # Every primitive root qualifies, so the scan stops by the least one.
     for u in range(2, p):
         h = pow(u, (p - 1) // n, p)
@@ -284,18 +305,16 @@ def _frobenius_group(node: Frobenius, cap: int) -> MetabelianGroup:
         raise CoprimalityViolation(
             f"complement order {n} shares a prime with kernel {kernel}"
         )
+    n_primes = prime_factors(n)
     if node.multipliers is None:
-        mults = tuple(auto_multiplier(p, n) for p in kernel)
+        mults = tuple(auto_multiplier(p, n, n_primes) for p in kernel)
     else:
         if len(node.multipliers) != len(kernel):
             raise ExprError("one multiplier per kernel prime required")
         mults = tuple(_checked_multiplier(int(u), p, n) for u, p in zip(node.multipliers, kernel))
-    return MetabelianGroup(
-        kernel=kernel,
-        top=(n,),
-        multipliers=(mults,),
-        cap=cap,
-    )
+    group = MetabelianGroup(kernel=kernel, top=(n,), multipliers=(mults,), cap=cap)
+    group.__dict__["primes"] = tuple(sorted(kernel + n_primes))  # kernel entries proven prime above
+    return group
 
 
 def _semidirect_group(node: Semidirect, cap: int) -> MetabelianGroup:

@@ -39,6 +39,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import CapExceeded, ElementNotInGroup
+from .graph import PrimeGraph, delta_of
 from .primes import prime_factors
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -196,7 +197,7 @@ def _generating_subset(elements: list[Images], limit: int | None = None) -> list
 class PermGroup:
     """A finite group given by permutation generators; queries enumerate it.
 
-    Shares ``order``, ``primes``, ``class_size_spectrum()`` and
+    Shares ``order``, ``primes``, ``class_size_spectrum()``, ``delta()`` and
     ``to_permutation()`` with :class:`~classgraph.construction.MetabelianGroup`,
     so callers need not ask which kind of group they hold.
     """
@@ -306,6 +307,10 @@ class PermGroup:
     def class_size_spectrum(self) -> Counter[int]:
         """Multiset of conjugacy class sizes, as {size: multiplicity}."""
         return Counter(c.size for c in self.conjugacy_classes())
+
+    def delta(self) -> PrimeGraph:
+        """The prime graph Δ of the class sizes, read against the group's primes."""
+        return delta_of(self.class_size_spectrum(), primes=self.primes)
 
     # -- subgroup queries ------------------------------------------------
 

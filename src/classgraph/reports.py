@@ -13,18 +13,17 @@ Report shape::
       "decomposition": {"status": ..., "witness": {...} | null}
     }
 
-Reports are deterministic: identical inputs produce byte-identical JSON.
+Reports are deterministic: identical inputs produce byte-identical JSON
+(:func:`~classgraph.specfile.json_text`); the graph is the group's ``delta()``.
 """
 
 from __future__ import annotations
-
-import json
 
 from .analysis import NOT_BLOCK_SQUARE, VERIFIED, dgroup_witness_of, verify_decomposition
 from .blocks import find_block_partitions, is_admissible_block_square
 from .construction import GroupExpr, evaluate
 from .errors import InternalInvariantError
-from .graph import delta_of
+from .specfile import json_text
 
 
 def analyze_expr(
@@ -36,7 +35,7 @@ def analyze_expr(
     """Run the whole pipeline on a construction tree and assemble the report."""
     group = evaluate(expr, cap=enumeration_cap)
     spectrum = group.class_size_spectrum()
-    graph = delta_of(spectrum, primes=group.primes)
+    graph = group.delta()
     if graph.complement_coloring is None:
         raise InternalInvariantError(
             "the class-size graph's complement is not bipartite, against Dolfi et al. 2020"
@@ -79,7 +78,7 @@ def analyze_expr(
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    return json_text(report) + "\n"
 
 
 def report_invariant_violations(report: dict) -> list[str]:

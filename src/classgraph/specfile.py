@@ -11,9 +11,9 @@ whose construct node is one of::
     {"op": "perm", "degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]}
 
 Parsing is strict: unknown keys are rejected, and construct nodes may nest
-at most :data:`MAX_NESTING` deep.  Serialization is canonical
-(fixed key order, two-space indent), so a canonically written file parses
-and re-serializes byte-identically.
+at most :data:`MAX_NESTING` deep.  Serialization is canonical (fixed key
+order, two-space indent by :func:`json_text`), so a canonically written
+file parses and re-serializes byte-identically.
 """
 
 from __future__ import annotations
@@ -153,9 +153,26 @@ def parse_spec_file(path: str | Path) -> tuple[str, GroupExpr]:
     return parse_spec_text(text)
 
 
+def json_text(obj, _indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``; dict (str keys), list, str, int, bool, None, or TypeError."""
+    kind = type(obj)
+    inner = _indent + "  "
+    if kind is list and obj:
+        items = [str(x) if type(x) is int else json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + _indent + "]"
+    if kind is dict and obj:
+        if any(type(key) is not str for key in obj):
+            raise TypeError(f"JSON object keys must be str, got {list(obj)!r}")
+        items = [json.dumps(key) + ": " + json_text(value, inner) for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + _indent + "}"
+    if kind in (int, list, dict, str, bool) or obj is None:
+        return json.dumps(obj)
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
 def serialize_spec(name: str, expr: GroupExpr) -> str:
     obj = {"name": name, "construct": expr_to_node(expr)}
-    return json.dumps(obj, indent=2) + "\n"
+    return json_text(obj) + "\n"
 
 
 def write_spec_file(path: str | Path, name: str, expr: GroupExpr) -> None:

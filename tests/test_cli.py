@@ -10,13 +10,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from classgraph import serialize_spec
+from classgraph import PrimeGraph, serialize_spec
 from classgraph.cli import main
 from classgraph.primes import EXACT_BELOW
 from classgraph.specfile import MAX_NESTING
 from corpus import S3_PERM, S4_PERM, corpus_entries
 
 CLI = [sys.executable, "-m", "classgraph.cli"]
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def run_cli(args, **kwargs):
@@ -107,24 +108,26 @@ def test_analyze_reports_byte_stable(f21_spec):
 
 
 def test_export_dot_exits_4_when_a_class_size_escapes_the_group_primes(
-    f21_spec, monkeypatch, capsys
+    tmp_path, monkeypatch, capsys
 ):
-    from classgraph import MetabelianGroup
+    from classgraph import PermGroup
 
-    monkeypatch.setattr(MetabelianGroup, "primes", (3,))
-    assert main(["export-dot", str(f21_spec)]) == 4
+    # A structured group reads Δ off its tree; a perm group reads its sizes against its primes.
+    spec = write_spec(tmp_path, "s3", S3_PERM)
+    monkeypatch.setattr(PermGroup, "primes", (3,))
+    assert main(["export-dot", str(spec)]) == 4
     assert "outside the group's primes" in capsys.readouterr().err
 
 
 def test_analyze_exits_4_without_searching_when_the_complement_is_not_bipartite(
     f21_spec, monkeypatch, capsys
 ):
-    from classgraph import PrimeGraph, reports
+    from classgraph import MetabelianGroup, reports
 
     # The 5-cycle is its own complement, an odd cycle.
     c5 = PrimeGraph((2, 3, 5, 7, 11), frozenset({(2, 3), (3, 5), (5, 7), (7, 11), (2, 11)}))
     searched = []
-    monkeypatch.setattr(reports, "delta_of", lambda spectrum, primes=None: c5)
+    monkeypatch.setattr(MetabelianGroup, "delta", lambda self: c5)
     monkeypatch.setattr(reports, "find_block_partitions", lambda *a, **k: searched.append(a))
     assert main(["analyze", str(f21_spec)]) == 4
     out, err = capsys.readouterr()
@@ -148,12 +151,12 @@ def test_vertex_bound_exits_3(f21_spec, monkeypatch, capsys):
 
 
 def test_builtin_value_error_is_not_an_input_error(f21_spec, monkeypatch):
-    from classgraph import reports
+    from classgraph import MetabelianGroup
 
-    def broken(spectrum, primes=None):
+    def broken(self):
         raise ValueError("a bug, not bad input")
 
-    monkeypatch.setattr(reports, "delta_of", broken)
+    monkeypatch.setattr(MetabelianGroup, "delta", broken)
     with pytest.raises(ValueError, match="a bug, not bad input"):
         main(["analyze", str(f21_spec)])
 
@@ -210,6 +213,17 @@ def test_export_dot(tmp_path):
     assert proc.stdout == "graph delta {\n  2;\n  3;\n  2 -- 3;\n}\n"
 
 
+def test_export_dot_prints_the_graph_of_analyze_for_every_spec(capsys):
+    # A structured spec's Δ is read off its tree, a perm spec's off its classes.
+    for path in sorted(SPECS.glob("*.json")):
+        assert main(["export-dot", str(path)]) == 0
+        dot = capsys.readouterr().out
+        assert main(["analyze", str(path)]) == 0
+        graph = json.loads(capsys.readouterr().out)["graph"]
+        edges = frozenset(tuple(e) for e in graph["edges"])
+        assert dot == PrimeGraph(tuple(graph["vertices"]), edges).to_dot(), path
+
+
 def test_cap_env_bounds_export_dot_like_analyze(tmp_path):
     # z7 x| z9 (order 63) has no closed-form spectrum, so both commands
     # enumerate its permutation realization, which the cap stops.
@@ -229,6 +243,7 @@ def test_construct_writes_and_verifies(tmp_path):
     pred_path = tmp_path / "block_square_1_1_1_1.prediction.json"
     assert spec_path.exists() and pred_path.exists()
     prediction = json.loads(pred_path.read_text(encoding="utf-8"))
+    assert pred_path.read_text(encoding="utf-8") == json.dumps(prediction, indent=2) + "\n"
     assert prediction["order"] == 1155
     assert prediction["verified"] is True
     assert prediction["factors"]["a"] == {"op": "frobenius", "kernel": [7], "complement": 3}

@@ -63,13 +63,13 @@ def test_evaluate_frobenius_auto_multiplier_policy():
     g = evaluate(Frobenius((7,), 3))
     # 2**((7 - 1) / 3) = 4 has order 3 mod 7, so u = 2 gives the multiplier.
     assert g.multipliers == ((4,),)
-    assert auto_multiplier(7, 3) == 4
+    assert auto_multiplier(7, 3, prime_factors(3)) == 4
     # 2**2 = 4 has order 5 mod 11 (3 is the smallest unit of that order).
-    assert auto_multiplier(11, 5) == 4
+    assert auto_multiplier(11, 5, prime_factors(5)) == 4
     # 2**3 = 1 mod 7, so u = 3 gives 3**3 = 6, the unit of order 2.
-    assert auto_multiplier(7, 2) == 6
+    assert auto_multiplier(7, 2, prime_factors(2)) == 6
     # 2**10 = 1 mod 31, so u = 3 gives 3**10 = 25 (5 is the smallest of order 3).
-    assert auto_multiplier(31, 3) == 25
+    assert auto_multiplier(31, 3, prime_factors(3)) == 25
 
 
 def test_evaluate_frobenius_bad_multiplier():
@@ -286,13 +286,13 @@ def test_auto_multiplier_matches_order_definition():
     for p in sieve(3000)[1:]:
         for n in range(2, p):
             if (p - 1) % n == 0:
-                assert auto_multiplier(p, n) == auto_multiplier_by_scan(p, n), (p, n)
+                assert auto_multiplier(p, n, prime_factors(n)) == auto_multiplier_by_scan(p, n), (p, n)
 
 
 def test_frobenius_node_on_a_large_kernel_prime_is_analyzed_at_once():
     # The only unit of order 2 is p - 1: a scan of the units u = 2, 3, ...
     # meets it last, while u**((p - 1) / 2) gives it at the first non-residue.
-    assert auto_multiplier(1_000_000_007, 2) == 1_000_000_006
+    assert auto_multiplier(1_000_000_007, 2, prime_factors(2)) == 1_000_000_006
     spec = {"name": "big", "construct": {"op": "frobenius", "kernel": [1000000007], "complement": 2}}
     name, expr = parse_spec_text(json.dumps(spec))
     start = time.perf_counter()

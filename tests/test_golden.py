@@ -9,7 +9,9 @@ SHA-256 digest per tuple.  A spec's report must also not depend on how its
 group is presented: its permutation realization, and a disguised copy of
 that, give the same bytes.  So must Hypothesis-generated trees, under
 reordered and re-associated direct factors, frobenius and semidirect
-nodes swapped, and a disguised realization.
+nodes swapped, and a disguised realization.  A structured group's Δ,
+read off its construction tree, must equal ``delta_of`` on its spectrum,
+and every generated group's Δ must obey the theorems on class-size graphs.
 
 Regenerate after an intended report change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -22,7 +24,7 @@ import json
 import math
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,7 @@ from classgraph import (
     Permutation,
     Semidirect,
     construct_block_square_group,
+    delta_of,
     evaluate,
     parse_spec_file,
     parse_spec_text,
@@ -307,6 +310,77 @@ def test_generated_tree_reports_do_not_depend_on_the_presentation():
 
     check()
     assert seen["examples"] >= 100 + 2  # drawn and given
+    assert min(seen.values()) > 0, seen
+
+
+def _frobenius_product(count: int) -> Direct:
+    """Coprime Frobenius groups whose complements are the first ``count`` primes.
+
+    Each kernel is the least prime 1 mod its complement not used before.
+    """
+    complements = [p for p in range(2, 100) if is_prime(p)][:count]
+    used, factors = set(complements), []
+    for n in complements:
+        kernel = next(k for k in range(n + 1, 10**4, n) if is_prime(k) and k not in used)
+        used.add(kernel)
+        factors.append(Frobenius((kernel,), n))
+    return Direct(tuple(factors))
+
+
+def test_tree_delta_is_the_spectrum_delta():
+    # The golden cases, the specs among them; a product of 8 coprime Frobenius
+    # groups; and a product with a non-Frobenius semidirect part, which reads
+    # its own spectrum.
+    cases = [
+        *golden_cases().values(),
+        _frobenius_product(8),
+        Direct((Semidirect((7,), (9,), ((2,),)), Frobenius((11,), 5))),
+    ]
+    for expr in cases:
+        group = evaluate(expr)
+        assert group.delta() == delta_of(group.class_size_spectrum()), expr
+
+
+def _diameter_at_most(graph, steps: int) -> bool:
+    """True when every two vertices are joined by a path of at most ``steps`` edges."""
+    adj, full = graph.adjacency, (1 << len(graph.vertices)) - 1
+    for i in range(len(adj)):
+        reach = 1 << i
+        for _ in range(steps):
+            for j in [j for j in range(len(adj)) if reach >> j & 1]:
+                reach |= adj[j]
+        if reach != full:
+            return False
+    return True
+
+
+def test_generated_tree_delta_obeys_the_class_size_graph_theorems():
+    # Δ(G) has at most two components, each complete when there are two;
+    # diameter at most 3 when connected; and a bipartite complement (Dolfi,
+    # Pacifici, Sanus, Sotomayor, J. Algebra 2020).  The tree route must
+    # also give the Δ that the spectrum gives.
+    seen: Counter[str] = Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_trees())
+    def check(tree):
+        group = evaluate(tree[0])
+        graph = group.delta()
+        assert graph == delta_of(group.class_size_spectrum()), tree
+        components = graph.components()
+        assert len(components) <= 2, tree
+        if len(components) == 2:
+            assert all(graph.has_edge(p, q) for c in components for p, q in combinations(c, 2))
+        else:
+            assert _diameter_at_most(graph, 3), tree
+        assert graph.complement_coloring is not None, tree
+        seen["examples"] += 1
+        seen["disconnected"] += len(components) == 2
+        seen["diameter 2 or more"] += not _diameter_at_most(graph, 1)
+        seen["permutation route"] += isinstance(group, PermGroup)
+
+    check()
+    assert seen["examples"] >= 200
     assert min(seen.values()) > 0, seen
 
 

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classgraph import (
     Cyclic,
@@ -13,7 +18,9 @@ from classgraph import (
     parse_spec_text,
     serialize_spec,
 )
-from classgraph.specfile import expr_to_node, node_to_expr
+from classgraph.specfile import expr_to_node, json_text, node_to_expr
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_parse_frobenius():
@@ -105,3 +112,49 @@ def test_node_round_trip():
         ],
     }
     assert expr_to_node(node_to_expr(node)) == node
+
+
+# -- json_text -------------------------------------------------------------
+
+
+def test_json_text_writes_the_golden_reports_and_specs_as_json_dumps_does():
+    specs = sorted((ROOT / "specs").glob("*.json"))
+    paths = sorted((ROOT / "tests" / "golden").glob("*.json")) + specs
+    assert len(paths) > 40
+    for path in paths:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        assert json_text(obj) == json.dumps(obj, indent=2), path
+    for path in specs:
+        name, expr = parse_spec_text(path.read_text(encoding="utf-8"))
+        assert serialize_spec(name, expr) == path.read_text(encoding="utf-8"), path
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"name": "Δ(G) für \"A × B\" \\ 𝔽₇ \u2028", "ctrl": "\x00\x01\x1f\n\t\r\x7f"},
+        [], {}, [[]], [{}], {"a": {}}, {"a": []}, [[], {}, [[]], {"b": [{}]}],
+        None, True, False, 0, -7, 10**40, "", [True, False, None, 1, "1"],
+    ],
+)
+def test_json_text_matches_json_dumps_on_edge_cases(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_JSON)
+def test_json_text_matches_json_dumps_on_generated_values(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [1.5, [0.0], {1: "a"}, {"a": {None: 1}}, (1, 2), {"a": {3}}])
+def test_json_text_rejects_what_it_does_not_write(obj):
+    with pytest.raises(TypeError):
+        json_text(obj)
