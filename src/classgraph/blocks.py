@@ -13,7 +13,11 @@ complement's 2-coloring, in time polynomial in the size of the output.
 Any other graph is searched up to :data:`SEARCH_BOUND` vertices, and the
 search reaches no other leaf: the symmetries inside each pair (pi1, pi4)
 and (pi2, pi3) are broken while branching, the swap of the two pairs at
-the leaf.
+the leaf.  It also stops at any node where pi1 and pi4 can no longer get
+two distinct witnesses from the vertices placed or still free to join
+them, so an edgeless graph, a perfect matching or a star fails at the
+root.  Either route names each block's primes once and sorts the
+partitions as tuples of those names.
 """
 
 from __future__ import annotations
@@ -131,13 +135,21 @@ def is_admissible_block_square(graph: PrimeGraph, part: BlockPartition) -> bool:
     )
 
 
-def _mask_witness(adj: tuple[int, ...], ends: int, mid1: int, mid2: int) -> bool:
-    while ends:
-        a = adj[(ends & -ends).bit_length() - 1]
-        if a & mid1 and a & mid2:
-            return True
-        ends &= ends - 1
-    return False
+def _witness(adj: tuple[int, ...], cand: int, mid2: int, mid3: int) -> int:
+    """The least vertex of cand that can still be a witness, as a bit; 0 if none.
+
+    mid2 and mid3 hold the vertices in, or still able to join, pi2 and pi3.
+    A witness needs a neighbour in each, and two distinct ones when both are
+    still free: only a free vertex can lie in both masks.
+    """
+    while cand:
+        low = cand & -cand
+        a = adj[low.bit_length() - 1]
+        s2, s3 = a & mid2, a & mid3
+        if s2 and s3 and (s2 != s3 or s2 & (s2 - 1)):
+            return low
+        cand ^= low
+    return 0
 
 
 def _two_clique_partitions(adj: tuple[int, ...], left: int, right: int) -> list[_Masks]:
@@ -181,37 +193,56 @@ def find_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
     - Any other graph is searched; only this route is bounded, raising
       TooManyVertices past `SEARCH_BOUND`.  Vertices are assigned in
       increasing order, pruning as soon as a pi1-pi4 or pi2-pi3 edge or an
-      unfillable empty block appears.  Blocks compare by least vertex, so
-      pi4 (pi3) opens only once pi1 (pi2) is nonempty, and a leaf with the
-      least vertex in pi2 is dropped when pi2 and pi3 could be the ends.
+      unfillable empty block appears, or an end block can no longer get a
+      witness.  Blocks compare by least vertex, so pi4 (pi3) opens only
+      once pi1 (pi2) is nonempty, and a leaf with the least vertex in pi2
+      is dropped when pi2 and pi3 could be the ends.
+
+    Both routes name each block mask by its primes once per call, and sort
+    the partitions as tuples of names before building them.
     """
     vertices = graph.vertices
     n = len(vertices)
     adj = graph.adjacency
+    full = (1 << n) - 1
     found: list[_Masks] = []
     masks = [0, 0, 0, 0]
+    reach = [0, 0, 0, 0]  # reach[b]: the union of the neighbour masks of block b
+
+    def witnesses_possible(free: int) -> bool:
+        # A free vertex may still join block b if it has no neighbour in b's
+        # partner.  pi1 and pi4 each need a witness, in or able to join the
+        # block, and the two differ: pi4 has one other than pi1's least, w, or
+        # has w and pi1 has another.  With nothing free this is exact.
+        m1, m2, m3, m4 = masks
+        r1, r2, r3, r4 = reach
+        mid2, mid3 = m2 | free & ~r3, m3 | free & ~r2
+        ends1, ends4 = m1 | free & ~r4, m4 | free & ~r1
+        w = _witness(adj, ends1, mid2, mid3)
+        if not w:
+            return False
+        if _witness(adj, ends4 & ~w, mid2, mid3):
+            return True
+        return bool(ends4 & w and _witness(adj, ends1 & ~w, mid2, mid3))
 
     def assign(pos: int, empty: int) -> None:
+        bit = 1 << pos
+        if empty > n - pos or not witnesses_possible(full & -bit):
+            return
         if pos == n:
             m1, m2, m3, m4 = masks
-            if empty or not (_mask_witness(adj, m1, m2, m3) and _mask_witness(adj, m4, m2, m3)):
-                return
-            if m2 & 1 and (_mask_witness(adj, m2, m1, m4) and _mask_witness(adj, m3, m1, m4)):
-                return
-            found.append((m1, m2, m3, m4))
-            return
-        if empty > n - pos:
+            if not (m2 & 1 and _witness(adj, m2, m1, m4) and _witness(adj, m3, m1, m4)):
+                found.append((m1, m2, m3, m4))
             return
         a = adj[pos]
-        bit = 1 << pos
         for b in range(4):
             # Block 3 - b is b's non-adjacent partner; pi3 and pi4 open after it.
             if a & masks[3 - b] or (b >= 2 and not masks[3 - b]):
                 continue
-            was_empty = masks[b] == 0
-            masks[b] |= bit
-            assign(pos + 1, empty - 1 if was_empty else empty)
-            masks[b] &= ~bit
+            m, r = masks[b], reach[b]
+            masks[b], reach[b] = m | bit, r | a
+            assign(pos + 1, empty if m else empty - 1)
+            masks[b], reach[b] = m, r
 
     if graph.complement_coloring is not None:
         found.extend(_two_clique_partitions(adj, *graph.complement_coloring))
@@ -219,8 +250,5 @@ def find_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
         raise TooManyVertices(f"{n} vertices exceeds search bound {SEARCH_BOUND}")
     else:
         assign(0, 4)
-    parts = (
-        BlockPartition(*(tuple(v for i, v in enumerate(vertices) if m >> i & 1) for m in masks))
-        for masks in found
-    )
-    return sorted(parts, key=BlockPartition.blocks)
+    names = {m: tuple(v for i, v in enumerate(vertices) if m >> i & 1) for m in set().union(*found)}
+    return [BlockPartition(*b) for b in sorted(tuple(names[m] for m in f) for f in found)]

@@ -427,11 +427,12 @@ def is_frobenius_action(g: MetabelianGroup) -> bool:
 
 def convolve_spectra(a: Counter[int], b: Counter[int]) -> Counter[int]:
     """Spectrum of a direct product: pairwise products with multiplicity."""
-    out: Counter[int] = Counter()
+    out: dict[int, int] = {}  # a plain dict: Counter.__missing__ would run for each new size
     for s1, c1 in a.items():
         for s2, c2 in b.items():
-            out[s1 * s2] += c1 * c2
-    return out
+            size = s1 * s2
+            out[size] = out.get(size, 0) + c1 * c2
+    return Counter(out)
 
 
 def spectrum_total(spectrum: Counter[int]) -> int:

@@ -153,6 +153,12 @@ def parse_spec_file(path: str | Path) -> tuple[str, GroupExpr]:
     return parse_spec_text(text)
 
 
+def _key_text(key: str) -> str:
+    """``json.dumps(key)``, quoting a printable ASCII key with no quote or backslash directly."""
+    plain = key.isascii() and key.isprintable() and '"' not in key and "\\" not in key
+    return '"' + key + '"' if plain else json.dumps(key)
+
+
 def json_text(obj, _indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``; dict (str keys), list, str, int, bool, None, or TypeError."""
     kind = type(obj)
@@ -163,7 +169,7 @@ def json_text(obj, _indent: str = "\n") -> str:
     if kind is dict and obj:
         if any(type(key) is not str for key in obj):
             raise TypeError(f"JSON object keys must be str, got {list(obj)!r}")
-        items = [json.dumps(key) + ": " + json_text(value, inner) for key, value in obj.items()]
+        items = [_key_text(key) + ": " + json_text(value, inner) for key, value in obj.items()]
         return "{" + inner + ("," + inner).join(items) + _indent + "}"
     if kind in (int, list, dict, str, bool) or obj is None:
         return json.dumps(obj)

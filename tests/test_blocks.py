@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -215,6 +216,56 @@ def test_detector_returns_the_canonical_list():
         cases.append(graph_from_bits(n, rng.getrandbits(n * (n - 1) // 2), vertices))
     for g in cases:
         assert find_block_partitions(g) == canonical_block_partitions(g), g
+
+
+def labelled_graph(n: int, edges, labels) -> PrimeGraph:
+    """The graph on 0..n-1 with edges, vertex i labelled labels[i]."""
+    return PrimeGraph(tuple(labels[:n]), frozenset((labels[i], labels[j]) for i, j in edges))
+
+
+def sparse_shapes(n: int) -> dict[str, list[tuple[int, int]]]:
+    return {
+        "path": [(i, i + 1) for i in range(n - 1)],
+        "cycle": [(i, (i + 1) % n) for i in range(n)],
+        "star": [(0, i) for i in range(1, n)],
+        "matching": [(i, i + 1) for i in range(0, n - 1, 2)],
+        "edgeless": [],
+    }
+
+
+def test_detector_returns_the_canonical_list_on_sparse_graphs():
+    # Sparse graphs are where the witness-feasibility prune cuts the
+    # search; the whole list must still be the oracle's.  Shuffled
+    # spread-out labels vary the order in which the search meets vertices.
+    rng = random.Random(29)
+    labels = sieve_primes(100)
+    cases = []
+    pairs = list(combinations(range(8), 2))
+    for _ in range(16):
+        cases.append(labelled_graph(8, rng.sample(pairs, rng.randint(4, 10)), rng.sample(labels, 8)))
+    for n in range(5, 9):
+        for edges in sparse_shapes(n).values():
+            order = rng.sample(labels, n + 1)
+            cases.append(labelled_graph(n, edges, order))
+            # One pendant vertex on a random vertex.
+            cases.append(labelled_graph(n + 1, [*edges, (rng.randrange(n), n)], order))
+    for g in cases:
+        assert find_block_partitions(g) == canonical_block_partitions(g), g
+
+
+def test_sparse_graphs_at_the_search_bound_fail_fast():
+    # Each fails at the root of the search, the star also with its centre
+    # last in the vertex order, behind all its leaves.
+    labels = sieve_primes(100)[:SEARCH_BOUND]
+    n = len(labels)
+    shapes = sparse_shapes(n)
+    star_last = [(i, n - 1) for i in range(n - 1)]
+    for edges in (shapes["edgeless"], shapes["matching"], shapes["star"], star_last):
+        g = labelled_graph(n, edges, labels)
+        assert g.complement_coloring is None
+        start = time.process_time()
+        assert find_block_partitions(g) == []
+        assert time.process_time() - start < 1.0, edges
 
 
 def test_fast_oracle_agrees_with_naive_oracle():

@@ -135,6 +135,8 @@ def test_json_text_writes_the_golden_reports_and_specs_as_json_dumps_does():
         {"name": "Δ(G) für \"A × B\" \\ 𝔽₇ \u2028", "ctrl": "\x00\x01\x1f\n\t\r\x7f"},
         [], {}, [[]], [{}], {"a": {}}, {"a": []}, [[], {}, [[]], {"b": [{}]}],
         None, True, False, 0, -7, 10**40, "", [True, False, None, 1, "1"],
+        # Keys written directly next to keys that need escapes.
+        {'a "q"': 1, "back\\slash": 2, "bell\x07": 3, "Δ(G)": 4, "del\x7f": 5, "": 6, " ~": 7},
     ],
 )
 def test_json_text_matches_json_dumps_on_edge_cases(obj):
