@@ -93,8 +93,7 @@ class MetabelianGroup:
         Fast paths: trivial action (all singletons), fixed-point-free action
         (three sizes in closed form), and coprime direct products
         (convolution of factor spectra).  Otherwise the classes of the
-        cached permutation realization; a group whose order exceeds ``cap``
-        raises CapExceeded before enumerating.
+        cached permutation realization, which ``to_permutation`` gates on ``cap``.
         """
         if self.factors:
             out = Counter({1: 1})
@@ -109,11 +108,6 @@ class MetabelianGroup:
             kernel_order = math.prod(self.kernel)
             n = math.prod(self.top)
             return Counter({1: 1, n: (kernel_order - 1) // n, kernel_order: n - 1})
-        if self.order > self.cap:
-            raise CapExceeded(
-                f"group of order {self.order} exceeds enumeration cap {self.cap} "
-                "and no structured fast path applies"
-            )
         return self.to_permutation().class_size_spectrum()
 
     def delta(self) -> PrimeGraph:
@@ -139,18 +133,21 @@ class MetabelianGroup:
             vertices.extend(part_vertices)
         return PrimeGraph(tuple(vertices), frozenset(edges))
 
-    def to_permutation(self, *, verify_order: bool | None = None) -> PermGroup:
+    def to_permutation(self, *, verify_order: bool = True) -> PermGroup:
         """Faithful permutation realization, built once per group and cached.
 
-        The realization enumerates at most ``cap`` elements.  Its enumerated
-        order is checked against the group order (FaithfulnessFailure
-        otherwise) when ``verify_order`` is true, which by default it is
-        whenever the order is at most ``cap``.
+        This is the one way into enumerating a structured group.  With
+        ``verify_order``, an order above ``cap`` raises CapExceeded before
+        the realization is built, and the enumerated order must equal the
+        group order (FaithfulnessFailure otherwise).  Without it, the bare
+        realization is returned, for callers that only read its generators.
         """
+        if not verify_order:
+            return self._realization
+        if self.order > self.cap:
+            raise CapExceeded(f"group of order {self.order} exceeds enumeration cap {self.cap}")
         group = self._realization
-        if verify_order is None:
-            verify_order = self.order <= group.cap
-        if verify_order and group.order != self.order:
+        if group.order != self.order:
             raise FaithfulnessFailure(
                 f"permutation realization has order {group.order}, expected {self.order}"
             )
@@ -167,7 +164,7 @@ class MetabelianGroup:
         """
         blocks = self.kernel + self.top
         if not blocks:
-            return PermGroup([Permutation.identity(1)], name="1", cap=self.cap)
+            return PermGroup([Permutation.identity(1)], cap=self.cap)
         offsets = []
         off = 0
         for n in blocks:
@@ -353,7 +350,8 @@ def evaluate(expr: GroupExpr, *, cap: int | None = None) -> MetabelianGroup | Pe
     Direct products of structured children fold into one metabelian group
     (block-diagonal action) when the children's orders are pairwise
     coprime; any prime overlap, or any permutation child, routes the whole
-    product through the permutation engine instead.  Every group built
+    product through the permutation engine instead, after CapExceeded if
+    the product of the children's orders exceeds ``cap``.  Every group built
     carries ``cap`` (default ``DEFAULT_ENUMERATION_CAP``), the bound on any
     enumeration of it.
     """
@@ -385,14 +383,16 @@ def evaluate(expr: GroupExpr, *, cap: int | None = None) -> MetabelianGroup | Pe
         parts = [evaluate(child, cap=cap) for child in expr.factors]
         if len(parts) == 1:
             return parts[0]
-        if all(isinstance(g, MetabelianGroup) for g in parts):
-            # Orders are pairwise coprime exactly when their lcm is their product.
-            orders = [g.order for g in parts]
-            if math.lcm(*orders) == math.prod(orders):
-                flat: list[MetabelianGroup] = []
-                for g in parts:
-                    flat.extend(g.factors if g.factors else (g,))
-                return _fold_direct(flat, cap)
+        orders = [g.order for g in parts]
+        order = math.prod(orders)
+        # Orders are pairwise coprime exactly when their lcm is their product.
+        if math.lcm(*orders) == order and all(isinstance(g, MetabelianGroup) for g in parts):
+            flat: list[MetabelianGroup] = []
+            for g in parts:
+                flat.extend(g.factors if g.factors else (g,))
+            return _fold_direct(flat, cap)
+        if order > cap:
+            raise CapExceeded(f"direct product of order {order} exceeds enumeration cap {cap}")
         out = parts[0].to_permutation()
         for g in parts[1:]:
             out = out.direct_product(g.to_permutation())

@@ -67,24 +67,20 @@ class PrimeGraph:
         graph.  None when the complement is not bipartite, which a class-size
         graph's always is (Dolfi, Pacifici, Sanus, Sotomayor, J. Algebra 2020).
         """
-        full = (1 << len(self.vertices)) - 1
+        n = len(self.vertices)
+        full = (1 << n) - 1
         non_adj = [full & ~(a | 1 << i) for i, a in enumerate(self.adjacency)]
-        side, remaining = [0, 0], full
-        while remaining:
-            frontier, c = remaining & -remaining, 0
-            side[0] |= frontier
-            while frontier:  # one breadth-first layer, all of color c
-                reach = 0
-                while frontier:
-                    reach |= non_adj[(frontier & -frontier).bit_length() - 1]
-                    frontier &= frontier - 1
-                if reach & side[c]:
-                    return None
-                c ^= 1
-                frontier = reach & ~side[c]
-                side[c] |= frontier
-            remaining = full & ~(side[0] | side[1])
-        return side[0], side[1]
+        # The complement's bipartite double cover: i reaches n + j and n + i reaches j.
+        # A component holds i and n + i exactly when the component of i has an odd cycle.
+        left = right = 0
+        for comp in mask_components([m << n for m in non_adj] + non_adj, (1 << 2 * n) - 1):
+            low, high = comp & full, comp >> n
+            if low & high:
+                return None
+            if not (low | high) & (left | right):  # else its mirror image came first
+                left |= low
+                right |= high
+        return left, right
 
     def has_edge(self, p: int, q: int) -> bool:
         return (min(p, q), max(p, q)) in self.edges

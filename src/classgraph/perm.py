@@ -206,7 +206,6 @@ class PermGroup:
         self,
         generators: list[Permutation] | tuple[Permutation, ...],
         *,
-        name: str = "",
         cap: int = DEFAULT_ENUMERATION_CAP,
     ) -> None:
         gens = tuple(generators)
@@ -219,32 +218,32 @@ class PermGroup:
             raise ValueError(f"cap must be >= 1, got {cap}")
         self.generators = gens
         self.degree = degree
-        self.name = name
         self.cap = cap
-        self._elements: tuple[Permutation, ...] | None = None
-        self._element_set: frozenset[Images] | None = None
-        self._orders: tuple[int, ...] | None = None
-        self._classes: tuple[ConjugacyClass, ...] | None = None
 
     def __repr__(self) -> str:
-        label = self.name or f"degree {self.degree}"
-        return f"PermGroup({label}, {len(self.generators)} generators)"
+        return f"PermGroup(degree {self.degree}, {len(self.generators)} generators)"
 
     # -- enumeration ---------------------------------------------------
+    # Each cache below is a cached_property; a subgroup view seeds them.
+
+    @cached_property
+    def _element_set(self) -> frozenset[Images]:
+        """The image tuples of all elements: the closure of the generators, capped."""
+        gens = [g.images for g in self.generators]
+        closed = closure({tuple(range(self.degree))}, gens, _compose, limit=self.cap)
+        if closed is None:
+            raise CapExceeded(
+                f"group closure exceeded cap {self.cap} "
+                f"(degree {self.degree}, {len(gens)} generators)"
+            )
+        return frozenset(closed)
+
+    @cached_property
+    def _elements(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation._trusted(x) for x in sorted(self._element_set))
 
     def elements(self) -> tuple[Permutation, ...]:
         """All elements, sorted lexicographically by image sequence."""
-        if self._elements is None:
-            ident = tuple(range(self.degree))
-            gens = [g.images for g in self.generators]
-            closed = closure({ident}, gens, _compose, limit=self.cap)
-            if closed is None:
-                raise CapExceeded(
-                    f"group closure exceeded cap {self.cap} "
-                    f"(degree {self.degree}, {len(gens)} generators)"
-                )
-            self._elements = tuple(Permutation._trusted(x) for x in sorted(closed))
-            self._element_set = frozenset(closed)
         return self._elements
 
     @property
@@ -256,26 +255,20 @@ class PermGroup:
         """The primes of the group order, ascending: one factorisation, kept."""
         return prime_factors(self.order)
 
-    def _element_orders(self) -> tuple[int, ...]:
-        """The order of each element, in the order of :meth:`elements`; computed once."""
-        if self._orders is None:
-            self._orders = tuple(_order_of_images(p.images) for p in self.elements())
-        return self._orders
+    @cached_property
+    def _orders(self) -> tuple[int, ...]:
+        """The order of each element, in the order of :meth:`elements`."""
+        return tuple(_order_of_images(p.images) for p in self.elements())
 
-    def to_permutation(self, *, verify_order: bool | None = None) -> "PermGroup":
+    def to_permutation(self, *, verify_order: bool = True) -> "PermGroup":
         """The group itself, which is its own enumeration with its own cap.
 
         Takes ``verify_order`` like ``MetabelianGroup.to_permutation`` and ignores it.
         """
         return self
 
-    def _images_set(self) -> frozenset[Images]:
-        self.elements()
-        assert self._element_set is not None
-        return self._element_set
-
     def __contains__(self, p: Permutation) -> bool:
-        return p.degree == self.degree and p.images in self._images_set()
+        return p.degree == self.degree and p.images in self._element_set
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
@@ -284,8 +277,10 @@ class PermGroup:
 
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
         """Classes via conjugation-orbit closure under the generators."""
-        if self._classes is not None:
-            return self._classes
+        return self._classes
+
+    @cached_property
+    def _classes(self) -> tuple[ConjugacyClass, ...]:
         elems = self.elements()
         gen_pairs = [(g.images, _invert(g.images)) for g in self.generators]
         classes = []
@@ -301,8 +296,7 @@ class PermGroup:
         total = sum(c.size for c in classes)
         if total != len(elems):  # pragma: no cover - internal sanity
             raise AssertionError("conjugacy classes do not partition the group")
-        self._classes = tuple(classes)
-        return self._classes
+        return tuple(classes)
 
     def class_size_spectrum(self) -> Counter[int]:
         """Multiset of conjugacy class sizes, as {size: multiplicity}."""
@@ -331,7 +325,7 @@ class PermGroup:
         if g not in self:
             raise ElementNotInGroup(f"{g!r} is not in {self!r}")
         x = g.images
-        return self._view({y for y in self._images_set() if _compose(y, x) == _compose(x, y)})
+        return self._view({y for y in self._element_set if _compose(y, x) == _compose(x, y)})
 
     def derived_subgroup(self) -> PermGroup:
         """G': the normal closure of the generator commutators, as a view.
@@ -368,7 +362,7 @@ class PermGroup:
         outside = [p for p in self.primes if p not in pi]
         if not outside:
             return self
-        orders = self._element_orders()
+        orders = self._orders
         # Element orders divide the group order, so their primes are among self.primes.
         allowed = {o for o in set(orders) if all(o % p for p in outside)}
         return self._subgroup({p.images for p, o in zip(self.elements(), orders) if o in allowed})
@@ -378,7 +372,7 @@ class PermGroup:
 
         One closure tests the set and finds the subgroup's generators.
         """
-        if tuple(range(self.degree)) not in images or not images <= self._images_set():
+        if tuple(range(self.degree)) not in images or not images <= self._element_set:
             return None
         gens = _generating_subset(sorted(images), limit=len(images))
         if gens is None:
@@ -399,10 +393,11 @@ class PermGroup:
         sub = PermGroup([Permutation._trusted(g) for g in gens] or [self.identity()], cap=self.cap)
         elements = self.elements()
         kept = [i for i, p in enumerate(elements) if p.images in images]
-        sub._elements = tuple(elements[i] for i in kept)
-        if self._orders is not None:
-            sub._orders = tuple(self._orders[i] for i in kept)
-        sub._element_set = frozenset(images)
+        cache = sub.__dict__
+        cache["_element_set"] = frozenset(images)
+        cache["_elements"] = tuple(elements[i] for i in kept)
+        if "_orders" in self.__dict__:
+            cache["_orders"] = tuple(self._orders[i] for i in kept)
         return sub
 
     # -- constructions -----------------------------------------------------
@@ -416,12 +411,11 @@ class PermGroup:
             Permutation(tuple(range(d1)) + tuple(i + d1 for i in g.images))
             for g in other.generators
         ]
-        name = f"{self.name}x{other.name}" if self.name and other.name else ""
-        return PermGroup(gens, name=name, cap=max(self.cap, other.cap))
+        return PermGroup(gens, cap=max(self.cap, other.cap))
 
 
 def trivial_group(degree: int = 1) -> PermGroup:
-    return PermGroup([Permutation.identity(degree)], name="1")
+    return PermGroup([Permutation.identity(degree)])
 
 
 def symmetric_group(degree: int) -> PermGroup:
@@ -432,4 +426,4 @@ def symmetric_group(degree: int) -> PermGroup:
         return trivial_group(1)
     cycle = Permutation(tuple(range(1, degree)) + (0,))
     swap = Permutation((1, 0) + tuple(range(2, degree)))
-    return PermGroup([cycle, swap], name=f"S{degree}")
+    return PermGroup([cycle, swap])

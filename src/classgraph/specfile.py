@@ -153,10 +153,10 @@ def parse_spec_file(path: str | Path) -> tuple[str, GroupExpr]:
     return parse_spec_text(text)
 
 
-def _key_text(key: str) -> str:
-    """``json.dumps(key)``, quoting a printable ASCII key with no quote or backslash directly."""
-    plain = key.isascii() and key.isprintable() and '"' not in key and "\\" not in key
-    return '"' + key + '"' if plain else json.dumps(key)
+def _string_text(text: str) -> str:
+    """``json.dumps(text)``, quoting printable ASCII with no quote or backslash directly."""
+    plain = text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+    return '"' + text + '"' if plain else json.dumps(text)
 
 
 def json_text(obj, _indent: str = "\n") -> str:
@@ -169,9 +169,11 @@ def json_text(obj, _indent: str = "\n") -> str:
     if kind is dict and obj:
         if any(type(key) is not str for key in obj):
             raise TypeError(f"JSON object keys must be str, got {list(obj)!r}")
-        items = [_key_text(key) + ": " + json_text(value, inner) for key, value in obj.items()]
+        items = [_string_text(key) + ": " + json_text(value, inner) for key, value in obj.items()]
         return "{" + inner + ("," + inner).join(items) + _indent + "}"
-    if kind in (int, list, dict, str, bool) or obj is None:
+    if kind is str:
+        return _string_text(obj)
+    if kind in (int, list, dict, bool) or obj is None:
         return json.dumps(obj)
     raise TypeError(f"cannot write {kind.__name__} as JSON")
 

@@ -293,7 +293,9 @@ def canonical_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
     An orbit is a 4-block set partition with one of the 3 matchings of its
     blocks into the two non-adjacent pairs; its orderings put either pair
     at the ends, in either order, and the other pair between them, in
-    either order.  Validity is the public predicate on each ordering.
+    either order.  Swapping the two blocks of a pair keeps every clause of
+    the public predicate, so it runs once per choice of end pair, and a
+    valid choice makes all 4 of its orderings valid.
     """
     out = []
     for blocks in set_partitions_into_4(graph.vertices):
@@ -306,9 +308,15 @@ def canonical_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
                 for q in blocks[j]
             ):
                 continue
-            (i, j), (k, m) = pair, other
-            part = BlockPartition(blocks[i], blocks[k], blocks[m], blocks[j])
-            valid = [p for p in square_orbit(part) if is_block_square_partition(graph, p)]
+            valid = [
+                BlockPartition(blocks[a], blocks[c], blocks[d], blocks[b])
+                for (i, j), (k, m) in ((pair, other), (other, pair))
+                if is_block_square_partition(
+                    graph, BlockPartition(blocks[i], blocks[k], blocks[m], blocks[j])
+                )
+                for a, b in ((i, j), (j, i))
+                for c, d in ((k, m), (m, k))
+            ]
             if valid:
                 out.append(min(valid, key=BlockPartition.blocks))
     return sorted(out, key=BlockPartition.blocks)

@@ -140,6 +140,33 @@ def test_capped_group_raises_before_any_normal_closure(monkeypatch):
     assert limits == [100, 100]
 
 
+def test_over_cap_structured_group_raises_before_any_closure(monkeypatch):
+    # z7 x| z6 is neither abelian nor Frobenius, so neither the D-group
+    # recognizer nor the verifier can decide it from structure.  Spectrum,
+    # graph and partitions come from the uncapped group, so the verifier
+    # reaches its permutation route.
+    import classgraph.perm as perm
+
+    expr = Direct((Semidirect((7,), (6,), ((2,),)), Frobenius((11,), 5)))
+    report = verify_decomposition(evaluate(expr))
+    assert report.status == VERIFIED
+    capped = evaluate(expr, cap=2309)
+    calls = []
+    real = perm.closure
+    monkeypatch.setattr(perm, "closure", lambda *a, **k: calls.append(1) or real(*a, **k))
+    with pytest.raises(CapExceeded):
+        dgroup_witness_of(capped)
+    with pytest.raises(CapExceeded):
+        verify_decomposition(
+            capped, spectrum=report.spectrum, graph=report.graph, partitions=report.partitions
+        )
+    with pytest.raises(CapExceeded):
+        capped.to_permutation()
+    assert calls == []
+    assert "_realization" not in vars(capped)
+    assert capped.to_permutation(verify_order=False).degree == 29
+
+
 # -- structural recognizer (construction route) ---------------------------------------
 
 
@@ -290,17 +317,19 @@ def test_analyze_enumerates_a_structured_group_with_no_closed_form_once(monkeypa
     # The semidirect factor is not Frobenius, so neither the D-group
     # recognizer nor the verifier can decide from structure; both use the
     # one cached realization of the whole group (degree 7+6+11+5 = 29).
+    # Every enumeration of a whole group is a closure capped at the cap.
+    import classgraph.perm as perm
     from classgraph.reports import analyze_expr
 
     degrees = []
-    elements = PermGroup.elements
+    real = perm.closure
 
-    def recorded(self):
-        if self._elements is None:
-            degrees.append(self.degree)
-        return elements(self)
+    def recorded(seed, generators, step, limit=None):
+        if limit == perm.DEFAULT_ENUMERATION_CAP:
+            degrees.append(len(generators[0]))
+        return real(seed, generators, step, limit)
 
-    monkeypatch.setattr(PermGroup, "elements", recorded)
+    monkeypatch.setattr(perm, "closure", recorded)
     expr = Direct((Semidirect((7,), (6,), ((2,),)), Frobenius((11,), 5)))
     report = analyze_expr("z7_rtimes_z6_x_f55", expr)
     assert report["order"] == 2310

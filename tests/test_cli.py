@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from classgraph import PrimeGraph, serialize_spec
+from classgraph import Cyclic, Direct, Frobenius, PrimeGraph, serialize_spec
 from classgraph.cli import main
 from classgraph.primes import EXACT_BELOW
 from classgraph.specfile import MAX_NESTING
@@ -234,6 +235,33 @@ def test_cap_env_bounds_export_dot_like_analyze(tmp_path):
         assert proc.stdout == ""
         proc = run_cli([command, str(spec)], env={"CLASSGRAPH_CAP": "63"})
         assert proc.returncode == 0, (command, proc.stderr)
+
+
+def _limit_address_space_to_1gb() -> None:
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        # F(1000003, 2) x C2: the factors share the prime 2, and the
+        # Frobenius factor alone has a realization on 1,000,005 points.
+        Direct((Frobenius((1000003,), 2), Cyclic(2))),
+        # C999999 x C3: each factor is under the cap, the product is not.
+        Direct((Cyclic(999999), Cyclic(3))),
+    ],
+    ids=["frobenius_1000003_x_c2", "c999999_x_c3"],
+)
+def test_over_cap_products_exit_3_before_enumerating(tmp_path, expr):
+    # An enumeration toward the cap would run out of the 1 GB address space.
+    spec = write_spec(tmp_path, "over_cap", expr)
+    start = time.monotonic()
+    proc = run_cli(["analyze", str(spec)], timeout=60, preexec_fn=_limit_address_space_to_1gb)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert time.monotonic() - start < 5
 
 
 def test_construct_writes_and_verifies(tmp_path):

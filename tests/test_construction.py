@@ -534,3 +534,12 @@ def test_module_functions_take_either_kind_of_group():
     with pytest.raises(CapExceeded):
         dgroup_witness_of(capped)
     assert to_permutation(f21) is to_permutation(f21)
+
+
+def test_overlapping_product_over_the_cap_raises_before_it_is_realized():
+    # C10 x C10 shares its primes, so it takes the permutation route, whose
+    # order is the product of the factors' orders.
+    expr = Direct((Cyclic(10), Cyclic(10)))
+    with pytest.raises(CapExceeded, match="order 100 exceeds enumeration cap 99"):
+        evaluate(expr, cap=99)
+    assert evaluate(expr, cap=100).order == 100

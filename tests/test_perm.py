@@ -355,12 +355,14 @@ def test_symmetric_group_helper():
 def test_pi_subgroup_is_a_view_of_its_parent():
     g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Cyclic(5)))))
     g.class_size_spectrum()
-    orders = dict(zip(g.elements(), g._element_orders()))
+    orders = dict(zip(g.elements(), g._orders))
     core = g.pi_subgroup(frozenset({3, 7}))
     assert core is not None
+    # The view is seeded with its parent's orders and computes none of its own.
+    assert "_orders" in vars(core)
     assert core.order == 21
     assert core.degree == g.degree
     assert core.elements() == tuple(p for p in g.elements() if p in core)
-    assert core._element_orders() == tuple(orders[p] for p in core.elements())
+    assert core._orders == tuple(orders[p] for p in core.elements())
     assert all(gen in core for gen in core.generators)
     assert sorted(core.class_size_spectrum().elements()) == [1, 3, 3, 7, 7]

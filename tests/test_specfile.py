@@ -137,6 +137,10 @@ def test_json_text_writes_the_golden_reports_and_specs_as_json_dumps_does():
         None, True, False, 0, -7, 10**40, "", [True, False, None, 1, "1"],
         # Keys written directly next to keys that need escapes.
         {'a "q"': 1, "back\\slash": 2, "bell\x07": 3, "Δ(G)": 4, "del\x7f": 5, "": 6, " ~": 7},
+        # Values written directly next to values that need escapes.
+        'a "q"', "back\\slash", "bell\x07", "del\x7f", "Δ(G)",
+        ["", " ~", 'a "q"', "back\\slash", "bell\x07", "del\x7f", "Δ(G)"],
+        {"a": 'a "q"', "b": "back\\slash", "c": "bell\x07", "d": "del\x7f", "e": "Δ(G)", "f": ""},
     ],
 )
 def test_json_text_matches_json_dumps_on_edge_cases(obj):
