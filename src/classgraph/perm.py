@@ -1,17 +1,19 @@
 """Brute-force permutation group engine.
 
-This is the slow, trusted side of every computation in the package: groups
-are enumerated as explicit element sets (breadth-first closure over the
-generators, capped), and every query below is a direct scan or orbit walk
-over those elements.  No stabilizer chains, no cleverness; at the scale
-this package targets (orders in the tens of thousands) the simple thing is
-fast enough and easy to trust.  One closure loop, :func:`closure`, serves
-enumeration, conjugacy classes and subgroup generation.
+This is the slow, trusted side of every computation in the package: each
+group is enumerated once into an indexed right Cayley graph
+(:func:`cayley_table`: a breadth-first walk from the identity, capped),
+and every query below is a direct scan or orbit walk over its elements.
+Conjugacy classes are the orbits of conjugation by the generators, walked
+on the graph's integer indices, and element orders are computed once per
+class.  No stabilizer chains, no cleverness; at the scale this package
+targets (orders in the tens of thousands) the simple thing is fast enough
+and easy to trust.  The closure loop :func:`closure` generates subgroups.
 
 Validation happens once, at the boundary: the public ``Permutation(...)``
 constructor checks its images, and that covers spec parsing,
 :meth:`Permutation.from_cycles`, group generators and user input.  Internal
-work (composition, closure, class orbits, subgroups) runs on raw image
+work (composition, closure, the Cayley graph, subgroups) runs on raw image
 tuples, and results known to be permutations, such as products, inverses
 and enumerated elements, are wrapped by the unchecked
 :meth:`Permutation._trusted`.  A product of two permutations of different
@@ -22,7 +24,8 @@ Every subgroup found inside an enumerated group (:meth:`PermGroup.center`,
 :meth:`PermGroup.pi_subgroup`) is a view of its parent: a :class:`PermGroup`
 on the same points that takes the parent's sorted elements, filtered, and
 its element orders when the parent has computed them.  It is never
-re-indexed to fewer points and never enumerated again.
+re-indexed to fewer points; it builds a Cayley graph of its own, from its
+own generators, only when asked for its classes.
 
 Composition convention: ``(p * q)(i) == p(q(i))`` (apply q first).
 Iteration order is deterministic everywhere: elements are reported sorted
@@ -32,8 +35,9 @@ lexicographically by image sequence.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -54,8 +58,7 @@ def closure(
 
     Returns None as soon as the set grows past `limit`.  With
     ``step=_compose`` this is the right-multiplication closure, which is the
-    generated subgroup in a finite group (inverses appear as powers); with a
-    conjugation step it is a conjugacy class.
+    generated subgroup in a finite group (inverses appear as powers).
     """
     out = set(seed)
     frontier = list(out)
@@ -194,6 +197,70 @@ def _generating_subset(elements: list[Images], limit: int | None = None) -> list
     return gens
 
 
+def cayley_table(generators: Sequence[Images], cap: int) -> tuple[dict[Images, int], list[array]]:
+    """The right Cayley graph of the group the generators make, walked breadth first.
+
+    Returns ``index``, which maps each element to its position in the walk
+    from the identity, and one table per generator ``g_j`` with
+    ``right[j][i] == index[x_i * g_j]`` for the element ``x_i`` at position
+    i.  Raises ``CapExceeded`` as soon as the group has more than `cap`
+    elements.
+    """
+    degree = len(generators[0])
+    ident = tuple(range(degree))
+    # x * g reads x at the points of g.  itemgetter returns a bare item for
+    # one point, but on one point the group is the identity alone.
+    steps = [itemgetter(*g) if degree > 1 else tuple for g in generators]
+    right = [array("l") for _ in generators]
+    index = {ident: 0}
+    add = index.setdefault
+    elems = [ident]
+    n = 1
+    for x in elems:  # grows while it is walked
+        for step, table in zip(steps, right):
+            y = step(x)
+            k = add(y, n)
+            if k == n:
+                if n == cap:
+                    raise CapExceeded(
+                        f"group closure exceeded cap {cap} "
+                        f"(degree {degree}, {len(generators)} generators)"
+                    )
+                elems.append(y)
+                n += 1
+            table.append(k)
+    return index, right
+
+
+def _conjugation_tables(
+    index: dict[Images, int], right: list[array], generators: Sequence[Images]
+) -> list[array]:
+    """For each generator g, the index map of ``x -> g**-1 * x * g``.
+
+    Conjugating by g**-1 instead of g gives the same orbits and inverts no
+    table.  The map is ``i -> left[right_g[i]]``, where ``right_g`` is g's
+    table and ``left[i] == index[g**-1 * x_i]``.  The walk first reached
+    each ``x_k = x_i * g_j`` from an earlier ``x_i``, so ``g**-1 * x_k``
+    sits at ``right[j][left[i]]``: replaying the walk in order fills every
+    left table without composing a permutation.
+    """
+    n = len(index)
+    lefts = []
+    for g in generators:
+        left = array("l", [0]) * n
+        left[0] = index[_invert(g)]
+        lefts.append(left)
+    fresh = 1  # the next position the walk reached, i.e. the first not filled yet
+    for i in range(n):
+        for table in right:
+            k = table[i]
+            if k == fresh:
+                for left in lefts:
+                    left[k] = table[left[i]]
+                fresh += 1
+    return [array("l", map(left.__getitem__, table)) for left, table in zip(lefts, right)]
+
+
 class PermGroup:
     """A finite group given by permutation generators; queries enumerate it.
 
@@ -227,16 +294,14 @@ class PermGroup:
     # Each cache below is a cached_property; a subgroup view seeds them.
 
     @cached_property
-    def _element_set(self) -> frozenset[Images]:
-        """The image tuples of all elements: the closure of the generators, capped."""
-        gens = [g.images for g in self.generators]
-        closed = closure({tuple(range(self.degree))}, gens, _compose, limit=self.cap)
-        if closed is None:
-            raise CapExceeded(
-                f"group closure exceeded cap {self.cap} "
-                f"(degree {self.degree}, {len(gens)} generators)"
-            )
-        return frozenset(closed)
+    def _table(self) -> tuple[dict[Images, int], list[array]]:
+        """The right Cayley graph of the generators: :func:`cayley_table`, capped."""
+        return cayley_table([g.images for g in self.generators], self.cap)
+
+    @cached_property
+    def _element_set(self) -> AbstractSet[Images]:
+        """The image tuples of all elements: the keys of the Cayley graph's index."""
+        return self._table[0].keys()
 
     @cached_property
     def _elements(self) -> tuple[Permutation, ...]:
@@ -257,8 +322,13 @@ class PermGroup:
 
     @cached_property
     def _orders(self) -> tuple[int, ...]:
-        """The order of each element, in the order of :meth:`elements`."""
-        return tuple(_order_of_images(p.images) for p in self.elements())
+        """The order of each element, in the order of :meth:`elements`.
+
+        Conjugates have one order, so it is computed once per class.
+        """
+        classes, labels = self._partition
+        by_class = [_order_of_images(c.representative.images) for c in classes]
+        return tuple(map(by_class.__getitem__, labels))
 
     def to_permutation(self, *, verify_order: bool = True) -> "PermGroup":
         """The group itself, which is its own enumeration with its own cap.
@@ -276,27 +346,43 @@ class PermGroup:
     # -- conjugacy -----------------------------------------------------
 
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
-        """Classes via conjugation-orbit closure under the generators."""
-        return self._classes
+        """The classes, each represented by its least element, in order of those."""
+        return self._partition[0]
 
     @cached_property
-    def _classes(self) -> tuple[ConjugacyClass, ...]:
-        elems = self.elements()
-        gen_pairs = [(g.images, _invert(g.images)) for g in self.generators]
-        classes = []
-        seen: set[Images] = set()
-        for rep in elems:
-            x = rep.images
-            if x in seen:
-                continue
-            orbit = closure({x}, gen_pairs, _conjugate)
-            assert orbit is not None
-            classes.append(ConjugacyClass(rep, len(orbit)))
-            seen |= orbit
+    def _partition(self) -> tuple[tuple[ConjugacyClass, ...], array]:
+        """The classes, and the class number of each element of :meth:`elements`.
+
+        Classes are the orbits of conjugation by the generators, walked on
+        the indices of the Cayley graph.  Each orbit starts at the least
+        element not yet labelled, so it is represented by its least element.
+        """
+        index, right = self._table
+        conjugations = _conjugation_tables(index, right, [g.images for g in self.generators])
+        label = array("l", [-1]) * len(index)
+        classes: list[ConjugacyClass] = []
+        labels = array("l")
+        for p in self.elements():
+            start = index[p.images]
+            if label[start] < 0:
+                c = len(classes)
+                label[start] = c
+                stack = [start]
+                size = 1
+                while stack:
+                    i = stack.pop()
+                    for conj in conjugations:
+                        k = conj[i]
+                        if label[k] < 0:
+                            label[k] = c
+                            stack.append(k)
+                            size += 1
+                classes.append(ConjugacyClass(p, size))
+            labels.append(label[start])
         total = sum(c.size for c in classes)
-        if total != len(elems):  # pragma: no cover - internal sanity
+        if not total == len(index) == len(labels):  # pragma: no cover - internal sanity
             raise AssertionError("conjugacy classes do not partition the group")
-        return tuple(classes)
+        return tuple(classes), labels
 
     def class_size_spectrum(self) -> Counter[int]:
         """Multiset of conjugacy class sizes, as {size: multiplicity}."""

@@ -173,8 +173,16 @@ def json_text(obj, _indent: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(items) + _indent + "}"
     if kind is str:
         return _string_text(obj)
-    if kind in (int, list, dict, bool) or obj is None:
-        return json.dumps(obj)
+    if kind is int:
+        return str(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if kind is list:
+        return "[]"
+    if kind is dict:
+        return "{}"
     raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 

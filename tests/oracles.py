@@ -3,13 +3,13 @@
 Nothing here shares code with the implementations under test: class sizes
 come from conjugating by every group element or by the generators, or for
 a semidirect product of cyclic groups from its own pair arithmetic,
-fixed-point-free actions from products of every kernel and top element
-of the realization, commuting and central Sylow subgroups from public
-``Permutation`` products of every pair, primality from a sieve,
-multiplicative orders from repeated multiplication, neighbourhoods and
-cliques from public edge queries, admissible squares edge by edge, and
-block squares from enumerating every 4-block set partition and every
-ordering of its blocks.
+element orders from repeated products, fixed-point-free actions from
+products of every kernel and top element of the realization, commuting
+and central Sylow subgroups from public ``Permutation`` products of every
+pair, primality from a sieve, multiplicative orders from repeated
+multiplication, neighbourhoods and cliques from public edge queries,
+admissible squares edge by edge, and block squares from enumerating every
+4-block set partition and every ordering of its blocks.
 """
 
 from __future__ import annotations
@@ -186,12 +186,17 @@ def fixed_point_free_by_scan(g: MetabelianGroup) -> bool:
     )
 
 
-def class_sizes_by_conjugation(group: PermGroup) -> dict[Permutation, int]:
-    """Each element's class size: its conjugates under the generators, by public products."""
+def conjugation_orbits(group: PermGroup) -> list[frozenset[Permutation]]:
+    """The conjugacy classes, in order of their least elements; public products only.
+
+    Each class is the closure of its least element under conjugation by the
+    generators.
+    """
     pairs = [(g, g.inverse()) for g in group.generators]
-    out: dict[Permutation, int] = {}
+    orbits: list[frozenset[Permutation]] = []
+    seen: set[Permutation] = set()
     for x in group.elements():
-        if x in out:
+        if x in seen:
             continue
         orbit, frontier = {x}, [x]
         while frontier:
@@ -203,8 +208,23 @@ def class_sizes_by_conjugation(group: PermGroup) -> dict[Permutation, int]:
                         orbit.add(y)
                         grown.append(y)
             frontier = grown
-        out.update(dict.fromkeys(orbit, len(orbit)))
-    return out
+        orbits.append(frozenset(orbit))
+        seen |= orbit
+    return orbits
+
+
+def class_sizes_by_conjugation(group: PermGroup) -> dict[Permutation, int]:
+    """Each element's class size: the size of its orbit in ``conjugation_orbits``."""
+    return {x: len(orbit) for orbit in conjugation_orbits(group) for x in orbit}
+
+
+def order_by_powers(x: Permutation) -> int:
+    """Least k >= 1 with x**k the identity, by repeated public products."""
+    power, k = x, 1
+    while not power.is_identity():
+        power = power * x
+        k += 1
+    return k
 
 
 def non_neighbors(graph: PrimeGraph, v: int) -> frozenset[int]:

@@ -121,23 +121,27 @@ def test_witness_rejected_by_class_sizes_alone():
 
 
 def test_capped_group_raises_before_any_normal_closure(monkeypatch):
-    # The only closures allowed are the capped enumerations of the group.
+    # The only work allowed is the capped enumeration of the group.
     import classgraph.perm as perm
 
-    limits = []
-    real = perm.closure
+    caps, closures = [], []
+    real_table, real_closure = perm.cayley_table, perm.closure
 
-    def recorded(*args, **kwargs):
-        limits.append(kwargs.get("limit"))
-        return real(*args, **kwargs)
+    def recorded(generators, cap):
+        caps.append(cap)
+        return real_table(generators, cap)
 
-    monkeypatch.setattr(perm, "closure", recorded)
+    monkeypatch.setattr(perm, "cayley_table", recorded)
+    monkeypatch.setattr(
+        perm, "closure", lambda *a, **k: closures.append(1) or real_closure(*a, **k)
+    )
     g = PermGroup(list(symmetric_group(7).generators), cap=100)
     with pytest.raises(CapExceeded):
         g.derived_subgroup()
     with pytest.raises(CapExceeded):
         dgroup_witness(g)
-    assert limits == [100, 100]
+    assert caps == [100, 100]
+    assert closures == []
 
 
 def test_over_cap_structured_group_raises_before_any_closure(monkeypatch):
@@ -296,7 +300,7 @@ def test_verify_with_central_factor():
 
 def test_dgroup_witness_computes_no_element_order_and_verify_computes_each_once(monkeypatch):
     # dgroup_witness reads B off the classes, so it needs no element order.
-    # The verifier computes each order once, on the whole group; the core
+    # The verifier computes the orders once, on the whole group; the core
     # and both Hall subgroups read those orders and compute none.
     import classgraph.perm as perm
 
@@ -310,31 +314,33 @@ def test_dgroup_witness_computes_no_element_order_and_verify_computes_each_once(
     assert report.status == VERIFIED
     assert report.witness.central_primes == (2,)
     assert (report.witness.a_order, report.witness.b_order) == (21, 55)
-    assert len(calls) == g.order
+    # Conjugates share an order, so it is computed once per class.
+    assert len(calls) == len(g.conjugacy_classes()) < g.order
 
 
 def test_analyze_enumerates_a_structured_group_with_no_closed_form_once(monkeypatch):
     # The semidirect factor is not Frobenius, so neither the D-group
     # recognizer nor the verifier can decide from structure; both use the
     # one cached realization of the whole group (degree 7+6+11+5 = 29).
-    # Every enumeration of a whole group is a closure capped at the cap.
+    # Subgroup views build Cayley graphs of their own, but only the whole
+    # group's has all 2310 elements.
     import classgraph.perm as perm
     from classgraph.reports import analyze_expr
 
-    degrees = []
-    real = perm.closure
+    enumerated = []
+    real = perm.cayley_table
 
-    def recorded(seed, generators, step, limit=None):
-        if limit == perm.DEFAULT_ENUMERATION_CAP:
-            degrees.append(len(generators[0]))
-        return real(seed, generators, step, limit)
+    def recorded(generators, cap):
+        index, right = real(generators, cap)
+        enumerated.append((len(generators[0]), len(index)))
+        return index, right
 
-    monkeypatch.setattr(perm, "closure", recorded)
+    monkeypatch.setattr(perm, "cayley_table", recorded)
     expr = Direct((Semidirect((7,), (6,), ((2,),)), Frobenius((11,), 5)))
     report = analyze_expr("z7_rtimes_z6_x_f55", expr)
     assert report["order"] == 2310
     assert report["decomposition"]["status"] == VERIFIED
-    assert degrees.count(29) == 1
+    assert enumerated.count((29, 2310)) == 1
 
 
 def test_verify_c3_x_s3_x_f55():

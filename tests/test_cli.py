@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from classgraph import Cyclic, Direct, Frobenius, PrimeGraph, serialize_spec
+from classgraph import Cyclic, Direct, Frobenius, Perm, PrimeGraph, serialize_spec
 from classgraph.cli import main
 from classgraph.primes import EXACT_BELOW
 from classgraph.specfile import MAX_NESTING
@@ -262,6 +262,20 @@ def test_over_cap_products_exit_3_before_enumerating(tmp_path, expr):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert time.monotonic() - start < 5
+
+
+def test_s10_perm_spec_exits_3_at_the_cap_within_1gb(tmp_path):
+    # S10 has 3,628,800 elements: the enumeration walks its Cayley graph
+    # until the default cap of 10**6 elements is passed, and must stop there.
+    cycle = tuple(range(1, 10)) + (0,)
+    swap = (1, 0) + tuple(range(2, 10))
+    spec = write_spec(tmp_path, "s10", Perm(degree=10, generators=(cycle, swap)))
+    start = time.monotonic()
+    proc = run_cli(["analyze", str(spec)], timeout=60, preexec_fn=_limit_address_space_to_1gb)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert "exceeded cap 1000000" in proc.stderr
+    assert time.monotonic() - start < 30
 
 
 def test_construct_writes_and_verifies(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,9 @@ from classgraph.primes import prime_factors
 from corpus import Q8_PERM, S3_PERM, S4_PERM
 from oracles import (
     class_sizes_by_conjugation,
+    conjugation_orbits,
     full_scan_class_sizes,
+    order_by_powers,
     pairwise_center,
     pairwise_sylow_is_central,
 )
@@ -153,6 +157,42 @@ def test_orbit_stabilizer_identity_everywhere():
 
 
 # -- class sizes --------------------------------------------------------------
+
+
+def random_perm_groups():
+    """Groups made by one to three random permutations of at most 7 points."""
+    return st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)
+    ).map(lambda gens: PermGroup([Permutation(tuple(g)) for g in gens]))
+
+
+def assert_classes_and_orders_match_oracles(group: PermGroup) -> None:
+    orbits = conjugation_orbits(group)
+    expected = [(min(orbit), len(orbit)) for orbit in orbits]
+    assert [(c.representative, c.size) for c in group.conjugacy_classes()] == expected
+    assert group._orders == tuple(order_by_powers(x) for x in group.elements())
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_perm_groups())
+def test_classes_and_orders_match_conjugation_orbits_and_sympy(group):
+    from sympy.combinatorics import Permutation as SymPermutation
+    from sympy.combinatorics import PermutationGroup
+
+    sym = PermutationGroup([SymPermutation(list(g.images)) for g in group.generators])
+    assert group.order == sym.order()
+    assert group.class_size_spectrum() == Counter(len(c) for c in sym.conjugacy_classes())
+    # The centre is taken before the group has its orders, so it computes
+    # its own; a pi-subgroup is taken after, so it reads its parent's.
+    center = group.center()
+    assert_classes_and_orders_match_oracles(group)
+    assert "_orders" not in vars(center)
+    assert_classes_and_orders_match_oracles(center)
+    for p in group.primes:
+        sub = group.pi_subgroup({p})
+        if sub is not None:
+            assert "_orders" in vars(sub)
+            assert_classes_and_orders_match_oracles(sub)
 
 
 def test_centralizer_requires_membership():

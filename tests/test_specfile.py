@@ -141,6 +141,11 @@ def test_json_text_writes_the_golden_reports_and_specs_as_json_dumps_does():
         'a "q"', "back\\slash", "bell\x07", "del\x7f", "Δ(G)",
         ["", " ~", 'a "q"', "back\\slash", "bell\x07", "del\x7f", "Δ(G)"],
         {"a": 'a "q"', "b": "back\\slash", "c": "bell\x07", "d": "del\x7f", "e": "Δ(G)", "f": ""},
+        # Scalars and empty containers written without json.dumps, at top
+        # level and nested as list items and dict values.
+        -1, 1, 2**63, -(2**63) - 1, -(10**40), [0, -1, 10**40], [[], {}, None, True, False],
+        {"t": True, "f": False, "n": None, "z": 0, "neg": -3, "big": -(10**40), "l": [], "d": {}},
+        {"a": [{"b": [[], {}, 0]}, None], "c": {"d": {"e": {}}, "f": [False]}},
     ],
 )
 def test_json_text_matches_json_dumps_on_edge_cases(obj):
