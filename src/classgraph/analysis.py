@@ -7,9 +7,10 @@ Frobenius with kernel AZ(G)/Z(G); their class sizes are {1, |A|, |B:Z(G)|}.
 |Z(G)| may share primes with |A|: C3 x S3 is a D-group with A = C3, B = C6.
 
 Two independent recognizers are provided: a spectral one (count the
-components of the graph) and a structural one (exhibit A = G' and B, the
-centralizer of an element whose class has size |A|, and check that they
-are abelian, meet trivially and give the predicted class sizes).  The
+components of the graph) and a structural one (exhibit A = G', check that
+it is abelian, and take B = C_G(x) for an element x whose class has size
+|A|: B has order |G|/|A|, meets A trivially when no nontrivial element of
+A commutes with x, and the class sizes must be the predicted ones).  The
 block-square verifier combines them: a group whose graph is a block
 square must split, up to central Sylow factors, as a direct product of
 two coprime D-groups, one per non-adjacent block pair.
@@ -98,9 +99,13 @@ def dgroup_witness(group: PermGroup) -> DGroupWitness | None:
     """Structural D-group recognizer on an enumerated permutation group.
 
     A is the derived subgroup, which must be nontrivial and abelian.  B is
-    C_G(x) for the representative x of the first class of size |A|, so
-    |B| = |G|/|A|.  In a D-group, G/Z is Frobenius with kernel AZ/Z and
-    abelian complement B/Z, and this B is always a complement:
+    C_G(x) for the representative x of the first class of size |A|; it is
+    never enumerated.  By orbit-stabilizer |B| = |G|/|x^G| = |G|/|A|, and
+    A meets B trivially exactly when no nontrivial element of A commutes
+    with x.  Then B is abelian: B meets A = G' trivially, so G -> G/G' is
+    injective on B, and G/G' is abelian.  In a D-group, G/Z is Frobenius
+    with kernel AZ/Z and abelian complement B/Z, and this B is always a
+    complement:
 
     - for x in B outside Z, C_G(x) = B, so the class of x has size |A|;
     - a non-central element of AZ has class size |B:Z|, coprime to |A|
@@ -119,19 +124,17 @@ def dgroup_witness(group: PermGroup) -> DGroupWitness | None:
     if a.order == 1 or not a.is_abelian():
         return None
     x = next((c.representative for c in group.conjugacy_classes() if c.size == a.order), None)
-    if x is None:
+    if x is None or not a.meets_centralizer_trivially(x):
         return None
-    b = group.centralizer(x)
-    if not b.is_abelian() or any(y in b for y in a.elements() if not y.is_identity()):
-        return None
+    b_order = group.order // a.order
     spectrum = group.class_size_spectrum()
     center_order = spectrum[1]  # the size-1 classes are the central elements
     sizes = frozenset(spectrum)
-    if sizes != frozenset({1, a.order, b.order // center_order}):
+    if sizes != frozenset({1, a.order, b_order // center_order}):
         return None
     return DGroupWitness(
         a_order=a.order,
-        b_order=b.order,
+        b_order=b_order,
         center_order=center_order,
         class_sizes=sizes,
     )

@@ -46,6 +46,15 @@ class BlockPartition:
         for field in ("pi1", "pi2", "pi3", "pi4"):
             object.__setattr__(self, field, tuple(sorted(getattr(self, field))))
 
+    @classmethod
+    def _trusted(
+        cls, pi1: tuple[int, ...], pi2: tuple[int, ...], pi3: tuple[int, ...], pi4: tuple[int, ...]
+    ) -> "BlockPartition":
+        """Build from blocks that are already sorted tuples, without sorting them again."""
+        part = object.__new__(cls)
+        vars(part).update(pi1=pi1, pi2=pi2, pi3=pi3, pi4=pi4)
+        return part
+
     def blocks(self) -> _Blocks:
         return (self.pi1, self.pi2, self.pi3, self.pi4)
 
@@ -251,4 +260,5 @@ def find_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
     else:
         assign(0, 4)
     names = {m: tuple(v for i, v in enumerate(vertices) if m >> i & 1) for m in set().union(*found)}
-    return [BlockPartition(*b) for b in sorted(tuple(names[m] for m in f) for f in found)]
+    # Names list their primes in vertex order, which is ascending.
+    return [BlockPartition._trusted(*b) for b in sorted(tuple(names[m] for m in f) for f in found)]

@@ -6,30 +6,31 @@ group is enumerated once into an indexed right Cayley graph
 and every query below is a direct scan or orbit walk over its elements.
 Conjugacy classes are the orbits of conjugation by the generators, walked
 on the graph's integer indices, and element orders are computed once per
-class.  No stabilizer chains, no cleverness; at the scale this package
-targets (orders in the tens of thousands) the simple thing is fast enough
-and easy to trust.  The closure loop :func:`closure` generates subgroups.
+class and kept per index.  No stabilizer chains, no cleverness; at the
+scale this package targets (orders in the tens of thousands) the simple
+thing is fast enough and easy to trust.  :func:`cayley_table` is the one
+enumeration loop: subgroups are generated and tested with it too.
 
 Validation happens once, at the boundary: the public ``Permutation(...)``
 constructor checks its images, and that covers spec parsing,
 :meth:`Permutation.from_cycles`, group generators and user input.  Internal
-work (composition, closure, the Cayley graph, subgroups) runs on raw image
-tuples, and results known to be permutations, such as products, inverses
-and enumerated elements, are wrapped by the unchecked
+work (composition, the Cayley graph, subgroups) runs on raw image tuples,
+and results known to be permutations, such as products, inverses, class
+representatives and enumerated elements, are wrapped by the unchecked
 :meth:`Permutation._trusted`.  A product of two permutations of different
 degrees raises ``ValueError``.
 
 Every subgroup found inside an enumerated group (:meth:`PermGroup.center`,
 :meth:`PermGroup.derived_subgroup`, :meth:`PermGroup.centralizer` and
 :meth:`PermGroup.pi_subgroup`) is a view of its parent: a :class:`PermGroup`
-on the same points that takes the parent's sorted elements, filtered, and
-its element orders when the parent has computed them.  It is never
-re-indexed to fewer points; it builds a Cayley graph of its own, from its
-own generators, only when asked for its classes.
+on the same points that keeps the Cayley graph of its own generators,
+built while it was generated and tested, as its elements.  It is never
+re-indexed to fewer points and never re-enumerated.
 
 Composition convention: ``(p * q)(i) == p(q(i))`` (apply q first).
 Iteration order is deterministic everywhere: elements are reported sorted
-lexicographically by image sequence.
+lexicographically by image sequence, and classes in order of their least
+elements.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence, Set as AbstractSet
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 
 from .errors import CapExceeded, ElementNotInGroup
@@ -51,43 +53,12 @@ DEFAULT_ENUMERATION_CAP = 10**6
 Images = tuple[int, ...]
 
 
-def closure(
-    seed: Iterable, generators: Sequence, step: Callable, limit: int | None = None
-) -> set | None:
-    """Breadth-first closure of `seed` under ``x -> step(x, g)`` for each generator.
-
-    Returns None as soon as the set grows past `limit`.  With
-    ``step=_compose`` this is the right-multiplication closure, which is the
-    generated subgroup in a finite group (inverses appear as powers).
-    """
-    out = set(seed)
-    frontier = list(out)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in generators:
-                y = step(x, g)
-                if y not in out:
-                    out.add(y)
-                    if limit is not None and len(out) > limit:
-                        return None
-                    nxt.append(y)
-        frontier = nxt
-    return out
-
-
 def _compose(a: Images, b: Images) -> Images:
     """``a * b`` on image tuples of one degree: ``i -> a[b[i]]``."""
     if len(b) > 1:
         return itemgetter(*b)(a)
     # itemgetter returns a bare item for one index, and needs at least one.
     return tuple(a[i] for i in b)
-
-
-def _conjugate(x: Images, pair: tuple[Images, Images]) -> Images:
-    """``g * x * g**-1`` for ``pair == (g, g**-1)``."""
-    g, ginv = pair
-    return _compose(g, _compose(x, ginv))
 
 
 def _invert(a: Images) -> Images:
@@ -176,25 +147,6 @@ def _order_of_images(images: Images) -> int:
             length += 1
         order = math.lcm(order, length)
     return order
-
-
-def _generating_subset(elements: list[Images], limit: int | None = None) -> list[Images] | None:
-    """A small generating set for the group generated by `elements`.
-
-    Returns None as soon as that group grows past `limit` elements.
-    """
-    degree = len(elements[0]) if elements else 1
-    ident = tuple(range(degree))
-    gens: list[Images] = []
-    have: set[Images] | None = {ident}
-    for x in sorted(elements):
-        if x in have:
-            continue
-        gens.append(x)
-        have = closure(have, gens, _compose, limit)
-        if have is None:
-            return None
-    return gens
 
 
 def cayley_table(generators: Sequence[Images], cap: int) -> tuple[dict[Images, int], list[array]]:
@@ -291,7 +243,7 @@ class PermGroup:
         return f"PermGroup(degree {self.degree}, {len(self.generators)} generators)"
 
     # -- enumeration ---------------------------------------------------
-    # Each cache below is a cached_property; a subgroup view seeds them.
+    # Each cache below is a cached_property; a subgroup view seeds ``_table``.
 
     @cached_property
     def _table(self) -> tuple[dict[Images, int], list[array]]:
@@ -299,13 +251,8 @@ class PermGroup:
         return cayley_table([g.images for g in self.generators], self.cap)
 
     @cached_property
-    def _element_set(self) -> AbstractSet[Images]:
-        """The image tuples of all elements: the keys of the Cayley graph's index."""
-        return self._table[0].keys()
-
-    @cached_property
     def _elements(self) -> tuple[Permutation, ...]:
-        return tuple(Permutation._trusted(x) for x in sorted(self._element_set))
+        return tuple(Permutation._trusted(x) for x in sorted(self._table[0]))
 
     def elements(self) -> tuple[Permutation, ...]:
         """All elements, sorted lexicographically by image sequence."""
@@ -313,7 +260,7 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements())
+        return len(self._table[0])
 
     @cached_property
     def primes(self) -> tuple[int, ...]:
@@ -321,14 +268,14 @@ class PermGroup:
         return prime_factors(self.order)
 
     @cached_property
-    def _orders(self) -> tuple[int, ...]:
-        """The order of each element, in the order of :meth:`elements`.
+    def _orders(self) -> array:
+        """The order of each element, by its index in the Cayley graph.
 
         Conjugates have one order, so it is computed once per class.
         """
         classes, labels = self._partition
         by_class = [_order_of_images(c.representative.images) for c in classes]
-        return tuple(map(by_class.__getitem__, labels))
+        return array("l", map(by_class.__getitem__, labels))
 
     def to_permutation(self, *, verify_order: bool = True) -> "PermGroup":
         """The group itself, which is its own enumeration with its own cap.
@@ -338,7 +285,7 @@ class PermGroup:
         return self
 
     def __contains__(self, p: Permutation) -> bool:
-        return p.degree == self.degree and p.images in self._element_set
+        return p.degree == self.degree and p.images in self._table[0]
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
@@ -351,38 +298,39 @@ class PermGroup:
 
     @cached_property
     def _partition(self) -> tuple[tuple[ConjugacyClass, ...], array]:
-        """The classes, and the class number of each element of :meth:`elements`.
+        """The classes, and the class number of each element by its index in the Cayley graph.
 
         Classes are the orbits of conjugation by the generators, walked on
-        the indices of the Cayley graph.  Each orbit starts at the least
-        element not yet labelled, so it is represented by its least element.
+        the graph's indices.  Each is represented by its least element, and
+        they are numbered in order of those; only the representatives are
+        wrapped as permutations.
         """
         index, right = self._table
+        elems = list(index)
         conjugations = _conjugation_tables(index, right, [g.images for g in self.generators])
-        label = array("l", [-1]) * len(index)
-        classes: list[ConjugacyClass] = []
-        labels = array("l")
-        for p in self.elements():
-            start = index[p.images]
+        label = array("l", [-1]) * len(elems)
+        orbits: list[list[int]] = []
+        for start in range(len(elems)):
             if label[start] < 0:
-                c = len(classes)
+                c = len(orbits)
                 label[start] = c
-                stack = [start]
-                size = 1
-                while stack:
-                    i = stack.pop()
+                orbit = [start]
+                for i in orbit:  # grows while it is walked
                     for conj in conjugations:
                         k = conj[i]
                         if label[k] < 0:
                             label[k] = c
-                            stack.append(k)
-                            size += 1
-                classes.append(ConjugacyClass(p, size))
-            labels.append(label[start])
-        total = sum(c.size for c in classes)
-        if not total == len(index) == len(labels):  # pragma: no cover - internal sanity
+                            orbit.append(k)
+                orbits.append(orbit)
+        if sum(map(len, orbits)) != len(elems):  # pragma: no cover - internal sanity
             raise AssertionError("conjugacy classes do not partition the group")
-        return tuple(classes), labels
+        reps = [min(map(elems.__getitem__, orbit)) for orbit in orbits]
+        by_rep = sorted(range(len(orbits)), key=reps.__getitem__)
+        number = {c: n for n, c in enumerate(by_rep)}
+        classes = tuple(
+            ConjugacyClass(Permutation._trusted(reps[c]), len(orbits[c])) for c in by_rep
+        )
+        return classes, array("l", map(number.__getitem__, label))
 
     def class_size_spectrum(self) -> Counter[int]:
         """Multiset of conjugacy class sizes, as {size: multiplicity}."""
@@ -401,43 +349,54 @@ class PermGroup:
             _compose(a, b) == _compose(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]
         )
 
+    def meets_centralizer_trivially(self, x: Permutation) -> bool:
+        """True iff the identity is the only element of this group commuting with x.
+
+        x need not lie in this group, only act on the same points.
+        """
+        xi = x.images
+        # Position 0 of the walk is the identity.
+        return not any(_compose(y, xi) == _compose(xi, y) for y in islice(self._table[0], 1, None))
+
     def center(self) -> PermGroup:
         """Z(G): the union of the size-1 conjugacy classes, as a view."""
         central = {c.representative.images for c in self.conjugacy_classes() if c.size == 1}
-        return self._view(central)
+        return self._subgroup(central)  # a subgroup, so never None
 
     def centralizer(self, g: Permutation) -> PermGroup:
-        """C_G(g): one scan of the elements, as a view."""
+        """C_G(g): one scan of the elements, as a view.  Off every analysis path."""
         if g not in self:
             raise ElementNotInGroup(f"{g!r} is not in {self!r}")
         x = g.images
-        return self._view({y for y in self._element_set if _compose(y, x) == _compose(x, y)})
+        return self._subgroup({y for y in self._table[0] if _compose(y, x) == _compose(x, y)})
 
     def derived_subgroup(self) -> PermGroup:
         """G': the normal closure of the generator commutators, as a view.
 
-        The group is enumerated first, so its cap applies.  The closure is
-        normal once every conjugate of its own generators by the group's
-        generators lies in it; each conjugate that does not is added as a
-        generator.
+        The group's classes come first, so its cap applies.  A subgroup is
+        normal when it is a union of classes: while the generated group
+        holds only part of some class, the first element of each such class
+        outside it, in walk order, joins the generators.
         """
-        self.elements()
+        classes, label = self._partition
+        index = self._table[0]
         pairs = [(g.images, _invert(g.images)) for g in self.generators]
         ident = tuple(range(self.degree))
         commutators = {
             _compose(_compose(ainv, binv), _compose(a, b)) for a, ainv in pairs for b, binv in pairs
         }
-        normal_gens = sorted(commutators - {ident})
-        current = closure({ident}, normal_gens, _compose)
-        assert current is not None
-        for x in normal_gens:  # grows while it is walked
-            for pair in pairs:
-                y = _conjugate(x, pair)
-                if y not in current:
-                    normal_gens.append(y)
-                    current = closure(current, normal_gens, _compose)
-                    assert current is not None
-        return self._view(current, normal_gens)
+        gens = sorted(commutators - {ident}) or [ident]
+        while True:
+            table = cayley_table(gens, len(index))
+            sub = table[0]
+            met = Counter(map(label.__getitem__, map(index.__getitem__, sub)))
+            partial = {c for c, k in met.items() if k < classes[c].size}
+            if not partial:
+                return self._view(gens, table)
+            for x, c in zip(index, label):
+                if c in partial and x not in sub:
+                    gens.append(x)
+                    partial.discard(c)
 
     def pi_subgroup(self, pi: set[int] | frozenset[int]) -> PermGroup | None:
         """The elements whose order has all its prime divisors in pi, as a subgroup.
@@ -451,39 +410,41 @@ class PermGroup:
         orders = self._orders
         # Element orders divide the group order, so their primes are among self.primes.
         allowed = {o for o in set(orders) if all(o % p for p in outside)}
-        return self._subgroup({p.images for p, o in zip(self.elements(), orders) if o in allowed})
+        return self._subgroup({x for x, o in zip(self._table[0], orders) if o in allowed})
 
     def _subgroup(self, images: set[Images]) -> PermGroup | None:
         """The subgroup on `images`, or None when they do not form one.
 
-        One closure tests the set and finds the subgroup's generators.
+        Each least element not yet generated joins the generators, and the
+        group they generate is enumerated with the size of `images` as its
+        cap.  It ends up holding every element of `images`, so it overruns
+        the cap unless `images` is a subgroup.
         """
-        if tuple(range(self.degree)) not in images or not images <= self._element_set:
+        ident = tuple(range(self.degree))
+        if ident not in images or not images <= self._table[0].keys():
             return None
-        gens = _generating_subset(sorted(images), limit=len(images))
-        if gens is None:
-            return None
-        # The generated group contains `images` and is no larger, so it is `images`.
-        return self._view(images, gens)
+        gens: list[Images] = []
+        table = cayley_table([ident], 1)
+        for x in sorted(images):
+            if x not in table[0]:
+                gens.append(x)
+                try:
+                    table = cayley_table(gens, len(images))
+                except CapExceeded:
+                    return None
+        return self._view(gens or [ident], table)
 
-    def _view(self, images: set[Images], gens: list[Images] | None = None) -> PermGroup:
-        """The subgroup on `images`, known to be one, generated by `gens`.
+    def _view(self, gens: list[Images], table: tuple[dict[Images, int], list[array]]) -> PermGroup:
+        """The subgroup `gens` generate, with their Cayley graph `table` as its elements.
 
-        The subgroup takes this group's sorted elements, filtered, and its
-        element orders only when this group has already computed them.
-        Without `gens`, one closure finds a generating set.
+        It reads its element orders off this group's when this group has them.
         """
-        if gens is None:
-            gens = _generating_subset(sorted(images))
-            assert gens is not None
-        sub = PermGroup([Permutation._trusted(g) for g in gens] or [self.identity()], cap=self.cap)
-        elements = self.elements()
-        kept = [i for i, p in enumerate(elements) if p.images in images]
+        sub = PermGroup([Permutation._trusted(g) for g in gens], cap=self.cap)
         cache = sub.__dict__
-        cache["_element_set"] = frozenset(images)
-        cache["_elements"] = tuple(elements[i] for i in kept)
+        cache["_table"] = table
         if "_orders" in self.__dict__:
-            cache["_orders"] = tuple(self._orders[i] for i in kept)
+            index, orders = self._table[0], self._orders
+            cache["_orders"] = array("l", map(orders.__getitem__, map(index.__getitem__, table[0])))
         return sub
 
     # -- constructions -----------------------------------------------------

@@ -2,7 +2,8 @@
 
 Covers abelian groups, symmetric groups, Frobenius groups with one and two
 kernel primes, products with central factors, a non-Frobenius semidirect
-product with central complement part, and constructor outputs.
+product with central complement part, and constructor outputs; and a
+strategy for random permutation groups.
 """
 
 from __future__ import annotations
@@ -10,12 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from hypothesis import strategies as st
+
 from classgraph import (
     Cyclic,
     Direct,
     Frobenius,
     GroupExpr,
     Perm,
+    PermGroup,
+    Permutation,
     Semidirect,
     construct_block_square_group,
 )
@@ -58,3 +63,10 @@ def corpus_entries() -> tuple[CorpusEntry, ...]:
         CorpusEntry("z6", Cyclic(6), 6),
         CorpusEntry("z7_rtimes_z9", Semidirect((7,), (9,), ((2,),)), 63),
     )
+
+
+def random_perm_groups():
+    """Groups made by one to three random permutations of at most 7 points."""
+    return st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)
+    ).map(lambda gens: PermGroup([Permutation(tuple(g)) for g in gens]))

@@ -22,6 +22,7 @@ from itertools import combinations, permutations, product
 
 from classgraph import (
     BlockPartition,
+    DGroupWitness,
     MetabelianGroup,
     PermGroup,
     Permutation,
@@ -225,6 +226,67 @@ def order_by_powers(x: Permutation) -> int:
         power = power * x
         k += 1
     return k
+
+
+def generated_by_products(gens: Collection[Permutation], identity: Permutation) -> frozenset:
+    """The group the elements generate: the identity closed under right products."""
+    out, frontier = {identity}, [identity]
+    while frontier:
+        grown = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y not in out:
+                    out.add(y)
+                    grown.append(y)
+        frontier = grown
+    return frozenset(out)
+
+
+def derived_subgroup_by_products(group: PermGroup) -> tuple[frozenset, list[Permutation]]:
+    """G' and generators of it, by public products.
+
+    G' is the normal closure of the generators' commutators: the generated
+    group grows by each conjugate of its generators by a generator of G
+    that it misses, until it holds them all.
+    """
+    pairs = [(g, g.inverse()) for g in group.generators]
+    gens = sorted({a_inv * b_inv * a * b for a, a_inv in pairs for b, b_inv in pairs})
+    while True:
+        sub = generated_by_products(gens, group.identity())
+        missing = {g_inv * x * g for x in gens for g, g_inv in pairs} - sub
+        if not missing:
+            return sub, gens
+        gens += sorted(missing)
+
+
+def dgroup_witness_by_centralizer(
+    group: PermGroup,
+) -> tuple[DGroupWitness | None, frozenset[Permutation] | None]:
+    """The D-group witness by its definition, with B = C_G(x) scanned; public products only.
+
+    A = G' must be nontrivial and abelian, and x is the least element whose
+    class has size |A|.  B is every element commuting with x; it must be
+    abelian and meet A in the identity alone, and the class sizes must be
+    {1, |A|, |B:Z|}.  Returns the witness or None, and B when x exists.
+    """
+    a, a_gens = derived_subgroup_by_products(group)
+    if len(a) == 1 or not pairwise_is_abelian(a_gens):
+        return None, None
+    size_of = class_sizes_by_conjugation(group)
+    x = min((y for y, size in size_of.items() if size == len(a)), default=None)
+    if x is None:
+        return None, None
+    b = frozenset(y for y in group.elements() if y * x == x * y)
+    center_order = sum(1 for size in size_of.values() if size == 1)
+    sizes = frozenset(size_of.values())
+    if (
+        not pairwise_is_abelian(b)
+        or a & b != {group.identity()}
+        or sizes != {1, len(a), len(b) // center_order}
+    ):
+        return None, b
+    return DGroupWitness(len(a), len(b), center_order, sizes), b
 
 
 def non_neighbors(graph: PrimeGraph, v: int) -> frozenset[int]:

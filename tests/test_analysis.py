@@ -121,27 +121,26 @@ def test_witness_rejected_by_class_sizes_alone():
 
 
 def test_capped_group_raises_before_any_normal_closure(monkeypatch):
-    # The only work allowed is the capped enumeration of the group.
+    # The only work allowed is the capped enumeration of the group.  Every
+    # subgroup is generated and tested by cayley_table too, on generators
+    # of its own, so each call must be on the group's generators.
     import classgraph.perm as perm
 
-    caps, closures = [], []
-    real_table, real_closure = perm.cayley_table, perm.closure
+    calls = []
+    real = perm.cayley_table
 
     def recorded(generators, cap):
-        caps.append(cap)
-        return real_table(generators, cap)
+        calls.append((list(generators), cap))
+        return real(generators, cap)
 
     monkeypatch.setattr(perm, "cayley_table", recorded)
-    monkeypatch.setattr(
-        perm, "closure", lambda *a, **k: closures.append(1) or real_closure(*a, **k)
-    )
     g = PermGroup(list(symmetric_group(7).generators), cap=100)
     with pytest.raises(CapExceeded):
         g.derived_subgroup()
     with pytest.raises(CapExceeded):
         dgroup_witness(g)
-    assert caps == [100, 100]
-    assert closures == []
+    own = [p.images for p in g.generators]
+    assert calls == [(own, 100), (own, 100)]
 
 
 def test_over_cap_structured_group_raises_before_any_closure(monkeypatch):
@@ -156,8 +155,8 @@ def test_over_cap_structured_group_raises_before_any_closure(monkeypatch):
     assert report.status == VERIFIED
     capped = evaluate(expr, cap=2309)
     calls = []
-    real = perm.closure
-    monkeypatch.setattr(perm, "closure", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = perm.cayley_table
+    monkeypatch.setattr(perm, "cayley_table", lambda *a: calls.append(1) or real(*a))
     with pytest.raises(CapExceeded):
         dgroup_witness_of(capped)
     with pytest.raises(CapExceeded):

@@ -187,6 +187,8 @@ def test_returned_partitions_pass_the_predicate():
         g = graph_from_bits(n, rng.getrandbits(n * (n - 1) // 2))
         for part in find_block_partitions(g):
             assert is_block_square_partition(g, part)
+            # Built without the public constructor's sort, yet in its normal form.
+            assert part == BlockPartition(*(b[::-1] for b in part.blocks()))
 
 
 def test_detector_agrees_with_naive_public_api_oracle():

@@ -37,9 +37,10 @@ from classgraph import (
 from classgraph.construction import auto_multiplier
 from classgraph.primes import prime_factors
 from classgraph.reports import analyze_expr
-from corpus import S3_PERM, S4_PERM
+from corpus import S3_PERM, S4_PERM, random_perm_groups
 from oracles import (
     auto_multiplier_by_scan,
+    dgroup_witness_by_centralizer,
     fixed_point_free_by_scan,
     full_scan_class_sizes,
     pairwise_centralizers_central,
@@ -407,6 +408,19 @@ def test_dgroup_witness_exactly_when_delta_is_disconnected(group):
     # one says yes, overlap products such as F21 x C3^3 included.
     disconnected = not delta_of(group.class_size_spectrum()).is_connected()
     assert (dgroup_witness(group) is not None) == disconnected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_perm_groups(), small_perm_groups()))
+def test_dgroup_witness_matches_the_scanned_centralizer_oracle(group):
+    # dgroup_witness reads |B| off orbit-stabilizer and never enumerates
+    # C_G(x); the oracle scans it and checks it is abelian.  Both must give
+    # the same answer, None included.
+    expected, b = dgroup_witness_by_centralizer(group)
+    assert dgroup_witness(group) == expected
+    if expected is not None:
+        assert pairwise_is_abelian(b)
+        assert len(b) == group.order // expected.a_order
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,7 +20,7 @@ from classgraph import (
     trivial_group,
 )
 from classgraph.primes import prime_factors
-from corpus import Q8_PERM, S3_PERM, S4_PERM
+from corpus import Q8_PERM, S3_PERM, S4_PERM, random_perm_groups
 from oracles import (
     class_sizes_by_conjugation,
     conjugation_orbits,
@@ -159,18 +159,15 @@ def test_orbit_stabilizer_identity_everywhere():
 # -- class sizes --------------------------------------------------------------
 
 
-def random_perm_groups():
-    """Groups made by one to three random permutations of at most 7 points."""
-    return st.integers(1, 7).flatmap(
-        lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)
-    ).map(lambda gens: PermGroup([Permutation(tuple(g)) for g in gens]))
-
-
 def assert_classes_and_orders_match_oracles(group: PermGroup) -> None:
     orbits = conjugation_orbits(group)
     expected = [(min(orbit), len(orbit)) for orbit in orbits]
     assert [(c.representative, c.size) for c in group.conjugacy_classes()] == expected
-    assert group._orders == tuple(order_by_powers(x) for x in group.elements())
+    # Orders are kept by index in the group's Cayley graph.
+    index = group._table[0]
+    assert [group._orders[index[x.images]] for x in group.elements()] == [
+        order_by_powers(x) for x in group.elements()
+    ]
 
 
 @settings(max_examples=40, deadline=None)
@@ -395,14 +392,15 @@ def test_symmetric_group_helper():
 def test_pi_subgroup_is_a_view_of_its_parent():
     g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Cyclic(5)))))
     g.class_size_spectrum()
-    orders = dict(zip(g.elements(), g._orders))
+    orders = {x: g._orders[i] for x, i in g._table[0].items()}
     core = g.pi_subgroup(frozenset({3, 7}))
     assert core is not None
-    # The view is seeded with its parent's orders and computes none of its own.
-    assert "_orders" in vars(core)
+    # The view keeps the Cayley graph its subgroup test enumerated, and
+    # reads its orders off its parent's, computing none of its own.
+    assert "_table" in vars(core) and "_orders" in vars(core)
     assert core.order == 21
     assert core.degree == g.degree
     assert core.elements() == tuple(p for p in g.elements() if p in core)
-    assert core._orders == tuple(orders[p] for p in core.elements())
+    assert list(core._orders) == [orders[x] for x in core._table[0]]
     assert all(gen in core for gen in core.generators)
     assert sorted(core.class_size_spectrum().elements()) == [1, 3, 3, 7, 7]
