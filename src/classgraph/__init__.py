@@ -37,7 +37,6 @@ from .construction import (
     Perm,
     Semidirect,
     class_size_spectrum,
-    convolve_spectra,
     evaluate,
     is_frobenius_action,
     to_permutation,
@@ -59,7 +58,7 @@ from .errors import (
     SpecFileError,
     TooManyVertices,
 )
-from .graph import PrimeGraph, delta_of
+from .graph import PrimeGraph, convolve_spectra, delta_of
 from .perm import (
     ConjugacyClass,
     PermGroup,

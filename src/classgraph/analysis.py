@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .blocks import BlockPartition, find_block_partitions
 from .construction import MetabelianGroup
@@ -119,7 +119,23 @@ def dgroup_witness(group: PermGroup) -> DGroupWitness | None:
     B >= Z trivially), and its class is its B-orbit inside A minus 1, of
     size neither 1 nor |A|.  So that size is |B:Z|, and C_B(a), which
     contains Z, is Z: G/Z is Frobenius.
+
+    A direct product (``group.factors``) has as class sizes the products of
+    one size from each factor.  With two nonabelian factors, a size above 1
+    of one times any of the other joins each prime of either to each of the
+    other's, so Δ is connected.  If one factor F is nonabelian and the
+    product R of the others abelian, G = F x R has F's class sizes, G' = F'
+    and Z(G) = Z(F) x R: G is a D-group exactly when F is, with F's
+    witness, |B| and |Z| multiplied by |R|.  No nonabelian factor: abelian.
     """
+    if group.factors:
+        order = group.order  # CapExceeded over the cap
+        nonabelian = [f for f in group.factors if not f.is_abelian()]
+        w = dgroup_witness(nonabelian[0]) if len(nonabelian) == 1 else None
+        if w is None:
+            return None
+        r = order // nonabelian[0].order
+        return replace(w, b_order=w.b_order * r, center_order=w.center_order * r)
     a = group.derived_subgroup()
     if a.order == 1 or not a.is_abelian():
         return None

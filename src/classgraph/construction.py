@@ -35,7 +35,7 @@ from .errors import (
     FaithfulnessFailure,
     InvalidMultiplier,
 )
-from .graph import Edge, PrimeGraph, delta_of
+from .graph import Edge, PrimeGraph, delta_of, product_spectrum
 from .perm import DEFAULT_ENUMERATION_CAP, Permutation, PermGroup
 from .primes import EXACT_BELOW, is_prime, prime_factors
 
@@ -96,12 +96,7 @@ class MetabelianGroup:
         cached permutation realization, which ``to_permutation`` gates on ``cap``.
         """
         if self.factors:
-            out = Counter({1: 1})
-            for part in self.factors:
-                out = convolve_spectra(out, part.class_size_spectrum())
-            if spectrum_total(out) != self.order:  # pragma: no cover - internal sanity
-                raise AssertionError("product spectrum does not sum to group order")
-            return out
+            return product_spectrum(self.factors, self.order)
         if self.is_abelian:
             return Counter({1: self.order})
         if self.frobenius:
@@ -129,9 +124,9 @@ class MetabelianGroup:
                 graph = delta_of(part.class_size_spectrum(), primes=part.primes)
                 part_vertices = graph.vertices
                 edges.update(graph.edges)
-            edges.update((p, q) for p in vertices for q in part_vertices)
+            edges.update((min(p, q), max(p, q)) for p in vertices for q in part_vertices)
             vertices.extend(part_vertices)
-        return PrimeGraph(tuple(vertices), frozenset(edges))
+        return PrimeGraph._trusted(tuple(sorted(vertices)), frozenset(edges))
 
     def to_permutation(self, *, verify_order: bool = True) -> PermGroup:
         """Faithful permutation realization, built once per group and cached.
@@ -349,9 +344,10 @@ def evaluate(expr: GroupExpr, *, cap: int | None = None) -> MetabelianGroup | Pe
 
     Direct products of structured children fold into one metabelian group
     (block-diagonal action) when the children's orders are pairwise
-    coprime; any prime overlap, or any permutation child, routes the whole
-    product through the permutation engine instead, after CapExceeded if
-    the product of the children's orders exceeds ``cap``.  Every group built
+    coprime.  Any prime overlap, or any permutation child, makes it a
+    permutation group on the children's disjoint points, after CapExceeded
+    if their orders multiply past ``cap``; its generators split, so it is
+    analysed factor by factor (``PermGroup.factors``).  Every group built
     carries ``cap`` (default ``DEFAULT_ENUMERATION_CAP``), the bound on any
     enumeration of it.
     """
@@ -423,21 +419,6 @@ def is_frobenius_action(g: MetabelianGroup) -> bool:
             if not all(_has_order(u, n, q, n_primes) for q in g.primes if m % q == 0):
                 return False
     return True
-
-
-def convolve_spectra(a: Counter[int], b: Counter[int]) -> Counter[int]:
-    """Spectrum of a direct product: pairwise products with multiplicity."""
-    out: dict[int, int] = {}  # a plain dict: Counter.__missing__ would run for each new size
-    for s1, c1 in a.items():
-        for s2, c2 in b.items():
-            size = s1 * s2
-            out[size] = out.get(size, 0) + c1 * c2
-    return Counter(out)
-
-
-def spectrum_total(spectrum: Counter[int]) -> int:
-    """Sum of the multiset, i.e. the group order it came from."""
-    return sum(size * count for size, count in spectrum.items())
 
 
 # Module-level spellings of the shared group interface, for either kind of group.

@@ -49,6 +49,14 @@ class PrimeGraph:
             if p not in vset or q not in vset:
                 raise ValueError(f"edge ({p}, {q}) leaves the vertex set")
 
+    @classmethod
+    def _trusted(cls, vertices: tuple[int, ...], edges: frozenset[Edge]) -> "PrimeGraph":
+        """Wrap ascending primes and ascending pairs of them, unchecked: ``delta()``'s graphs."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     @cached_property
     def adjacency(self) -> tuple[int, ...]:
         """One neighbour bitmask per vertex; bit i stands for ``vertices[i]``."""
@@ -150,6 +158,26 @@ def _primes_dividing(size: int, primes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(ps)
 
 
+def convolve_spectra(a: Counter[int], b: Counter[int]) -> Counter[int]:
+    """Spectrum of a direct product: pairwise products with multiplicity."""
+    out: dict[int, int] = {}  # a plain dict: Counter.__missing__ would run for each new size
+    for s1, c1 in a.items():
+        for s2, c2 in b.items():
+            size = s1 * s2
+            out[size] = out.get(size, 0) + c1 * c2
+    return Counter(out)
+
+
+def product_spectrum(factors: Iterable, order: int) -> Counter[int]:
+    """Spectrum of the direct product of `factors`, of order `order`: theirs convolved."""
+    out = Counter({1: 1})
+    for part in factors:
+        out = convolve_spectra(out, part.class_size_spectrum())
+    if sum(size * count for size, count in out.items()) != order:  # pragma: no cover - sanity
+        raise AssertionError("product spectrum does not sum to group order")
+    return out
+
+
 def delta_of(
     spectrum: Mapping[int, int] | Iterable[int], primes: tuple[int, ...] | None = None
 ) -> PrimeGraph:
@@ -160,9 +188,9 @@ def delta_of(
     means the spectrum is not from a group, so it only warns.
 
     Without ``primes`` each size is factored from scratch.  With
-    ``primes``, the primes of the group order (``group.primes``), each
-    size is divided by them instead and no size is factored; a size with
-    a prime factor outside them raises InternalInvariantError.
+    ``primes``, the ascending primes of the group order (``group.primes``),
+    each size is divided by them instead and no size is factored; a size
+    with a prime factor outside them raises InternalInvariantError.
     """
     counts = _as_counter(spectrum)
     if not counts:
@@ -179,4 +207,4 @@ def delta_of(
     # p != q both dividing a size means pq divides it.
     edges = frozenset(e for ps in prime_sets for e in combinations(ps, 2))
     vertices = set().union(*prime_sets)
-    return PrimeGraph(tuple(sorted(vertices)), edges)
+    return PrimeGraph._trusted(tuple(sorted(vertices)), edges)

@@ -27,6 +27,11 @@ on the same points that keeps the Cayley graph of its own generators,
 built while it was generated and tested, as its elements.  It is never
 re-indexed to fewer points and never re-enumerated.
 
+Generators moving disjoint points commute, so a group whose generators
+split into such sets is the direct product of their groups
+(:attr:`PermGroup.factors`), and reads its order, spectrum and
+π-subgroups off those, not off its own elements.
+
 Composition convention: ``(p * q)(i) == p(q(i))`` (apply q first).
 Iteration order is deterministic everywhere: elements are reported sorted
 lexicographically by image sequence, and classes in order of their least
@@ -45,7 +50,7 @@ from itertools import islice
 from operator import itemgetter
 
 from .errors import CapExceeded, ElementNotInGroup
-from .graph import PrimeGraph, delta_of
+from .graph import PrimeGraph, delta_of, mask_components, product_spectrum
 from .primes import prime_factors
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -243,7 +248,8 @@ class PermGroup:
         return f"PermGroup(degree {self.degree}, {len(self.generators)} generators)"
 
     # -- enumeration ---------------------------------------------------
-    # Each cache below is a cached_property; a subgroup view seeds ``_table``.
+    # Each cache below is a cached_property; a subgroup view seeds ``_table``,
+    # and a product's pi-subgroup seeds ``factors``.
 
     @cached_property
     def _table(self) -> tuple[dict[Images, int], list[array]]:
@@ -258,9 +264,28 @@ class PermGroup:
         """All elements, sorted lexicographically by image sequence."""
         return self._elements
 
+    @cached_property
+    def factors(self) -> tuple[PermGroup, ...]:
+        """The direct factors: groups of generator classes linked by moved points; () for one."""
+        moved = [{i for i, j in enumerate(g.images) if i != j} for g in self.generators]
+        links = [sum(1 << k for k, b in enumerate(moved) if not a.isdisjoint(b)) for a in moved]
+        parts = mask_components(links, sum(1 << k for k, a in enumerate(moved) if a))
+        if len(parts) < 2:
+            return ()
+        return tuple(
+            PermGroup([g for k, g in enumerate(self.generators) if part >> k & 1], cap=self.cap)
+            for part in parts
+        )
+
     @property
     def order(self) -> int:
-        return len(self._table[0])
+        """The number of elements; a product's is its factors', checked against ``cap``."""
+        if not self.factors:
+            return len(self._table[0])
+        order = math.prod(f.order for f in self.factors)
+        if order > self.cap:
+            raise CapExceeded(f"direct product of order {order} exceeds enumeration cap {self.cap}")
+        return order
 
     @cached_property
     def primes(self) -> tuple[int, ...]:
@@ -333,7 +358,9 @@ class PermGroup:
         return classes, array("l", map(number.__getitem__, label))
 
     def class_size_spectrum(self) -> Counter[int]:
-        """Multiset of conjugacy class sizes, as {size: multiplicity}."""
+        """Multiset of class sizes, as {size: multiplicity}; a product's from its factors'."""
+        if self.factors:
+            return product_spectrum(self.factors, self.order)
         return Counter(c.size for c in self.conjugacy_classes())
 
     def delta(self) -> PrimeGraph:
@@ -402,11 +429,19 @@ class PermGroup:
         """The elements whose order has all its prime divisors in pi, as a subgroup.
 
         None when those elements do not form a subgroup; the group itself
-        when pi covers every prime of its order.
+        when pi covers every prime of its order.  (a, b) is a pi-element exactly
+        when a and b are, so a product's is its factors', kept as its ``factors``.
         """
         outside = [p for p in self.primes if p not in pi]
         if not outside:
             return self
+        if self.factors:
+            parts = tuple(f.pi_subgroup(pi) for f in self.factors)
+            if any(part is None for part in parts):
+                return None
+            product = PermGroup([g for part in parts for g in part.generators], cap=self.cap)
+            product.__dict__["factors"] = parts
+            return product
         orders = self._orders
         # Element orders divide the group order, so their primes are among self.primes.
         allowed = {o for o in set(orders) if all(o % p for p in outside)}

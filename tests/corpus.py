@@ -65,8 +65,8 @@ def corpus_entries() -> tuple[CorpusEntry, ...]:
     )
 
 
-def random_perm_groups():
-    """Groups made by one to three random permutations of at most 7 points."""
-    return st.integers(1, 7).flatmap(
+def random_perm_groups(min_degree: int = 1, max_degree: int = 7):
+    """Groups made by one to three random permutations of `min_degree` to `max_degree` points."""
+    return st.integers(min_degree, max_degree).flatmap(
         lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)
     ).map(lambda gens: PermGroup([Permutation(tuple(g)) for g in gens]))

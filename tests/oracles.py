@@ -9,7 +9,10 @@ and central Sylow subgroups from public ``Permutation`` products of every
 pair, primality from a sieve, multiplicative orders from repeated
 multiplication, neighbourhoods and cliques from public edge queries,
 admissible squares edge by edge, and block squares from enumerating every
-4-block set partition and every ordering of its blocks.
+4-block set partition and every ordering of its blocks.  The one shared
+piece is ``cayley_table``, the enumeration loop: ``whole_group_answers``
+walks a whole group with it, to check answers read off a group's direct
+factors against the group enumerated at once.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from classgraph import (
     PrimeGraph,
     is_block_square_partition,
 )
+from classgraph.perm import cayley_table
 
 
 def multiplicative_order_by_scan(a: int, m: int) -> int:
@@ -193,10 +197,17 @@ def conjugation_orbits(group: PermGroup) -> list[frozenset[Permutation]]:
     Each class is the closure of its least element under conjugation by the
     generators.
     """
-    pairs = [(g, g.inverse()) for g in group.generators]
+    return orbits_under_conjugation(group.elements(), group.generators)
+
+
+def orbits_under_conjugation(
+    elements: Collection[Permutation], generators: Collection[Permutation]
+) -> list[frozenset[Permutation]]:
+    """The orbits of conjugation by the generators, in order of their least elements."""
+    pairs = [(g, g.inverse()) for g in generators]
     orbits: list[frozenset[Permutation]] = []
     seen: set[Permutation] = set()
-    for x in group.elements():
+    for x in sorted(elements):
         if x in seen:
             continue
         orbit, frontier = {x}, [x]
@@ -287,6 +298,105 @@ def dgroup_witness_by_centralizer(
     ):
         return None, b
     return DGroupWitness(len(a), len(b), center_order, sizes), b
+
+
+def _generators_within(
+    elements: frozenset[Permutation], identity: Permutation
+) -> list[Permutation] | None:
+    """Generators of the subgroup `elements`, or None when they form none.
+
+    Each least element the generated group misses joins the generators,
+    and the group they generate must stay inside `elements`.
+    """
+    gens: list[Permutation] = []
+    sub = frozenset({identity})
+    for x in sorted(elements):
+        if x not in sub:
+            gens.append(x)
+            sub = generated_by_products(gens, identity)
+            if not sub <= elements:
+                return None
+    return gens
+
+
+def _prime_graph(sizes: Collection[int]) -> tuple[tuple[int, ...], frozenset[tuple[int, int]]]:
+    """Vertices and edges of the prime graph on class sizes, by trial division."""
+    prime_sets = [[p for p in sieve_primes(size) if size % p == 0] for size in sizes]
+    vertices = tuple(sorted({p for ps in prime_sets for p in ps}))
+    return vertices, frozenset(e for ps in prime_sets for e in combinations(ps, 2))
+
+
+def _is_disconnected(vertices: tuple[int, ...], edges: frozenset[tuple[int, int]]) -> bool:
+    """More than one component, by growing the first vertex's component edge by edge."""
+    if not vertices:
+        return False
+    reached = {vertices[0]}
+    while True:
+        grown = {q for e in edges for p, q in (e, e[::-1]) if p in reached} - reached
+        if not grown:
+            return len(reached) < len(vertices)
+        reached |= grown
+
+
+def whole_group_answers(group: PermGroup) -> dict:
+    """What a group's queries must answer, from one enumeration of the whole group.
+
+    One ``cayley_table`` walk over all the generators at once gives the
+    elements, whatever the generators' supports.  The rest is public
+    products on them: classes are the orbits of conjugation by the
+    generators, Δ joins the primes of each class size, element orders come
+    by powers, the π-elements form a subgroup when the group they generate
+    stays among them, and a prime is central when its Sylow order divides
+    the number of central elements.  The D-group witness is
+    ``dgroup_witness_by_centralizer``.  The verdict is VERIFIED when some
+    canonical block partition has D-groups (disconnected Δ) A and B on its
+    block pairs, of coprime orders multiplying to the core's; with no
+    partition it is "not a block square".
+    """
+    index, _ = cayley_table([g.images for g in group.generators], 10**6)
+    elems = [Permutation(x) for x in index]
+    identity = group.identity()
+    orbits = orbits_under_conjugation(elems, group.generators)
+    spectrum = Counter(len(orbit) for orbit in orbits)
+    vertices, edges = _prime_graph(spectrum)
+    order = len(elems)
+    primes = tuple(p for p in sieve_primes(order) if order % p == 0)
+    order_of = {x: order_by_powers(x) for x in elems}
+    pi_parts: dict[frozenset[int], tuple[frozenset, list[Permutation]] | None] = {}
+    for r in range(len(primes) + 1):
+        for pi in combinations(primes, r):
+            part = frozenset(x for x in elems if all(order_of[x] % p for p in primes if p not in pi))
+            gens = _generators_within(part, identity)
+            pi_parts[frozenset(pi)] = None if gens is None else (part, gens)
+    sylow = {p: math.gcd(order, p**order) for p in primes}
+    central = tuple(p for p in primes if spectrum[1] % sylow[p] == 0)
+    core_order = order // math.prod(sylow[p] for p in central)
+
+    def is_dgroup(part: tuple[frozenset, list[Permutation]]) -> bool:
+        sizes = {len(orbit) for orbit in orbits_under_conjugation(*part)}
+        return _is_disconnected(*_prime_graph(sizes))
+
+    partitions = canonical_block_partitions(PrimeGraph(vertices, edges))
+    status = "not a block square" if not partitions else "COUNTEREXAMPLE_CANDIDATE"
+    for partition in partitions:
+        a = pi_parts[frozenset(partition.pi1 + partition.pi4)]
+        b = pi_parts[frozenset(partition.pi2 + partition.pi3)]
+        if a is None or b is None:
+            continue
+        if len(a[0]) * len(b[0]) == core_order and math.gcd(len(a[0]), len(b[0])) == 1:
+            if is_dgroup(a) and is_dgroup(b):
+                status = "VERIFIED"
+                break
+    return {
+        "order": order,
+        "spectrum": spectrum,
+        "delta": (vertices, edges),
+        "witness": dgroup_witness_by_centralizer(group)[0],
+        "pi_orders": {pi: None if v is None else len(v[0]) for pi, v in pi_parts.items()},
+        "central_primes": central,
+        "core_order": core_order,
+        "status": status,
+    }
 
 
 def non_neighbors(graph: PrimeGraph, v: int) -> frozenset[int]:

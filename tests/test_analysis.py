@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classgraph import (
     COUNTEREXAMPLE_CANDIDATE,
@@ -12,6 +14,7 @@ from classgraph import (
     Frobenius,
     MetabelianGroup,
     PermGroup,
+    Permutation,
     Semidirect,
     delta_of,
     dgroup_witness,
@@ -23,8 +26,8 @@ from classgraph import (
     to_permutation,
     verify_decomposition,
 )
-from corpus import S3_PERM, S4_PERM
-from oracles import complete_vertices
+from corpus import A4_PERM, S3_PERM, S4_PERM, random_perm_groups
+from oracles import complete_vertices, whole_group_answers
 
 
 # -- spectral recognizer ---------------------------------------------------------
@@ -299,11 +302,13 @@ def test_verify_with_central_factor():
 
 def test_dgroup_witness_computes_no_element_order_and_verify_computes_each_once(monkeypatch):
     # dgroup_witness reads B off the classes, so it needs no element order.
-    # The verifier computes the orders once, on the whole group; the core
-    # and both Hall subgroups read those orders and compute none.
+    # The realization's generators split into three factors, F21, F55 and
+    # C2, and the verifier reads every pi-subgroup off theirs: it computes
+    # the orders of a factor at most once, and its subgroups read those.
     import classgraph.perm as perm
 
     g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Frobenius((11,), 5), Cyclic(2)))))
+    assert [f.order for f in g.factors] == [21, 55, 2]
     calls = []
     real = perm._order_of_images
     monkeypatch.setattr(perm, "_order_of_images", lambda images: calls.append(1) or real(images))
@@ -313,16 +318,17 @@ def test_dgroup_witness_computes_no_element_order_and_verify_computes_each_once(
     assert report.status == VERIFIED
     assert report.witness.central_primes == (2,)
     assert (report.witness.a_order, report.witness.b_order) == (21, 55)
-    # Conjugates share an order, so it is computed once per class.
-    assert len(calls) == len(g.conjugacy_classes()) < g.order
+    # Conjugates share an order, so it is computed once per class of each factor.
+    assert len(calls) == sum(len(f.conjugacy_classes()) for f in g.factors) < g.order
 
 
 def test_analyze_enumerates_a_structured_group_with_no_closed_form_once(monkeypatch):
     # The semidirect factor is not Frobenius, so neither the D-group
     # recognizer nor the verifier can decide from structure; both use the
     # one cached realization of the whole group (degree 7+6+11+5 = 29).
-    # Subgroup views build Cayley graphs of their own, but only the whole
-    # group's has all 2310 elements.
+    # Its generators split into z7 x| z6 and F55, so no Cayley graph walks
+    # more elements than the larger factor has: the 2310 of the whole
+    # product are never enumerated.
     import classgraph.perm as perm
     from classgraph.reports import analyze_expr
 
@@ -339,7 +345,8 @@ def test_analyze_enumerates_a_structured_group_with_no_closed_form_once(monkeypa
     report = analyze_expr("z7_rtimes_z6_x_f55", expr)
     assert report["order"] == 2310
     assert report["decomposition"]["status"] == VERIFIED
-    assert enumerated.count((29, 2310)) == 1
+    assert (29, 55) in enumerated
+    assert max(size for _, size in enumerated) == 55
 
 
 def test_verify_c3_x_s3_x_f55():
@@ -407,3 +414,72 @@ def test_verify_statuses_on_corpus(corpus):
         else:
             assert report.status == NOT_BLOCK_SQUARE, entry.name
         assert report.status != COUNTEREXAMPLE_CANDIDATE, entry.name
+
+
+# -- direct factors of a permutation group ------------------------------------------
+
+# D-groups, mixed into the products below: S3, A4, D10, F21 and F55.
+S3, A4, D10, F21, F55 = (
+    to_permutation(evaluate(expr))
+    for expr in (S3_PERM, A4_PERM, Frobenius((5,), 2), Frobenius((7,), 3), Frobenius((11,), 5))
+)
+# Coprime pairs of them, whose products have block squares.
+SQUARES = ((S3, F55), (A4, F55), (D10, F21))
+
+
+def _relabelled(images: tuple[int, ...], sigma: list[int]) -> tuple[int, ...]:
+    """The permutation that sends sigma[i] to sigma[images[i]]."""
+    out = [0] * len(images)
+    for i, j in enumerate(images):
+        out[sigma[i]] = sigma[j]
+    return tuple(out)
+
+
+@st.composite
+def split_products(draw):
+    """A direct product on relabelled points with shuffled generators, and its factors.
+
+    Two or three factors, each a random permutation group or a D-group, or
+    a coprime pair of D-groups with at most one more factor on two points.
+    Three factors come from fewer points and smaller D-groups, so that the
+    whole product, which the oracle enumerates, stays under 3,100 elements.
+    """
+    k = draw(st.integers(2, 4))
+    if k < 4:
+        factor = st.one_of(
+            random_perm_groups(min_degree=2, max_degree=6 - k),
+            st.sampled_from((S3, A4, D10, F21, F55)[: 11 - 3 * k]),
+        )
+        parts = draw(st.lists(factor, min_size=k, max_size=k))
+    else:
+        parts = list(draw(st.sampled_from(SQUARES)))
+        parts += draw(st.lists(random_perm_groups(max_degree=2), max_size=1))
+    product = parts[0]
+    for part in parts[1:]:
+        product = product.direct_product(part)
+    sigma = draw(st.permutations(range(product.degree)))
+    gens = [Permutation(_relabelled(g.images, sigma)) for g in product.generators]
+    return PermGroup(draw(st.permutations(gens))), parts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(split_products())
+def test_factor_route_agrees_with_the_whole_group_enumerated(case):
+    # Every answer read off the factors must be the one the whole product
+    # gives when it is enumerated at once.
+    group, parts = case
+    nontrivial = sum(part.order > 1 for part in parts)
+    assert len(group.factors) >= nontrivial or nontrivial < 2
+    expected = whole_group_answers(group)
+    assert group.order == expected["order"]
+    assert group.class_size_spectrum() == expected["spectrum"]
+    delta = group.delta()
+    assert (delta.vertices, delta.edges) == expected["delta"]
+    assert dgroup_witness(group) == expected["witness"]
+    for pi, order in expected["pi_orders"].items():
+        sub = group.pi_subgroup(pi)
+        assert (None if sub is None else sub.order) == order, sorted(pi)
+    split = strip_central_sylows(group)
+    assert split.central_primes == expected["central_primes"]
+    assert split.core.order == expected["core_order"]
+    assert verify_decomposition(group).status == expected["status"]

@@ -251,8 +251,18 @@ def _limit_address_space_to_1gb() -> None:
         Direct((Frobenius((1000003,), 2), Cyclic(2))),
         # C999999 x C3: each factor is under the cap, the product is not.
         Direct((Cyclic(999999), Cyclic(3))),
+        # C1000 x C1001 as a perm spec, the cycles on disjoint points: the
+        # generators split, each factor is enumerated, and their orders
+        # multiply past the cap before the product is.
+        Perm(
+            degree=2001,
+            generators=(
+                tuple(range(1, 1000)) + (0,) + tuple(range(1000, 2001)),
+                tuple(range(1000)) + tuple(range(1001, 2001)) + (1000,),
+            ),
+        ),
     ],
-    ids=["frobenius_1000003_x_c2", "c999999_x_c3"],
+    ids=["frobenius_1000003_x_c2", "c999999_x_c3", "perm_c1000_x_c1001"],
 )
 def test_over_cap_products_exit_3_before_enumerating(tmp_path, expr):
     # An enumeration toward the cap would run out of the 1 GB address space.

@@ -22,6 +22,7 @@ from classgraph import (
     Perm,
     PermGroup,
     Permutation,
+    PrimeGraph,
     Semidirect,
     class_size_spectrum,
     convolve_spectra,
@@ -37,7 +38,7 @@ from classgraph import (
 from classgraph.construction import auto_multiplier
 from classgraph.primes import prime_factors
 from classgraph.reports import analyze_expr
-from corpus import S3_PERM, S4_PERM, random_perm_groups
+from corpus import S3_PERM, S4_PERM, corpus_entries, random_perm_groups
 from oracles import (
     auto_multiplier_by_scan,
     dgroup_witness_by_centralizer,
@@ -421,6 +422,16 @@ def test_dgroup_witness_matches_the_scanned_centralizer_oracle(group):
     if expected is not None:
         assert pairwise_is_abelian(b)
         assert len(b) == group.order // expected.a_order
+
+
+def test_unchecked_graphs_equal_their_checked_copies():
+    # delta() and delta_of build graphs without the public checks, from
+    # vertices already known prime; each must be exactly what the checked
+    # constructor would make, sorted vertices and ascending edges included.
+    for entry in corpus_entries():
+        group = evaluate(entry.expr)
+        for graph in (group.delta(), delta_of(group.class_size_spectrum())):
+            assert graph == PrimeGraph(graph.vertices, graph.edges), entry.name
 
 
 @settings(max_examples=40, deadline=None)

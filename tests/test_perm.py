@@ -14,6 +14,7 @@ from classgraph import (
     Frobenius,
     PermGroup,
     Permutation,
+    Semidirect,
     evaluate,
     strip_central_sylows,
     to_permutation,
@@ -390,7 +391,10 @@ def test_symmetric_group_helper():
 
 
 def test_pi_subgroup_is_a_view_of_its_parent():
-    g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Cyclic(5)))))
+    # z7 x| z6 with multiplier 2 is F21 x C2, but its realization's top
+    # generator moves both blocks: one support component, so no factors.
+    g = to_permutation(evaluate(Semidirect((7,), (6,), ((2,),))))
+    assert g.factors == ()
     g.class_size_spectrum()
     orders = {x: g._orders[i] for x, i in g._table[0].items()}
     core = g.pi_subgroup(frozenset({3, 7}))
