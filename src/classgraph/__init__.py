@@ -15,7 +15,6 @@ from .analysis import (
     DecompositionWitness,
     DGroupWitness,
     dgroup_witness,
-    dgroup_witness_of,
     strip_central_sylows,
     structural_dgroup_witness,
     verify_decomposition,
@@ -49,7 +48,6 @@ from .errors import (
     ClassGraphError,
     CoprimalityViolation,
     DecompositionFailure,
-    ElementNotInGroup,
     ExprError,
     FaithfulnessFailure,
     InternalInvariantError,

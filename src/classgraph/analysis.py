@@ -7,10 +7,13 @@ Frobenius with kernel AZ(G)/Z(G); their class sizes are {1, |A|, |B:Z(G)|}.
 |Z(G)| may share primes with |A|: C3 x S3 is a D-group with A = C3, B = C6.
 
 Two independent recognizers are provided: a spectral one (count the
-components of the graph) and a structural one (exhibit A = G', check that
-it is abelian, and take B = C_G(x) for an element x whose class has size
-|A|: B has order |G|/|A|, meets A trivially when no nontrivial element of
-A commutes with x, and the class sizes must be the predicted ones).  The
+components of the graph) and a structural one, ``dgroup_witness``, for
+either kind of group.  It applies the direct-product rule once over the
+group's factors, answers a structured Frobenius group in closed form, and
+on any other group, enumerated as permutations, exhibits A = G', checks
+that it is abelian, and takes B = C_G(x) for an element x whose class has
+size |A|: B has order |G|/|A|, meets A trivially when no nontrivial element
+of A commutes with x, and the class sizes must be the predicted ones.  The
 block-square verifier combines them: a group whose graph is a block
 square must split, up to central Sylow factors, as a direct product of
 two coprime D-groups, one per non-adjacent block pair.
@@ -92,20 +95,37 @@ class DecompositionReport:
     witness: DecompositionWitness | None
 
 
-# -- structural recognizer, permutation route --------------------------------
+# -- structural recognizer -------------------------------------------------------
 
 
-def dgroup_witness(group: PermGroup) -> DGroupWitness | None:
-    """Structural D-group recognizer on an enumerated permutation group.
+def dgroup_witness(group: MetabelianGroup | PermGroup) -> DGroupWitness | None:
+    """Structural D-group recognizer, for either kind of group.
 
-    A is the derived subgroup, which must be nontrivial and abelian.  B is
-    C_G(x) for the representative x of the first class of size |A|; it is
-    never enumerated.  By orbit-stabilizer |B| = |G|/|x^G| = |G|/|A|, and
-    A meets B trivially exactly when no nontrivial element of A commutes
-    with x.  Then B is abelian: B meets A = G' trivially, so G -> G/G' is
-    injective on B, and G/G' is abelian.  In a D-group, G/Z is Frobenius
-    with kernel AZ/Z and abelian complement B/Z, and this B is always a
-    complement:
+    A direct product (``group.factors``) has as class sizes the products of
+    one size from each factor.  With two nonabelian factors, a size above 1
+    of one times any of the other joins each prime of either to each of the
+    other's, so Δ is connected.  If one factor F is nonabelian and the
+    product R of the others abelian, G = F x R has F's class sizes, G' = F'
+    and Z(G) = Z(F) x R: G is a D-group exactly when F is, with F's
+    witness, |B| and |Z| multiplied by |R|.  No nonabelian factor: abelian.
+
+    A structured Frobenius group K x| H is a D-group in closed form: A = K,
+    B = H, Z = 1.  H acts fixed-point-freely, so for h != 1 the map
+    k -> [k, h] is injective on the abelian K, hence onto it: G' >= [K, H]
+    = K, and G/K = H abelian gives G' = K.  Conjugating (k, h) by K gives
+    all of (k + [K, h], h), so a central element has h = 1; then H fixes
+    k, so k = 0, and Z = 1.  The class sizes are {1, |K|, |H|}: B = H and
+    |A||B| = |G|.  Any other structured group is decided on its cached
+    permutation realization, whose enumeration its ``cap`` bounds.
+
+    On a permutation group, A is the derived subgroup, which must be
+    nontrivial and abelian.  B is C_G(x) for the representative x of the
+    first class of size |A|; it is never enumerated.  By orbit-stabilizer
+    |B| = |G|/|x^G| = |G|/|A|, and A meets B trivially exactly when no
+    nontrivial element of A commutes with x.  Then B is abelian: B meets
+    A = G' trivially, so G -> G/G' is injective on B, and G/G' is abelian.
+    In a D-group, G/Z is Frobenius with kernel AZ/Z and abelian complement
+    B/Z, and this B is always a complement:
 
     - for x in B outside Z, C_G(x) = B, so the class of x has size |A|;
     - a non-central element of AZ has class size |B:Z|, coprime to |A|
@@ -119,25 +139,25 @@ def dgroup_witness(group: PermGroup) -> DGroupWitness | None:
     B >= Z trivially), and its class is its B-orbit inside A minus 1, of
     size neither 1 nor |A|.  So that size is |B:Z|, and C_B(a), which
     contains Z, is Z: G/Z is Frobenius.
-
-    A direct product (``group.factors``) has as class sizes the products of
-    one size from each factor.  With two nonabelian factors, a size above 1
-    of one times any of the other joins each prime of either to each of the
-    other's, so Δ is connected.  If one factor F is nonabelian and the
-    product R of the others abelian, G = F x R has F's class sizes, G' = F'
-    and Z(G) = Z(F) x R: G is a D-group exactly when F is, with F's
-    witness, |B| and |Z| multiplied by |R|.  No nonabelian factor: abelian.
     """
-    if group.factors:
-        order = group.order  # CapExceeded over the cap
-        nonabelian = [f for f in group.factors if not f.is_abelian()]
-        w = dgroup_witness(nonabelian[0]) if len(nonabelian) == 1 else None
+    order = group.order  # CapExceeded for a permutation product over the cap
+    nonabelian = [f for f in group.factors or (group,) if not f.is_abelian]
+    if len(nonabelian) != 1:
+        return None
+    f = nonabelian[0]
+    if f is not group:
+        w = dgroup_witness(f)
         if w is None:
             return None
-        r = order // nonabelian[0].order
+        r = order // f.order
         return replace(w, b_order=w.b_order * r, center_order=w.center_order * r)
+    if isinstance(group, MetabelianGroup):
+        if not group.frobenius:
+            return dgroup_witness(group.to_permutation())
+        kernel_order, complement = math.prod(group.kernel), math.prod(group.top)
+        return DGroupWitness(kernel_order, complement, 1, frozenset({1, kernel_order, complement}))
     a = group.derived_subgroup()
-    if a.order == 1 or not a.is_abelian():
+    if a.order == 1 or not a.is_abelian:
         return None
     x = next((c.representative for c in group.conjugacy_classes() if c.size == a.order), None)
     if x is None or not a.meets_centralizer_trivially(x):
@@ -156,9 +176,11 @@ def dgroup_witness(group: PermGroup) -> DGroupWitness | None:
     )
 
 
-# -- structural recognizer, construction route --------------------------------
+# perfbench/layers.py imports this name; ROADMAP item 8 deletes it.
+structural_dgroup_witness = dgroup_witness
 
-_UNDECIDED = object()
+
+# -- construction structure for the verifier ------------------------------------
 
 
 _Split = tuple[list[MetabelianGroup], list[MetabelianGroup]]
@@ -173,44 +195,12 @@ def _structural_parts(group: MetabelianGroup | PermGroup) -> _Split | None:
     """
     if not isinstance(group, MetabelianGroup):
         return None
-    parts = group.factors if group.factors else (group,)
+    parts = group.factors or (group,)
     abelian = [p for p in parts if p.is_abelian]
     frobenius = [p for p in parts if not p.is_abelian and p.frobenius]
     if len(abelian) + len(frobenius) != len(parts):
         return None
     return abelian, frobenius
-
-
-def structural_dgroup_witness(g: MetabelianGroup | PermGroup):
-    """D-group decision from construction structure, without enumerating.
-
-    Returns a DGroupWitness, None (definitely not a D-group), or the
-    _UNDECIDED sentinel when the structure does not determine the answer.
-    """
-    split = _structural_parts(g)
-    return _UNDECIDED if split is None else _witness_from_parts(split)
-
-
-def _witness_from_parts(split: _Split) -> DGroupWitness | None:
-    abelian, frobenius = split
-    if len(frobenius) != 1:
-        return None
-    frob = frobenius[0]
-    central = math.prod(p.order for p in abelian)
-    kernel_order = math.prod(frob.kernel)
-    complement = math.prod(frob.top)
-    return DGroupWitness(
-        a_order=kernel_order,
-        b_order=complement * central,
-        center_order=central,
-        class_sizes=frozenset({1, kernel_order, complement}),
-    )
-
-
-def dgroup_witness_of(group: MetabelianGroup | PermGroup) -> DGroupWitness | None:
-    """Structural decision when the structure allows, else enumerate."""
-    witness = structural_dgroup_witness(group)
-    return dgroup_witness(group.to_permutation()) if witness is _UNDECIDED else witness
 
 
 # -- central stripping ---------------------------------------------------------
@@ -265,8 +255,8 @@ def _first_decomposition(
             continue
         if a.order * b.order != core_order or math.gcd(a.order, b.order) != 1:
             continue
-        wa = dgroup_witness_of(a)
-        wb = dgroup_witness_of(b)
+        wa = dgroup_witness(a)
+        wb = dgroup_witness(b)
         if wa is None or wb is None:
             continue
         return DecompositionWitness(

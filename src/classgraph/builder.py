@@ -109,7 +109,7 @@ def construct_block_square_group(
     partition = BlockPartition(pi1, pi2, pi3, pi4)
 
     group = evaluate(expr)
-    if group.factors is None or not all(f.frobenius for f in group.factors):
+    if not group.factors or not all(f.frobenius for f in group.factors):
         raise PredictionMismatch("constructed factors lost their Frobenius structure")
     graph = delta_of(group.class_size_spectrum(), primes=group.primes)
     covered = graph.vertices == tuple(sorted(pi1 + pi2 + pi3 + pi4))

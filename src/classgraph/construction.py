@@ -48,14 +48,15 @@ class MetabelianGroup:
     least 2, and top factor i multiplies kernel factor j by the unit
     ``multipliers[i][j]``.  ``factors`` records the coprime direct-product
     parts a folded product was assembled from (enables the convolution
-    spectrum).  ``cap`` bounds the enumeration of the permutation
-    realization, as ``PermGroup.cap`` does, and takes no part in equality.
+    spectrum), and is () for any other group, as in ``PermGroup.factors``.
+    ``cap`` bounds the enumeration of the permutation realization, as
+    ``PermGroup.cap`` does, and takes no part in equality.
     """
 
     kernel: tuple[int, ...]
     top: tuple[int, ...]
     multipliers: tuple[tuple[int, ...], ...]
-    factors: tuple["MetabelianGroup", ...] | None = None
+    factors: tuple["MetabelianGroup", ...] = ()
     cap: int = field(default=DEFAULT_ENUMERATION_CAP, compare=False)
 
     def __post_init__(self) -> None:
@@ -385,7 +386,7 @@ def evaluate(expr: GroupExpr, *, cap: int | None = None) -> MetabelianGroup | Pe
         if math.lcm(*orders) == order and all(isinstance(g, MetabelianGroup) for g in parts):
             flat: list[MetabelianGroup] = []
             for g in parts:
-                flat.extend(g.factors if g.factors else (g,))
+                flat.extend(g.factors or (g,))
             return _fold_direct(flat, cap)
         if order > cap:
             raise CapExceeded(f"direct product of order {order} exceeds enumeration cap {cap}")

@@ -20,10 +20,6 @@ class CapExceeded(ClassGraphError):
     exit_code = 3
 
 
-class ElementNotInGroup(ClassGraphError):
-    """Queried element does not belong to the enumerated group."""
-
-
 class ExprError(ClassGraphError):
     """A construction tree node is malformed."""
 

@@ -21,11 +21,11 @@ representatives and enumerated elements, are wrapped by the unchecked
 degrees raises ``ValueError``.
 
 Every subgroup found inside an enumerated group (:meth:`PermGroup.center`,
-:meth:`PermGroup.derived_subgroup`, :meth:`PermGroup.centralizer` and
-:meth:`PermGroup.pi_subgroup`) is a view of its parent: a :class:`PermGroup`
-on the same points that keeps the Cayley graph of its own generators,
-built while it was generated and tested, as its elements.  It is never
-re-indexed to fewer points and never re-enumerated.
+:meth:`PermGroup.derived_subgroup` and :meth:`PermGroup.pi_subgroup`) is a
+view of its parent: a :class:`PermGroup` on the same points that keeps the
+Cayley graph of its own generators, built while it was generated and
+tested, as its elements.  It is never re-indexed to fewer points and never
+re-enumerated.
 
 Generators moving disjoint points commute, so a group whose generators
 split into such sets is the direct product of their groups
@@ -49,7 +49,7 @@ from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 
-from .errors import CapExceeded, ElementNotInGroup
+from .errors import CapExceeded
 from .graph import PrimeGraph, delta_of, mask_components, product_spectrum
 from .primes import prime_factors
 
@@ -369,6 +369,7 @@ class PermGroup:
 
     # -- subgroup queries ------------------------------------------------
 
+    @cached_property
     def is_abelian(self) -> bool:
         """True iff the generators commute pairwise."""
         gens = [g.images for g in self.generators]
@@ -389,13 +390,6 @@ class PermGroup:
         """Z(G): the union of the size-1 conjugacy classes, as a view."""
         central = {c.representative.images for c in self.conjugacy_classes() if c.size == 1}
         return self._subgroup(central)  # a subgroup, so never None
-
-    def centralizer(self, g: Permutation) -> PermGroup:
-        """C_G(g): one scan of the elements, as a view.  Off every analysis path."""
-        if g not in self:
-            raise ElementNotInGroup(f"{g!r} is not in {self!r}")
-        x = g.images
-        return self._subgroup({y for y in self._table[0] if _compose(y, x) == _compose(x, y)})
 
     def derived_subgroup(self) -> PermGroup:
         """G': the normal closure of the generator commutators, as a view.

@@ -19,7 +19,7 @@ Reports are deterministic: identical inputs produce byte-identical JSON
 
 from __future__ import annotations
 
-from .analysis import NOT_BLOCK_SQUARE, VERIFIED, dgroup_witness_of, verify_decomposition
+from .analysis import NOT_BLOCK_SQUARE, VERIFIED, dgroup_witness, verify_decomposition
 from .blocks import find_block_partitions, is_admissible_block_square
 from .construction import GroupExpr, evaluate
 from .errors import InternalInvariantError
@@ -41,7 +41,7 @@ def analyze_expr(
             "the class-size graph's complement is not bipartite, against Dolfi et al. 2020"
         )
     partitions = tuple(find_block_partitions(graph))
-    witness = dgroup_witness_of(group)
+    witness = dgroup_witness(group)
     decomposition = verify_decomposition(
         group,
         spectrum=spectrum,

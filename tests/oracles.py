@@ -271,6 +271,11 @@ def derived_subgroup_by_products(group: PermGroup) -> tuple[frozenset, list[Perm
         gens += sorted(missing)
 
 
+def centralizer_by_scan(group: PermGroup, x: Permutation) -> frozenset[Permutation]:
+    """C_G(x): every element of the group commuting with x, by public products."""
+    return frozenset(y for y in group.elements() if y * x == x * y)
+
+
 def dgroup_witness_by_centralizer(
     group: PermGroup,
 ) -> tuple[DGroupWitness | None, frozenset[Permutation] | None]:
@@ -288,7 +293,7 @@ def dgroup_witness_by_centralizer(
     x = min((y for y, size in size_of.items() if size == len(a)), default=None)
     if x is None:
         return None, None
-    b = frozenset(y for y in group.elements() if y * x == x * y)
+    b = centralizer_by_scan(group, x)
     center_order = sum(1 for size in size_of.values() if size == 1)
     sizes = frozenset(size_of.values())
     if (

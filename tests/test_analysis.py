@@ -18,16 +18,19 @@ from classgraph import (
     Semidirect,
     delta_of,
     dgroup_witness,
-    dgroup_witness_of,
     evaluate,
     strip_central_sylows,
-    structural_dgroup_witness,
     symmetric_group,
     to_permutation,
     verify_decomposition,
 )
 from corpus import A4_PERM, S3_PERM, S4_PERM, random_perm_groups
-from oracles import complete_vertices, whole_group_answers
+from oracles import (
+    centralizer_by_scan,
+    complete_vertices,
+    pairwise_is_abelian,
+    whole_group_answers,
+)
 
 
 # -- spectral recognizer ---------------------------------------------------------
@@ -116,10 +119,10 @@ def test_witness_rejected_by_class_sizes_alone():
     g = to_permutation(evaluate(Semidirect((7, 13), (6,), ((3, 3),))))
     a = g.derived_subgroup()
     x = next(c.representative for c in g.conjugacy_classes() if c.size == a.order)
-    b = g.centralizer(x)
-    assert a.is_abelian() and b.is_abelian()
-    assert set(a.elements()) & set(b.elements()) == {g.identity()}
-    assert frozenset(g.class_size_spectrum()) != {1, a.order, b.order // g.center().order}
+    b = centralizer_by_scan(g, x)
+    assert a.is_abelian and pairwise_is_abelian(b)
+    assert set(a.elements()) & b == {g.identity()}
+    assert frozenset(g.class_size_spectrum()) != {1, a.order, len(b) // g.center().order}
     assert dgroup_witness(g) is None
 
 
@@ -147,10 +150,11 @@ def test_capped_group_raises_before_any_normal_closure(monkeypatch):
 
 
 def test_over_cap_structured_group_raises_before_any_closure(monkeypatch):
-    # z7 x| z6 is neither abelian nor Frobenius, so neither the D-group
-    # recognizer nor the verifier can decide it from structure.  Spectrum,
-    # graph and partitions come from the uncapped group, so the verifier
-    # reaches its permutation route.
+    # z7 x| z6 is neither abelian nor Frobenius, so the verifier cannot
+    # decide it from structure.  Spectrum, graph and partitions come from
+    # the uncapped group, so the verifier reaches its permutation route,
+    # which realizes the whole group.  The D-group recognizer needs no
+    # enumeration: the product has two nonabelian factors.
     import classgraph.perm as perm
 
     expr = Direct((Semidirect((7,), (6,), ((2,),)), Frobenius((11,), 5)))
@@ -160,8 +164,7 @@ def test_over_cap_structured_group_raises_before_any_closure(monkeypatch):
     calls = []
     real = perm.cayley_table
     monkeypatch.setattr(perm, "cayley_table", lambda *a: calls.append(1) or real(*a))
-    with pytest.raises(CapExceeded):
-        dgroup_witness_of(capped)
+    assert dgroup_witness(capped) is None
     with pytest.raises(CapExceeded):
         verify_decomposition(
             capped, spectrum=report.spectrum, graph=report.graph, partitions=report.partitions
@@ -173,38 +176,65 @@ def test_over_cap_structured_group_raises_before_any_closure(monkeypatch):
     assert capped.to_permutation(verify_order=False).degree == 29
 
 
-# -- structural recognizer (construction route) ---------------------------------------
+# -- structural recognizer (structured groups) ----------------------------------------
 
 
 def test_structural_witness_frobenius():
-    w = structural_dgroup_witness(evaluate(Frobenius((7, 13), 3)))
+    w = dgroup_witness(evaluate(Frobenius((7, 13), 3)))
     assert w is not None
     assert (w.a_order, w.b_order, w.center_order) == (91, 3, 1)
     assert w.class_sizes == frozenset({1, 3, 91})
 
 
 def test_structural_witness_with_central_factor():
-    w = structural_dgroup_witness(evaluate(Direct((Frobenius((7,), 3), Cyclic(5)))))
+    w = dgroup_witness(evaluate(Direct((Frobenius((7,), 3), Cyclic(5)))))
     assert w is not None
     assert (w.a_order, w.b_order, w.center_order) == (7, 15, 5)
 
 
 def test_structural_none_for_two_frobenius_factors():
     g = evaluate(Direct((Frobenius((7,), 3), Frobenius((11,), 5))))
-    assert structural_dgroup_witness(g) is None
+    assert dgroup_witness(g) is None
 
 
 def test_structural_undecided_falls_back(corpus):
+    # Not Frobenius: decided on the group's own cached realization.
     g = evaluate(Semidirect((7,), (9,), ((2,),)))
     assert isinstance(g, MetabelianGroup)
-    w = dgroup_witness_of(g)
+    w = dgroup_witness(g)
     assert w is not None and (w.a_order, w.b_order) == (7, 9)
+    assert "_realization" in vars(g)
+
+
+def test_witness_enumerates_only_the_factor_with_no_closed_form(monkeypatch):
+    # z7 x| z9 (multiplier 2) x C5 folds into one structured group of order
+    # 315.  The spectrum and the witness enumerate only the 63-element
+    # semidirect part's realization, so a cap of 300 changes nothing.
+    import classgraph.perm as perm
+    from classgraph.reports import analyze_expr
+
+    expr = Direct((Semidirect((7,), (9,), ((2,),)), Cyclic(5)))
+    calls = []
+    real = perm.cayley_table
+
+    def recorded(generators, cap):
+        index, right = real(generators, cap)
+        calls.append((len(generators[0]), len(index)))
+        return index, right
+
+    monkeypatch.setattr(perm, "cayley_table", recorded)
+    report = analyze_expr("z7_rtimes_z9_x_c5", expr)
+    assert calls == [(16, 63), (16, 7)]
+    assert report["dgroup"]["witness"] == {
+        "a_order": 7, "b_order": 45, "center_order": 15, "class_sizes": [1, 3, 7]
+    }
+    assert analyze_expr("z7_rtimes_z9_x_c5", expr, enumeration_cap=300) == report
 
 
 def test_both_routes_agree_on_corpus(corpus):
     for entry in corpus:
         spectral = not delta_of(entry.spectrum).is_connected()
-        witness = dgroup_witness_of(entry.group)
+        witness = dgroup_witness(entry.group)
         assert spectral == (witness is not None), entry.name
         perm_witness = dgroup_witness(entry.perm)
         assert (perm_witness is not None) == spectral, entry.name
@@ -218,7 +248,7 @@ def test_both_routes_agree_on_corpus(corpus):
 
 def test_dgroup_spectrum_law(corpus):
     for entry in corpus:
-        witness = dgroup_witness_of(entry.group)
+        witness = dgroup_witness(entry.group)
         if witness is None:
             continue
         expected = {1, witness.a_order, witness.b_order // witness.center_order}
@@ -323,12 +353,12 @@ def test_dgroup_witness_computes_no_element_order_and_verify_computes_each_once(
 
 
 def test_analyze_enumerates_a_structured_group_with_no_closed_form_once(monkeypatch):
-    # The semidirect factor is not Frobenius, so neither the D-group
-    # recognizer nor the verifier can decide from structure; both use the
-    # one cached realization of the whole group (degree 7+6+11+5 = 29).
-    # Its generators split into z7 x| z6 and F55, so no Cayley graph walks
-    # more elements than the larger factor has: the 2310 of the whole
-    # product are never enumerated.
+    # The semidirect factor is not Frobenius, so the verifier cannot decide
+    # from structure; it uses the cached realization of the whole group
+    # (degree 7+6+11+5 = 29).  The D-group recognizer sees two nonabelian
+    # factors and needs none.  The realization's generators split into
+    # z7 x| z6 and F55, so no Cayley graph walks more elements than the
+    # larger factor has: the 2310 of the whole product are never enumerated.
     import classgraph.perm as perm
     from classgraph.reports import analyze_expr
 

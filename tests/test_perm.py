@@ -10,7 +10,6 @@ from classgraph import (
     CapExceeded,
     Cyclic,
     Direct,
-    ElementNotInGroup,
     Frobenius,
     PermGroup,
     Permutation,
@@ -152,7 +151,6 @@ def test_orbit_stabilizer_identity_everywhere():
         for p in g.elements():
             centralizer_order = sum(1 for h in g.elements() if h * p == p * h)
             assert size_of[p] * centralizer_order == order
-            assert g.centralizer(p).order == centralizer_order
         for c in g.conjugacy_classes():
             assert c.size == size_of[c.representative]
 
@@ -191,11 +189,6 @@ def test_classes_and_orders_match_conjugation_orbits_and_sympy(group):
         if sub is not None:
             assert "_orders" in vars(sub)
             assert_classes_and_orders_match_oracles(sub)
-
-
-def test_centralizer_requires_membership():
-    with pytest.raises(ElementNotInGroup):
-        s3().centralizer(Permutation((0, 1, 2, 3)))
 
 
 def test_class_sizes_z6_all_singletons():
