@@ -16,14 +16,15 @@ size |A|: B has order |G|/|A|, meets A trivially when no nontrivial element
 of A commutes with x, and the class sizes must be the predicted ones.  The
 block-square verifier combines them: a group whose graph is a block
 square must split, up to central Sylow factors, as a direct product of
-two coprime D-groups, one per non-adjacent block pair.
+two coprime D-groups, one per non-adjacent block pair.  It takes the core
+and both parts with ``pi_subgroup`` on either kind of group, which for
+abelian and Frobenius structured parts comes off the construction tree.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .blocks import BlockPartition, find_block_partitions
@@ -61,7 +62,7 @@ class CentralSplit:
     """G written as (core) x (central Hall part), prime set by prime set."""
 
     central_primes: tuple[int, ...]
-    core: PermGroup
+    core: MetabelianGroup | PermGroup
 
 
 @dataclass(frozen=True)
@@ -180,33 +181,10 @@ def dgroup_witness(group: MetabelianGroup | PermGroup) -> DGroupWitness | None:
 structural_dgroup_witness = dgroup_witness
 
 
-# -- construction structure for the verifier ------------------------------------
-
-
-_Split = tuple[list[MetabelianGroup], list[MetabelianGroup]]
-
-
-def _structural_parts(group: MetabelianGroup | PermGroup) -> _Split | None:
-    """Split a structured group into (abelian parts, Frobenius parts).
-
-    Returns None for a permutation group, which carries no construction
-    structure, and when some part is neither abelian nor Frobenius: those
-    groups take the permutation route.
-    """
-    if not isinstance(group, MetabelianGroup):
-        return None
-    parts = group.factors or (group,)
-    abelian = [p for p in parts if p.is_abelian]
-    frobenius = [p for p in parts if not p.is_abelian and p.frobenius]
-    if len(abelian) + len(frobenius) != len(parts):
-        return None
-    return abelian, frobenius
-
-
 # -- central stripping ---------------------------------------------------------
 
 
-def strip_central_sylows(group: PermGroup) -> CentralSplit:
+def strip_central_sylows(group: MetabelianGroup | PermGroup) -> CentralSplit:
     """Split off the primes whose full Sylow subgroup is central.
 
     The remaining core is the subgroup of elements whose orders avoid the
@@ -214,15 +192,17 @@ def strip_central_sylows(group: PermGroup) -> CentralSplit:
     must form a subgroup, and together with the central Hall part it
     multiplies back to |G|.
     """
+    return _central_split(group, group.class_size_spectrum()[1])
+
+
+def _central_split(group: MetabelianGroup | PermGroup, center_order: int) -> CentralSplit:
+    """``strip_central_sylows`` with |Z(G)|, the count of size-1 classes, given."""
     order = group.order
-    sylow_orders = {p: p ** valuation(order, p) for p in group.primes}
-    center_order = group.class_size_spectrum()[1]
+    sylow_orders = {p: p ** valuation(order, p) for p in group.primes if center_order % p == 0}
     central = tuple(p for p, q in sylow_orders.items() if center_order % q == 0)
-    core = group.pi_subgroup(frozenset(group.primes) - frozenset(central))
+    core = group.pi_subgroup(set(group.primes).difference(central))
     if core is None:
-        raise DecompositionFailure(
-            "elements of non-central order do not form a subgroup"
-        )
+        raise DecompositionFailure("elements of non-central order do not form a subgroup")
     central_part = math.prod(sylow_orders[p] for p in central)
     if core.order * central_part != order:
         raise DecompositionFailure(
@@ -235,41 +215,6 @@ def strip_central_sylows(group: PermGroup) -> CentralSplit:
 # -- block-square decomposition verifier ---------------------------------------
 
 
-def _first_decomposition(
-    partitions: tuple[BlockPartition, ...],
-    central_primes: tuple[int, ...],
-    core_order: int,
-    part_on: Callable[[frozenset[int]], MetabelianGroup | PermGroup | None],
-) -> DecompositionWitness | None:
-    """The first partition whose two block pairs carry coprime D-groups A x B.
-
-    ``part_on`` gives the part of the core on a prime set, or None when
-    there is none.  A lies on pi1 | pi4 and B on pi2 | pi3; their orders
-    must be coprime and multiply to ``core_order``, and each must have a
-    D-group witness, taken from its structure when it has one.
-    """
-    for partition in partitions:
-        a = part_on(frozenset(partition.pi1) | frozenset(partition.pi4))
-        b = part_on(frozenset(partition.pi2) | frozenset(partition.pi3))
-        if a is None or b is None:
-            continue
-        if a.order * b.order != core_order or math.gcd(a.order, b.order) != 1:
-            continue
-        wa = dgroup_witness(a)
-        wb = dgroup_witness(b)
-        if wa is None or wb is None:
-            continue
-        return DecompositionWitness(
-            central_primes=central_primes,
-            a_order=a.order,
-            b_order=b.order,
-            a_witness=wa,
-            b_witness=wb,
-            partition=partition,
-        )
-    return None
-
-
 def verify_decomposition(
     group: MetabelianGroup | PermGroup,
     *,
@@ -280,12 +225,12 @@ def verify_decomposition(
     """Check that a block-square graph forces the predicted product structure.
 
     When the graph is a block square, the group must split (after removing
-    central Sylow subgroups) as A x B with A, B D-groups of coprime orders
-    whose prime sets match the non-adjacent block pairs; the report status
-    is VERIFIED when a witness is found and COUNTEREXAMPLE_CANDIDATE when
-    not (the latter is never expected).  Conversely, a group built as a
-    coprime product of two D-groups must yield a block square, so an empty
-    partition list is also flagged for those inputs.
+    the central Sylow subgroups, read off |Z(G)| = ``spectrum[1]``) as A x B
+    of D-groups of coprime orders on the non-adjacent block pairs: VERIFIED
+    when a witness is found, COUNTEREXAMPLE_CANDIDATE (never expected) when
+    not.  Conversely, two nonabelian ``group.factors`` of coprime orders,
+    each with Δ disconnected, must yield a block square, so an empty
+    partition list is also flagged for them.
     """
     if spectrum is None:
         spectrum = group.class_size_spectrum()
@@ -293,24 +238,23 @@ def verify_decomposition(
         graph = group.delta()
     if partitions is None:
         partitions = tuple(find_block_partitions(graph))
-    split = _structural_parts(group)
     if not partitions:
-        declared_product = split is not None and len(split[1]) == 2
-        status = COUNTEREXAMPLE_CANDIDATE if declared_product else NOT_BLOCK_SQUARE
+        nonabelian = [f for f in group.factors if not f.is_abelian]
+        coprime_pair = len(nonabelian) == 2 and math.gcd(*(f.order for f in nonabelian)) == 1
+        declared = coprime_pair and not any(f.delta().is_connected() for f in nonabelian)
+        status = COUNTEREXAMPLE_CANDIDATE if declared else NOT_BLOCK_SQUARE
         return DecompositionReport(status, spectrum, graph, partitions, None)
-    if split is not None:
-        # The Frobenius parts are the candidate A and B, the abelian parts central.
-        abelian, frobenius = split
-        witness = _first_decomposition(
-            partitions,
-            tuple(sorted({q for part in abelian for q in part.primes})),
-            math.prod(f.order for f in frobenius),
-            {frozenset(f.primes): f for f in frobenius}.get,
-        )
-    else:
-        central = strip_central_sylows(group.to_permutation())
-        witness = _first_decomposition(
-            partitions, central.central_primes, central.core.order, central.core.pi_subgroup
-        )
-    status = VERIFIED if witness is not None else COUNTEREXAMPLE_CANDIDATE
-    return DecompositionReport(status, spectrum, graph, partitions, witness)
+    central = _central_split(group, spectrum[1])
+    for partition in partitions:
+        a = central.core.pi_subgroup({*partition.pi1, *partition.pi4})
+        b = central.core.pi_subgroup({*partition.pi2, *partition.pi3})
+        if a is None or b is None:
+            continue
+        if a.order * b.order != central.core.order or math.gcd(a.order, b.order) != 1:
+            continue
+        wa, wb = dgroup_witness(a), dgroup_witness(b)
+        if wa is None or wb is None:
+            continue
+        witness = DecompositionWitness(central.central_primes, a.order, b.order, wa, wb, partition)
+        return DecompositionReport(VERIFIED, spectrum, graph, partitions, witness)
+    return DecompositionReport(COUNTEREXAMPLE_CANDIDATE, spectrum, graph, partitions, None)

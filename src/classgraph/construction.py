@@ -8,8 +8,9 @@ those.  Each carries enough structure to compute its conjugacy class-size
 spectrum without enumerating elements whenever a fast path applies; the
 permutation engine (``to_permutation``) stays available as the independent
 cross-check.  A :class:`MetabelianGroup` offers the same ``order``, ``primes``,
-``class_size_spectrum()``, ``delta()`` and ``to_permutation()`` as a
-:class:`~classgraph.perm.PermGroup`, and reads its primes and Δ off the tree.
+``class_size_spectrum()``, ``delta()``, ``pi_subgroup()`` and
+``to_permutation()`` as a :class:`~classgraph.perm.PermGroup`, and reads its
+primes, Δ and the π-subgroups of abelian and Frobenius parts off the tree.
 
 A :class:`MetabelianGroup` is three tuples: kernel and top cyclic factor
 orders and the unit multipliers of the action.  Whether that action is
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .graph import Edge, PrimeGraph, delta_of, product_spectrum
 from .perm import DEFAULT_ENUMERATION_CAP, Permutation, PermGroup
-from .primes import EXACT_BELOW, is_prime, prime_factors
+from .primes import EXACT_BELOW, is_prime, prime_factors, valuation
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,41 @@ class MetabelianGroup:
             edges.update((min(p, q), max(p, q)) for p in vertices for q in part_vertices)
             vertices.extend(part_vertices)
         return PrimeGraph._trusted(tuple(sorted(vertices)), frozenset(edges))
+
+    def pi_subgroup(self, pi: set[int] | frozenset[int]) -> MetabelianGroup | PermGroup | None:
+        """The elements whose order has all its prime divisors in pi, as a subgroup.
+
+        None when they do not form one; the group itself when pi covers its
+        primes.  A group with a part neither abelian nor Frobenius answers
+        on its realization, which ``cap`` gates.  A product's is its parts',
+        as for ``PermGroup``, and an abelian leaf's is its Hall π-part.
+
+        In a Frobenius leaf K x| T (T cyclic) every element outside K lies
+        in a conjugate of T, so the π-elements are K_π and those of the
+        conjugates of T_π.  If T_π = 1, that is K_π.  Else for t != 1 in
+        T_π, k -> [k, t] is injective on the abelian K, hence onto, so the
+        K-conjugates of t are all of Kt and the π-elements generate
+        [K, T_π]T_π = KT_π.  So they form a subgroup only when K is a
+        π-group, and then it is the normal KT_π = K x| T_π, with top
+        generator i raised to the power n_i / |T_π,i|.
+        """
+        if pi.issuperset(self.primes):
+            return self
+        if not all(part.frobenius or part.is_abelian for part in self.factors or (self,)):
+            return self.to_permutation().pi_subgroup(pi)
+        if self.factors:
+            subs = [p.pi_subgroup(pi) for p in self.factors if not pi.isdisjoint(p.primes)]
+            if any(sub is None for sub in subs):
+                return None
+            return subs[0] if len(subs) == 1 else _fold_direct(subs, self.cap)
+        top = tuple(_pi_part(n, pi) for n in self.top)
+        if self.is_abelian or set(top) == {1}:
+            return _abelian_group(tuple(_pi_part(n, pi) for n in self.kernel + self.top), self.cap)
+        if any(_pi_part(m, pi) != m for m in self.kernel):
+            return None
+        kept = [(r, n, t) for r, n, t in zip(self.multipliers, self.top, top) if t > 1]
+        rows = tuple(tuple(pow(u, n // t, m) for u, m in zip(r, self.kernel)) for r, n, t in kept)
+        return MetabelianGroup(self.kernel, tuple(t for _, _, t in kept), rows, cap=self.cap)
 
     def to_permutation(self, *, verify_order: bool = True) -> PermGroup:
         """Faithful permutation realization, built once per group and cached.
@@ -272,6 +308,11 @@ def _abelian_group(orders: tuple[int, ...], cap: int) -> MetabelianGroup:
         multipliers=tuple(() for _ in orders),
         cap=cap,
     )
+
+
+def _pi_part(n: int, pi: set[int] | frozenset[int]) -> int:
+    """The largest divisor of n whose primes all lie in pi."""
+    return math.prod(q ** valuation(n, q) for q in pi if n % q == 0)
 
 
 def _check_exact(n: int, what: str) -> None:

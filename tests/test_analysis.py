@@ -150,11 +150,12 @@ def test_capped_group_raises_before_any_normal_closure(monkeypatch):
 
 
 def test_over_cap_structured_group_raises_before_any_closure(monkeypatch):
-    # z7 x| z6 is neither abelian nor Frobenius, so the verifier cannot
-    # decide it from structure.  Spectrum, graph and partitions come from
-    # the uncapped group, so the verifier reaches its permutation route,
-    # which realizes the whole group.  The D-group recognizer needs no
-    # enumeration: the product has two nonabelian factors.
+    # z7 x| z6 is neither abelian nor Frobenius, so the product's
+    # pi-subgroups are taken on the realization of the whole group, which
+    # the cap gates.  Spectrum, graph and partitions come from the uncapped
+    # group, and the verifier reads |Z(G)| off that spectrum, so the first
+    # thing it would enumerate is that realization.  The D-group recognizer
+    # needs no enumeration: the product has two nonabelian factors.
     import classgraph.perm as perm
 
     expr = Direct((Semidirect((7,), (6,), ((2,),)), Frobenius((11,), 5)))
@@ -353,9 +354,9 @@ def test_dgroup_witness_computes_no_element_order_and_verify_computes_each_once(
 
 
 def test_analyze_enumerates_a_structured_group_with_no_closed_form_once(monkeypatch):
-    # The semidirect factor is not Frobenius, so the verifier cannot decide
-    # from structure; it uses the cached realization of the whole group
-    # (degree 7+6+11+5 = 29).  The D-group recognizer sees two nonabelian
+    # The semidirect factor is not Frobenius, so the verifier takes its
+    # pi-subgroups on the cached realization of the whole group (degree
+    # 7+6+11+5 = 29).  The D-group recognizer sees two nonabelian
     # factors and needs none.  The realization's generators split into
     # z7 x| z6 and F55, so no Cayley graph walks more elements than the
     # larger factor has: the 2310 of the whole product are never enumerated.
@@ -377,6 +378,47 @@ def test_analyze_enumerates_a_structured_group_with_no_closed_form_once(monkeypa
     assert report["decomposition"]["status"] == VERIFIED
     assert (29, 55) in enumerated
     assert max(size for _, size in enumerated) == 55
+
+
+def test_analyze_enumerates_no_abelian_or_frobenius_part(monkeypatch):
+    # Order 330,000,990, 330 times the cap: the spectrum, Delta, the D-group
+    # rule and every pi-subgroup the verifier takes come off the tree.
+    import classgraph.perm as perm
+    from classgraph.reports import analyze_expr
+
+    calls = []
+    monkeypatch.setattr(perm, "cayley_table", lambda *a: calls.append(a))
+    expr = Direct((Frobenius((1000003,), 3), Frobenius((11,), 5), Cyclic(2)))
+    report = analyze_expr("f3000009_x_f55_x_c2", expr)
+    assert report["order"] == 330_000_990 > 330 * evaluate(expr).cap
+    assert report["decomposition"]["status"] == VERIFIED
+    assert report["decomposition"]["witness"]["central_primes"] == [2]
+    assert calls == []
+
+
+def test_converse_flag_on_two_coprime_nonabelian_dgroup_factors():
+    # With no block partition given, the verifier flags a direct product of
+    # exactly two nonabelian factors of coprime orders, each with Delta
+    # disconnected, whichever kind of group it is and whatever the factors.
+    f21, f55 = Frobenius((7,), 3), Frobenius((11,), 5)
+    flagged = (
+        evaluate(Direct((f21, f55))),
+        evaluate(Direct((f21, f55, Cyclic(2)))),
+        to_permutation(evaluate(Direct((f21, f55)))),
+        evaluate(Direct((Semidirect((7,), (6,), ((2,),)), f55))),
+    )
+    for g in flagged:
+        assert verify_decomposition(g, partitions=()).status == COUNTEREXAMPLE_CANDIDATE, g
+    f21_x_f21 = evaluate(Direct((f21, f21)))
+    assert isinstance(f21_x_f21, PermGroup) and len(f21_x_f21.factors) == 2
+    # Not coprime; one nonabelian factor; S4, whose Delta is connected.
+    not_flagged = (
+        f21_x_f21,
+        to_permutation(evaluate(Direct((f21, Cyclic(5))))),
+        evaluate(Direct((S4_PERM, f55))),
+    )
+    for g in not_flagged:
+        assert verify_decomposition(g, partitions=()).status == NOT_BLOCK_SQUARE, g
 
 
 def test_verify_c3_x_s3_x_f55():

@@ -12,6 +12,8 @@ reordered and re-associated direct factors, frobenius and semidirect
 nodes swapped, and a disguised realization.  A structured group's Δ,
 read off its construction tree, must equal ``delta_of`` on its spectrum,
 and every generated group's Δ must obey the theorems on class-size graphs.
+A generated structured group's π-subgroups, central split and verifier
+answer must equal those of its permutation realization.
 
 Regenerate after an intended report change with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -40,12 +42,15 @@ from classgraph import (
     PermGroup,
     Permutation,
     Semidirect,
+    VERIFIED,
     construct_block_square_group,
     delta_of,
     evaluate,
     parse_spec_file,
     parse_spec_text,
     serialize_spec,
+    strip_central_sylows,
+    verify_decomposition,
 )
 from classgraph.primes import is_prime
 from classgraph.reports import analyze_expr, report_to_json
@@ -381,6 +386,46 @@ def test_generated_tree_delta_obeys_the_class_size_graph_theorems():
 
     check()
     assert seen["examples"] >= 200
+    assert min(seen.values()) > 0, seen
+
+
+def test_structured_pi_subgroups_and_verifier_agree_with_the_realization():
+    # A structured group reads the pi-subgroups of its abelian and Frobenius
+    # parts off the tree, and the verifier strips central Sylow subgroups
+    # and takes A and B with them.  Each answer must be the one its
+    # permutation realization gives.  Two Frobenius groups are given: one
+    # with kernel Z49, and one whose cyclic complement has two top factors.
+    seen: Counter[str] = Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_trees())
+    @example((Semidirect((49,), (3,), ((18,),)), 147, False))
+    @example((Semidirect((13,), (2, 3), ((12,), (3,))), 78, False))
+    def check(tree):
+        group = evaluate(tree[0])
+        if isinstance(group, PermGroup):
+            return
+        realization = group.to_permutation()
+        for r in range(len(group.primes) + 1):
+            for pi in map(frozenset, combinations(group.primes, r)):
+                mine, theirs = group.pi_subgroup(pi), realization.pi_subgroup(pi)
+                assert (mine is None) == (theirs is None), (tree, pi)
+                if mine is not None:
+                    assert mine.order == theirs.order, (tree, pi)
+                    assert mine.class_size_spectrum() == theirs.class_size_spectrum(), (tree, pi)
+                seen["pi-subgroups"] += mine is not None
+                seen["not a subgroup"] += mine is None
+        split, expected = strip_central_sylows(group), strip_central_sylows(realization)
+        assert split.central_primes == expected.central_primes, tree
+        assert split.core.order == expected.core.order, tree
+        report, expected = verify_decomposition(group), verify_decomposition(realization)
+        assert (report.status, report.witness) == (expected.status, expected.witness), tree
+        seen["structured"] += 1
+        seen["verified"] += report.status == VERIFIED
+        seen["central primes"] += bool(split.central_primes)
+
+    check()
+    assert seen["structured"] >= 100
     assert min(seen.values()) > 0, seen
 
 
