@@ -8,16 +8,21 @@ middle block.
 
 The square has 8 symmetries of block positions; partitions in one orbit
 count as one.  :func:`find_block_partitions` returns each orbit's least
-valid member.  When the complement is bipartite it reads them off the
+valid member, which it reads off any member in constant time: each pair
+lower block first, then the pairs swapped when that is valid and lowers
+pi1.  When the complement is bipartite it reads the orbits off the
 complement's 2-coloring, in time polynomial in the size of the output.
-Any other graph is searched up to :data:`SEARCH_BOUND` vertices, and the
-search reaches no other leaf: the symmetries inside each pair (pi1, pi4)
-and (pi2, pi3) are broken while branching, the swap of the two pairs at
-the leaf.  It also stops at any node where pi1 and pi4 can no longer get
-two distinct witnesses from the vertices placed or still free to join
-them, so an edgeless graph, a perfect matching or a star fails at the
-root.  Either route names each block's primes once and sorts the
-partitions as tuples of those names.
+Any other graph of up to :data:`SEARCH_BOUND` vertices is searched on its
+core, the vertices with a neighbour; each of the 4^k placements of its k
+isolated vertices then extends every block square of the core.  The
+search reaches one leaf per orbit of the core: the symmetries inside each
+pair (pi1, pi4) and (pi2, pi3) are broken while branching, and the swap
+of the two pairs by pruning a node whose every leaf has a lower image.
+It also stops at any node where pi1 and pi4 can no longer get two
+distinct witnesses from the vertices placed or still free to join them,
+so an edgeless graph, a perfect matching or a star fails at the root.
+Either route names each block's primes once and sorts the partitions as
+tuples of those names.
 """
 
 from __future__ import annotations
@@ -65,22 +70,6 @@ class BlockPartition:
             "pi3": list(self.pi3),
             "pi4": list(self.pi4),
         }
-
-
-# The square's 8 symmetries of block positions, sorted; position i of an
-# image takes block sym[i].  They are generated by
-# pi1<->pi4 (3, 1, 2, 0), pi2<->pi3 (0, 2, 1, 3), and swapping the pair
-# (pi1,pi4) with (pi2,pi3) (1, 0, 3, 2).
-SQUARE_SYMMETRIES: tuple[tuple[int, int, int, int], ...] = (
-    (0, 1, 2, 3),
-    (0, 2, 1, 3),
-    (1, 0, 3, 2),
-    (1, 3, 0, 2),
-    (2, 0, 3, 1),
-    (2, 3, 0, 1),
-    (3, 1, 2, 0),
-    (3, 2, 1, 0),
-)
 
 
 def _validate(graph: PrimeGraph, part: BlockPartition) -> None:
@@ -161,6 +150,23 @@ def _witness(adj: tuple[int, ...], cand: int, mid2: int, mid3: int) -> int:
     return 0
 
 
+def _least_image(b1: int, b2: int, b3: int, b4: int, swap: bool) -> _Masks:
+    """The least image of a block square (b1, b2, b3, b4) under the square symmetries.
+
+    Disjoint blocks compare by their least vertices.  Each pair goes lower
+    block first: pi1 and pi2 are the lower of (b1, b4) and of (b2, b3).
+    When swap says the pairing with b2 and b3 as the ends is valid too, the
+    pairs trade places if that puts a lower vertex in pi1.
+    """
+    if b4 & -b4 < b1 & -b1:
+        b1, b4 = b4, b1
+    if b3 & -b3 < b2 & -b2:
+        b2, b3 = b3, b2
+    if swap and b2 & -b2 < b1 & -b1:
+        return (b2, b1, b4, b3)
+    return (b1, b2, b3, b4)
+
+
 def _two_clique_partitions(adj: tuple[int, ...], left: int, right: int) -> list[_Masks]:
     """Least images of the block squares, given a 2-coloring (L, R) of the complement.
 
@@ -182,39 +188,41 @@ def _two_clique_partitions(adj: tuple[int, ...], left: int, right: int) -> list[
         for extra in range(1 << len(free)):
             first = sum(c for i, c in enumerate(linked) if chosen >> i & 1)
             first += sum(c for i, c in enumerate(free) if extra >> i & 1)
+            # Each end block shares a clique with a middle block, so every
+            # image of a block square is one: the pairs may always swap.
             blocks = (left & first, left & ~first, right & first, right & ~first)
-            images = (tuple(blocks[i] for i in sym) for sym in SQUARE_SYMMETRIES)
-            # Disjoint blocks compare by their least vertices.
-            found.append(min(images, key=lambda b: [m & -m for m in b]))
+            found.append(_least_image(*blocks, True))
     return found
 
 
-def find_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
-    """All block-square partitions, one canonical representative per orbit.
+def _searched_partitions(adj: tuple[int, ...]) -> list[_Masks]:
+    """Least images of the block squares, found by searching the core.
 
-    The representative is the least valid member of the orbit under the 8
-    square symmetries; [] means no block square.  The graph picks the route:
+    The core is the set of vertices with a neighbour.  An isolated vertex
+    is never a witness and never joins an edge between partners, so every
+    block square restricts to one on the core, with four nonempty blocks,
+    and each block square of the core extends to one for each of the 4^|I|
+    placements of the isolated vertices I.  No symmetry fixes a partition
+    into four nonempty blocks, so one block square per orbit of the core's,
+    times every placement, is one per orbit of the graph's; each then
+    takes its least image.
 
-    - A bipartite complement's 2-coloring splits the graph into two
-      cliques, and :func:`_two_clique_partitions` reads the partitions off
-      it.  Each end block shares a clique with a middle block, so a
-      witness needs only an edge into the other: all images are valid.
-    - Any other graph is searched; only this route is bounded, raising
-      TooManyVertices past `SEARCH_BOUND`.  Vertices are assigned in
-      increasing order, pruning as soon as a pi1-pi4 or pi2-pi3 edge or an
-      unfillable empty block appears, or an end block can no longer get a
-      witness.  Blocks compare by least vertex, so pi4 (pi3) opens only
-      once pi1 (pi2) is nonempty, and a leaf with the least vertex in pi2
-      is dropped when pi2 and pi3 could be the ends.
-
-    Both routes name each block mask by its primes once per call, and sort
-    the partitions as tuples of names before building them.
+    Core vertices are assigned in increasing order, pruning as soon as a
+    pi1-pi4 or pi2-pi3 edge or an unfillable empty block appears, or an
+    end block can no longer get a witness.  pi4 (pi3) opens only once pi1
+    (pi2) is nonempty, which breaks the symmetries inside each pair.  The
+    swap of the pairs is broken at the node: once the core's least vertex
+    lies in pi2, and pi2 and pi3 each hold a vertex adjacent into the placed
+    pi1 and pi4, every leaf below has a lower image with pi2 and pi3 as the
+    ends, and that condition only grows with more vertices placed.
     """
-    vertices = graph.vertices
-    n = len(vertices)
-    adj = graph.adjacency
-    full = (1 << n) - 1
-    found: list[_Masks] = []
+    n = len(adj)
+    order = [i for i, a in enumerate(adj) if a]
+    size = len(order)
+    core = sum(1 << i for i in order)
+    least = core & -core
+    order.append(n)  # past the last core vertex: nothing is free
+    leaves: list[_Masks] = []
     masks = [0, 0, 0, 0]
     reach = [0, 0, 0, 0]  # reach[b]: the union of the neighbour masks of block b
 
@@ -234,14 +242,16 @@ def find_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
             return True
         return bool(ends4 & w and _witness(adj, ends1 & ~w, mid2, mid3))
 
-    def assign(pos: int, empty: int) -> None:
+    def assign(k: int, empty: int) -> None:
+        pos = order[k]
         bit = 1 << pos
-        if empty > n - pos or not witnesses_possible(full & -bit):
+        if empty > size - k or not witnesses_possible(core & -bit):
+            return
+        m1, m2, m3, m4 = masks
+        if m2 & least and _witness(adj, m2, m1, m4) and _witness(adj, m3, m1, m4):
             return
         if pos == n:
-            m1, m2, m3, m4 = masks
-            if not (m2 & 1 and _witness(adj, m2, m1, m4) and _witness(adj, m3, m1, m4)):
-                found.append((m1, m2, m3, m4))
+            leaves.append((m1, m2, m3, m4))
             return
         a = adj[pos]
         for b in range(4):
@@ -250,15 +260,64 @@ def find_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
                 continue
             m, r = masks[b], reach[b]
             masks[b], reach[b] = m | bit, r | a
-            assign(pos + 1, empty if m else empty - 1)
+            assign(k + 1, empty if m else empty - 1)
             masks[b], reach[b] = m, r
 
+    assign(0, 4)
+    isolated = ((1 << n) - 1) ^ core
+    if not (isolated and leaves):
+        return leaves
+    spread = [(0, 0, 0, 0)]  # every placement of the isolated vertices
+    while isolated:
+        bit = isolated & -isolated
+        isolated ^= bit
+        spread = [
+            placed
+            for x1, x2, x3, x4 in spread
+            for placed in (
+                (x1 | bit, x2, x3, x4),
+                (x1, x2 | bit, x3, x4),
+                (x1, x2, x3 | bit, x4),
+                (x1, x2, x3, x4 | bit),
+            )
+        ]
+    found: list[_Masks] = []
+    for c1, c2, c3, c4 in leaves:
+        # A leaf with the least core vertex in pi2 has no valid swap, or it was pruned.
+        swap = bool(_witness(adj, c2, c1, c4) and _witness(adj, c3, c1, c4))
+        found += [
+            _least_image(c1 | x1, c2 | x2, c3 | x3, c4 | x4, swap) for x1, x2, x3, x4 in spread
+        ]
+    return found
+
+
+def find_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
+    """All block-square partitions, one canonical representative per orbit.
+
+    The representative is the least valid member of the orbit under the 8
+    square symmetries; [] means no block square.  The graph picks the route:
+
+    - A bipartite complement's 2-coloring splits the graph into two
+      cliques, and :func:`_two_clique_partitions` reads the partitions off
+      it.
+    - Any other graph is searched by :func:`_searched_partitions` on its
+      non-isolated vertices, the isolated ones placed in closed form.  Only
+      this route is bounded: it raises TooManyVertices past `SEARCH_BOUND`
+      vertices, isolated ones included.
+
+    Both routes name each block mask by its primes once per call, and sort
+    the partitions as tuples of names before building them.
+    """
+    vertices = graph.vertices
+    n = len(vertices)
+    adj = graph.adjacency
     if graph.complement_coloring is not None:
-        found.extend(_two_clique_partitions(adj, *graph.complement_coloring))
+        found = _two_clique_partitions(adj, *graph.complement_coloring)
     elif n > SEARCH_BOUND:
         raise TooManyVertices(f"{n} vertices exceeds search bound {SEARCH_BOUND}")
     else:
-        assign(0, 4)
+        found = _searched_partitions(adj)
     names = {m: tuple(v for i, v in enumerate(vertices) if m >> i & 1) for m in set().union(*found)}
     # Names list their primes in vertex order, which is ascending.
-    return [BlockPartition._trusted(*b) for b in sorted(tuple(names[m] for m in f) for f in found)]
+    named = sorted([(names[a], names[b], names[c], names[d]) for a, b, c, d in found])
+    return [BlockPartition._trusted(*blocks) for blocks in named]

@@ -519,6 +519,22 @@ def canonical_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
     return sorted(out, key=BlockPartition.blocks)
 
 
+# The square's 8 symmetries of block positions, sorted; position i of an
+# image takes block sym[i].  They are generated by
+# pi1<->pi4 (3, 1, 2, 0), pi2<->pi3 (0, 2, 1, 3), and swapping the pair
+# (pi1,pi4) with (pi2,pi3) (1, 0, 3, 2).
+SQUARE_SYMMETRIES: tuple[tuple[int, int, int, int], ...] = (
+    (0, 1, 2, 3),
+    (0, 2, 1, 3),
+    (1, 0, 3, 2),
+    (1, 3, 0, 2),
+    (2, 0, 3, 1),
+    (2, 3, 0, 1),
+    (3, 1, 2, 0),
+    (3, 2, 1, 0),
+)
+
+
 def square_orbit(part: BlockPartition) -> list[BlockPartition]:
     """The 8 orderings of part's blocks that keep (pi1, pi4) and (pi2, pi3) as pairs.
 

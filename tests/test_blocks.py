@@ -17,8 +17,9 @@ from classgraph import (
     is_admissible_block_square,
     is_block_square_partition,
 )
-from classgraph.blocks import SEARCH_BOUND, SQUARE_SYMMETRIES
+from classgraph.blocks import SEARCH_BOUND
 from oracles import (
+    SQUARE_SYMMETRIES,
     admissible_by_three_passes,
     admissible_square,
     apply_symmetry,
@@ -268,6 +269,89 @@ def test_sparse_graphs_at_the_search_bound_fail_fast():
         start = time.process_time()
         assert find_block_partitions(g) == []
         assert time.process_time() - start < 1.0, edges
+
+
+def graph_with_isolated(rng, n: int, k: int, labels, *, least_isolated: bool) -> PrimeGraph:
+    """n labelled vertices, k of them isolated, the others a random core.
+
+    Half the cores are a blown-up 4-cycle, whose four classes are joined
+    only around the cycle, so both pairings of a block square are often
+    valid; the others are random graphs of varying density.
+    """
+    labels = sorted(rng.sample(labels, n))
+    if least_isolated:
+        isolated = [labels[0], *rng.sample(labels[1:], k - 1)]
+    else:
+        isolated = rng.sample(labels, k)
+    core = [v for v in labels if v not in isolated]
+    if rng.random() < 0.5:
+        cls = {v: i % 4 for i, v in enumerate(rng.sample(core, len(core)))}
+        allowed = [(p, q) for p, q in combinations(core, 2) if (cls[p] - cls[q]) % 2]
+        density = rng.choice((0.5, 0.8, 1.0))
+    else:
+        allowed = list(combinations(core, 2))
+        density = rng.choice((0.3, 0.5, 0.7))
+    return PrimeGraph(tuple(labels), frozenset(e for e in allowed if rng.random() < density))
+
+
+def test_detector_returns_the_canonical_list_with_isolated_vertices():
+    # The search runs on the vertices with a neighbour and places the
+    # isolated ones in closed form.  Some cases give an isolated vertex the
+    # least label, so that the core's least vertex is not the graph's, and
+    # some have block squares whose two pairings are both valid, so that
+    # the least image takes the pair swap.
+    rng = random.Random(41)
+    labels = sieve_primes(100)
+    least_isolated = both_pairings = 0
+    for case, n in enumerate([5, 6, 7, 8] * 8 + [9] * 4 + [10] * 2):
+        k = rng.randint(1, min(4, n - 4))
+        g = graph_with_isolated(rng, n, k, labels, least_isolated=case % 3 == 0)
+        assert g.complement_coloring is None
+        parts = find_block_partitions(g)
+        assert parts == canonical_block_partitions(g), g
+        if parts and not g.adjacency[0]:
+            least_isolated += 1
+        both_pairings += any(
+            is_block_square_partition(g, BlockPartition(p.pi2, p.pi1, p.pi4, p.pi3)) for p in parts
+        )
+    assert least_isolated >= 3 and both_pairings >= 3, (least_isolated, both_pairings)
+
+
+def test_isolated_vertices_multiply_the_partitions_by_four():
+    # No symmetry of the square fixes a partition into four nonempty
+    # blocks, so each isolated vertex multiplies the orbits by 4.
+    rng = random.Random(43)
+    labels = sieve_primes(60)
+    bases = [SQUARE]
+    while len(bases) < 6:
+        n = rng.randint(5, 6)
+        g = graph_from_bits(n, rng.getrandbits(n * (n - 1) // 2), tuple(rng.sample(labels, n)))
+        if all(g.adjacency) and g.complement_coloring is None and find_block_partitions(g):
+            bases.append(g)
+    for base in bases:
+        count = len(find_block_partitions(base))
+        spare = [v for v in labels if v not in base.vertices]
+        for k in range(1, 4):
+            g = PrimeGraph(base.vertices + tuple(rng.sample(spare, k)), base.edges)
+            parts = find_block_partitions(g)
+            assert len(parts) == 4**k * count, (base, k)
+            orbits = {frozenset(q.blocks() for q in square_orbit(p)) for p in parts}
+            assert len(orbits) == len(parts)
+            assert all(p == BlockPartition(*(b[::-1] for b in p.blocks())) for p in parts)
+
+
+def test_isolated_vertices_are_placed_in_bounded_time():
+    # A 4-cycle on the largest of 12 primes, the 8 least isolated:
+    # 4^8 least images, one per placement, for the one square of the cycle.
+    labels = sieve_primes(40)[:12]
+    cycle = labels[8:]
+    g = PrimeGraph(labels, frozenset(zip(cycle, cycle[1:] + cycle[:1])))
+    assert g.complement_coloring is None
+    start = time.process_time()
+    parts = find_block_partitions(g)
+    assert time.process_time() - start < 1.0
+    assert len(parts) == 4**8
+    assert parts[0] == BlockPartition(labels[:8] + cycle[:1], cycle[1:2], cycle[3:], cycle[2:3])
 
 
 def test_fast_oracle_agrees_with_naive_oracle():
