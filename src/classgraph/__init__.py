@@ -30,6 +30,7 @@ from .construction import (
     Abelian,
     Cyclic,
     Direct,
+    DirectProduct,
     Frobenius,
     GroupExpr,
     MetabelianGroup,

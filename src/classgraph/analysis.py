@@ -8,7 +8,7 @@ Frobenius with kernel AZ(G)/Z(G); their class sizes are {1, |A|, |B:Z(G)|}.
 
 Two independent recognizers are provided: a spectral one (count the
 components of the graph) and a structural one, ``dgroup_witness``, for
-either kind of group.  It applies the direct-product rule once over the
+any kind of group.  It applies the direct-product rule once over the
 group's factors, answers a structured Frobenius group in closed form, and
 on any other group, enumerated as permutations, exhibits A = G', checks
 that it is abelian, and takes B = C_G(x) for an element x whose class has
@@ -17,8 +17,9 @@ of A commutes with x, and the class sizes must be the predicted ones.  The
 block-square verifier combines them: a group whose graph is a block
 square must split, up to central Sylow factors, as a direct product of
 two coprime D-groups, one per non-adjacent block pair.  It takes the core
-and both parts with ``pi_subgroup`` on either kind of group, which for
-abelian and Frobenius structured parts comes off the construction tree.
+and both parts with ``pi_subgroup`` on any kind of group: a
+:class:`~classgraph.construction.DirectProduct` takes its factors', and
+abelian and Frobenius structured factors answer off the construction tree.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .blocks import BlockPartition, find_block_partitions
-from .construction import MetabelianGroup
+from .construction import Group, MetabelianGroup
 from .errors import DecompositionFailure
 from .graph import PrimeGraph
-from .perm import PermGroup
 from .primes import valuation
 
 VERIFIED = "VERIFIED"
@@ -62,7 +62,7 @@ class CentralSplit:
     """G written as (core) x (central Hall part), prime set by prime set."""
 
     central_primes: tuple[int, ...]
-    core: MetabelianGroup | PermGroup
+    core: Group
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,8 @@ class DecompositionReport:
 # -- structural recognizer -------------------------------------------------------
 
 
-def dgroup_witness(group: MetabelianGroup | PermGroup) -> DGroupWitness | None:
-    """Structural D-group recognizer, for either kind of group.
+def dgroup_witness(group: Group) -> DGroupWitness | None:
+    """Structural D-group recognizer, for any kind of group.
 
     A direct product (``group.factors``) has as class sizes the products of
     one size from each factor.  With two nonabelian factors, a size above 1
@@ -141,7 +141,6 @@ def dgroup_witness(group: MetabelianGroup | PermGroup) -> DGroupWitness | None:
     size neither 1 nor |A|.  So that size is |B:Z|, and C_B(a), which
     contains Z, is Z: G/Z is Frobenius.
     """
-    order = group.order  # CapExceeded for a permutation product over the cap
     nonabelian = [f for f in group.factors or (group,) if not f.is_abelian]
     if len(nonabelian) != 1:
         return None
@@ -150,7 +149,7 @@ def dgroup_witness(group: MetabelianGroup | PermGroup) -> DGroupWitness | None:
         w = dgroup_witness(f)
         if w is None:
             return None
-        r = order // f.order
+        r = group.order // f.order
         return replace(w, b_order=w.b_order * r, center_order=w.center_order * r)
     if isinstance(group, MetabelianGroup):
         if not group.frobenius:
@@ -184,7 +183,7 @@ structural_dgroup_witness = dgroup_witness
 # -- central stripping ---------------------------------------------------------
 
 
-def strip_central_sylows(group: MetabelianGroup | PermGroup) -> CentralSplit:
+def strip_central_sylows(group: Group) -> CentralSplit:
     """Split off the primes whose full Sylow subgroup is central.
 
     The remaining core is the subgroup of elements whose orders avoid the
@@ -195,7 +194,7 @@ def strip_central_sylows(group: MetabelianGroup | PermGroup) -> CentralSplit:
     return _central_split(group, group.class_size_spectrum()[1])
 
 
-def _central_split(group: MetabelianGroup | PermGroup, center_order: int) -> CentralSplit:
+def _central_split(group: Group, center_order: int) -> CentralSplit:
     """``strip_central_sylows`` with |Z(G)|, the count of size-1 classes, given."""
     order = group.order
     sylow_orders = {p: p ** valuation(order, p) for p in group.primes if center_order % p == 0}
@@ -216,7 +215,7 @@ def _central_split(group: MetabelianGroup | PermGroup, center_order: int) -> Cen
 
 
 def verify_decomposition(
-    group: MetabelianGroup | PermGroup,
+    group: Group,
     *,
     spectrum: Counter[int] | None = None,
     graph: PrimeGraph | None = None,

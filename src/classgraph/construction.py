@@ -4,13 +4,13 @@ The groups built here are the ones the block-square theory actually needs:
 abelian groups, semidirect products of two abelian groups where the top
 acts by componentwise multipliers (metabelian), Frobenius groups with
 squarefree cyclic kernel and cyclic complement, and direct products of
-those.  Each carries enough structure to compute its conjugacy class-size
-spectrum without enumerating elements whenever a fast path applies; the
-permutation engine (``to_permutation``) stays available as the independent
-cross-check.  A :class:`MetabelianGroup` offers the same ``order``, ``primes``,
+those and of permutation groups.  Each carries enough structure to compute
+its conjugacy class-size spectrum without enumerating elements whenever a
+fast path applies; the permutation engine (``to_permutation``) stays
+available as the independent cross-check.  A :class:`MetabelianGroup` and a
+:class:`DirectProduct` offer the same ``order``, ``primes``,
 ``class_size_spectrum()``, ``delta()``, ``pi_subgroup()`` and
-``to_permutation()`` as a :class:`~classgraph.perm.PermGroup`, and reads its
-primes, Δ and the π-subgroups of abelian and Frobenius parts off the tree.
+``to_permutation()`` as a :class:`~classgraph.perm.PermGroup`.
 
 A :class:`MetabelianGroup` is three tuples: kernel and top cyclic factor
 orders and the unit multipliers of the action.  Whether that action is
@@ -18,7 +18,10 @@ fixed-point-free (Frobenius) is decided in closed form, without walking
 the top: :func:`is_frobenius_action` checks multiplicative orders modulo
 the primes of the kernel factors.  A spectrum with no closed form comes
 from the cached permutation realization, which carries the group's
-enumeration ``cap``.
+enumeration ``cap``.  Every ``direct`` node evaluates to one
+:class:`DirectProduct` of leaf groups of either kind, coprime or not, and
+reads every answer off its factors: the cap bounds what a factor
+enumerates, never the product's order.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 
 from .errors import (
@@ -43,22 +46,20 @@ from .primes import EXACT_BELOW, is_prime, prime_factors, valuation
 
 @dataclass(frozen=True)
 class MetabelianGroup:
-    """Semidirect product kernel x| top, with optional product provenance.
+    """Semidirect product kernel x| top.
 
     ``kernel`` and ``top`` are the orders of the cyclic factors, each at
     least 2, and top factor i multiplies kernel factor j by the unit
-    ``multipliers[i][j]``.  ``factors`` records the coprime direct-product
-    parts a folded product was assembled from (enables the convolution
-    spectrum), and is () for any other group, as in ``PermGroup.factors``.
-    ``cap`` bounds the enumeration of the permutation realization, as
-    ``PermGroup.cap`` does, and takes no part in equality.
+    ``multipliers[i][j]``.  ``cap`` bounds the enumeration of the
+    permutation realization, as ``PermGroup.cap`` does, and takes no part
+    in equality.
     """
 
     kernel: tuple[int, ...]
     top: tuple[int, ...]
     multipliers: tuple[tuple[int, ...], ...]
-    factors: tuple["MetabelianGroup", ...] = ()
     cap: int = field(default=DEFAULT_ENUMERATION_CAP, compare=False)
+    factors = ()  # not a field: a leaf, as for an unsplit ``PermGroup``
 
     def __post_init__(self) -> None:
         if any(n < 2 for n in self.kernel + self.top):
@@ -75,9 +76,7 @@ class MetabelianGroup:
 
     @cached_property
     def primes(self) -> tuple[int, ...]:
-        """The primes of the group order, ascending: a product's are its factors' primes."""
-        if self.factors:
-            return tuple(sorted({q for part in self.factors for q in part.primes}))
+        """The primes of the group order, ascending."""
         return tuple(sorted({q for n in self.kernel + self.top for q in prime_factors(n)}))
 
     @property
@@ -92,13 +91,10 @@ class MetabelianGroup:
     def class_size_spectrum(self) -> Counter[int]:
         """Full class-size multiset as {size: multiplicity}.
 
-        Fast paths: trivial action (all singletons), fixed-point-free action
-        (three sizes in closed form), and coprime direct products
-        (convolution of factor spectra).  Otherwise the classes of the
+        Fast paths: trivial action (all singletons) and fixed-point-free
+        action (three sizes in closed form).  Otherwise the classes of the
         cached permutation realization, which ``to_permutation`` gates on ``cap``.
         """
-        if self.factors:
-            return product_spectrum(self.factors, self.order)
         if self.is_abelian:
             return Counter({1: self.order})
         if self.frobenius:
@@ -108,35 +104,22 @@ class MetabelianGroup:
         return self.to_permutation().class_size_spectrum()
 
     def delta(self) -> PrimeGraph:
-        """Δ of the class sizes, read off the construction tree: the join of its parts' Δ.
-
-        A Frobenius part gives two cliques, on the kernel's primes and the
-        complement's; any other part reads its own spectrum with ``delta_of``,
-        which for an abelian part is all 1s and gives nothing.
-        """
-        vertices: list[int] = []
-        edges: set[Edge] = set()
-        for part in self.factors or (self,):
-            if part.frobenius:
-                kernel_order = math.prod(part.kernel)
-                edges.update(combinations([q for q in part.primes if kernel_order % q == 0], 2))
-                edges.update(combinations([q for q in part.primes if kernel_order % q], 2))
-                part_vertices = part.primes
-            else:
-                graph = delta_of(part.class_size_spectrum(), primes=part.primes)
-                part_vertices = graph.vertices
-                edges.update(graph.edges)
-            edges.update((min(p, q), max(p, q)) for p in vertices for q in part_vertices)
-            vertices.extend(part_vertices)
-        return PrimeGraph._trusted(tuple(sorted(vertices)), frozenset(edges))
+        """Δ of the class sizes: a Frobenius group's is two cliques, on the kernel's primes and
+        the complement's; any other group reads its own spectrum with ``delta_of``."""
+        if not self.frobenius:
+            return delta_of(self.class_size_spectrum(), primes=self.primes)
+        kernel_order = math.prod(self.kernel)
+        sides = [[q for q in self.primes if (kernel_order % q == 0) == k] for k in (False, True)]
+        edges = frozenset(e for side in sides for e in combinations(side, 2))
+        return PrimeGraph._trusted(self.primes, edges)
 
     def pi_subgroup(self, pi: set[int] | frozenset[int]) -> MetabelianGroup | PermGroup | None:
         """The elements whose order has all its prime divisors in pi, as a subgroup.
 
         None when they do not form one; the group itself when pi covers its
-        primes.  A group with a part neither abelian nor Frobenius answers
-        on its realization, which ``cap`` gates.  A product's is its parts',
-        as for ``PermGroup``, and an abelian leaf's is its Hall π-part.
+        primes.  A group neither abelian nor Frobenius answers on its
+        realization, which ``cap`` gates.  An abelian group's is its Hall
+        π-part.
 
         In a Frobenius leaf K x| T (T cyclic) every element outside K lies
         in a conjugate of T, so the π-elements are K_π and those of the
@@ -149,13 +132,8 @@ class MetabelianGroup:
         """
         if pi.issuperset(self.primes):
             return self
-        if not all(part.frobenius or part.is_abelian for part in self.factors or (self,)):
+        if not (self.frobenius or self.is_abelian):
             return self.to_permutation().pi_subgroup(pi)
-        if self.factors:
-            subs = [p.pi_subgroup(pi) for p in self.factors if not pi.isdisjoint(p.primes)]
-            if any(sub is None for sub in subs):
-                return None
-            return subs[0] if len(subs) == 1 else _fold_direct(subs, self.cap)
         top = tuple(_pi_part(n, pi) for n in self.top)
         if self.is_abelian or set(top) == {1}:
             return _abelian_group(tuple(_pi_part(n, pi) for n in self.kernel + self.top), self.cap)
@@ -222,6 +200,65 @@ class MetabelianGroup:
                 images[base + x] = base + (x + 1) % n
             gens.append(Permutation(tuple(images)))
         return PermGroup(gens, cap=self.cap)
+
+
+@dataclass(frozen=True)
+class DirectProduct:
+    """The direct product of leaf groups of either kind, coprime or not, read off its factors.
+
+    ``cap`` gates ``to_permutation`` alone; each factor's own cap bounds what it enumerates.
+    """
+
+    factors: tuple[MetabelianGroup | PermGroup, ...]
+    cap: int = field(default=DEFAULT_ENUMERATION_CAP, compare=False)
+
+    @property
+    def order(self) -> int:
+        return math.prod(f.order for f in self.factors)
+
+    @cached_property
+    def primes(self) -> tuple[int, ...]:
+        return tuple(sorted({q for f in self.factors for q in f.primes}))
+
+    @property
+    def is_abelian(self) -> bool:
+        return all(f.is_abelian for f in self.factors)
+
+    def class_size_spectrum(self) -> Counter[int]:
+        return product_spectrum(self.factors, self.order)
+
+    def delta(self) -> PrimeGraph:
+        """The factors' Δ joined, and p -- q for each p != q of two factors' vertices: pq
+        divides a class size ab exactly when p and q both divide a, both divide b, or one each."""
+        vertices: set[int] = set()
+        edges: set[Edge] = set()
+        for part in self.factors:
+            graph = part.delta()
+            edges.update(graph.edges)
+            edges.update((min(p, q), max(p, q)) for p in vertices for q in graph.vertices if p != q)
+            vertices.update(graph.vertices)
+        return PrimeGraph._trusted(tuple(sorted(vertices)), frozenset(edges))
+
+    def pi_subgroup(self, pi: set[int] | frozenset[int]) -> Group | None:
+        """The factors' π-subgroups, as (g, h) is a π-element exactly when g and h are; None
+        when one is None, and the first factor's trivial one when pi misses every factor."""
+        if pi.issuperset(self.primes):
+            return self
+        subs = [f.pi_subgroup(pi) for f in self.factors if not pi.isdisjoint(f.primes)]
+        subs = subs or [self.factors[0].pi_subgroup(pi)]
+        if any(sub is None for sub in subs):
+            return None
+        return subs[0] if len(subs) == 1 else DirectProduct(tuple(subs), self.cap)
+
+    def to_permutation(self, *, verify_order: bool = True) -> PermGroup:
+        """The factors' realizations on disjoint points; ``verify_order`` gates the order on ``cap``."""
+        if verify_order and self.order > self.cap:
+            raise CapExceeded(f"group of order {self.order} exceeds enumeration cap {self.cap}")
+        parts = [f.to_permutation(verify_order=verify_order) for f in self.factors]
+        return reduce(PermGroup.direct_product, parts)
+
+
+Group = MetabelianGroup | PermGroup | DirectProduct
 
 
 # -- construction tree -------------------------------------------------------
@@ -362,36 +399,13 @@ def _semidirect_group(node: Semidirect, cap: int) -> MetabelianGroup:
     return replace(g, multipliers=rows)
 
 
-def _fold_direct(parts: list[MetabelianGroup], cap: int) -> MetabelianGroup:
-    """Block-diagonal fold of pairwise-coprime metabelian factors."""
-    kernel = tuple(m for g in parts for m in g.kernel)
-    rows: list[tuple[int, ...]] = []
-    before = 0
-    for g in parts:
-        # A part's top acts on its own kernel factors and trivially on the rest.
-        after = len(kernel) - before - len(g.kernel)
-        rows.extend((1,) * before + row + (1,) * after for row in g.multipliers)
-        before += len(g.kernel)
-    return MetabelianGroup(
-        kernel=kernel,
-        top=tuple(n for g in parts for n in g.top),
-        multipliers=tuple(rows),
-        factors=tuple(parts),
-        cap=cap,
-    )
-
-
-def evaluate(expr: GroupExpr, *, cap: int | None = None) -> MetabelianGroup | PermGroup:
+def evaluate(expr: GroupExpr, *, cap: int | None = None) -> Group:
     """Evaluate a construction tree to a concrete group.
 
-    Direct products of structured children fold into one metabelian group
-    (block-diagonal action) when the children's orders are pairwise
-    coprime.  Any prime overlap, or any permutation child, makes it a
-    permutation group on the children's disjoint points, after CapExceeded
-    if their orders multiply past ``cap``; its generators split, so it is
-    analysed factor by factor (``PermGroup.factors``).  Every group built
-    carries ``cap`` (default ``DEFAULT_ENUMERATION_CAP``), the bound on any
-    enumeration of it.
+    A direct product is one :class:`DirectProduct` of its children's
+    factors, flattened, whatever primes they share and whatever kind they
+    are.  Every group built carries ``cap`` (default
+    ``DEFAULT_ENUMERATION_CAP``), the bound on any enumeration of it.
     """
     if cap is None:
         cap = DEFAULT_ENUMERATION_CAP
@@ -418,23 +432,9 @@ def evaluate(expr: GroupExpr, *, cap: int | None = None) -> MetabelianGroup | Pe
     if isinstance(expr, Direct):
         if not expr.factors:
             raise ExprError("direct product needs at least one factor")
-        parts = [evaluate(child, cap=cap) for child in expr.factors]
-        if len(parts) == 1:
-            return parts[0]
-        orders = [g.order for g in parts]
-        order = math.prod(orders)
-        # Orders are pairwise coprime exactly when their lcm is their product.
-        if math.lcm(*orders) == order and all(isinstance(g, MetabelianGroup) for g in parts):
-            flat: list[MetabelianGroup] = []
-            for g in parts:
-                flat.extend(g.factors or (g,))
-            return _fold_direct(flat, cap)
-        if order > cap:
-            raise CapExceeded(f"direct product of order {order} exceeds enumeration cap {cap}")
-        out = parts[0].to_permutation()
-        for g in parts[1:]:
-            out = out.direct_product(g.to_permutation())
-        return out
+        groups = [evaluate(child, cap=cap) for child in expr.factors]
+        parts = tuple(f for g in groups for f in g.factors or (g,))
+        return parts[0] if len(parts) == 1 else DirectProduct(parts, cap)
     raise ExprError(f"unknown construction node {expr!r}")
 
 
@@ -464,9 +464,9 @@ def is_frobenius_action(g: MetabelianGroup) -> bool:
 
 
 # Module-level spellings of the shared group interface, for either kind of group.
-def class_size_spectrum(group: MetabelianGroup | PermGroup) -> Counter[int]:
+def class_size_spectrum(group: Group) -> Counter[int]:
     return group.class_size_spectrum()
 
 
-def to_permutation(group: MetabelianGroup | PermGroup, **kwargs) -> PermGroup:
+def to_permutation(group: Group, **kwargs) -> PermGroup:
     return group.to_permutation(**kwargs)

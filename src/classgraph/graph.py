@@ -8,8 +8,8 @@ group order, so a group's sizes are read against its own primes
 (``group.primes``): each size is divided by those primes, and a cofactor
 other than 1 is an internal error, never a smaller graph.  A bare spectrum
 is factored exactly instead (see :mod:`classgraph.primes`).
-A structured group reads Δ off its construction tree (``MetabelianGroup.delta``);
-:func:`delta_of` serves permutation groups, the builder's self-check and tests.
+A direct product joins its factors' Δ (``DirectProduct.delta``); every
+other group, the builder's self-check and tests use :func:`delta_of`.
 """
 
 from __future__ import annotations

@@ -30,7 +30,8 @@ re-enumerated.
 Generators moving disjoint points commute, so a group whose generators
 split into such sets is the direct product of their groups
 (:attr:`PermGroup.factors`), and reads its order, spectrum and
-π-subgroups off those, not off its own elements.
+π-subgroups off those, not off its own elements.  The cap bounds each
+factor's enumeration, never the product's order.
 
 Composition convention: ``(p * q)(i) == p(q(i))`` (apply q first).
 Iteration order is deterministic everywhere: elements are reported sorted
@@ -221,9 +222,10 @@ def _conjugation_tables(
 class PermGroup:
     """A finite group given by permutation generators; queries enumerate it.
 
-    Shares ``order``, ``primes``, ``class_size_spectrum()``, ``delta()`` and
-    ``to_permutation()`` with :class:`~classgraph.construction.MetabelianGroup`,
-    so callers need not ask which kind of group they hold.
+    Shares ``order``, ``primes``, ``class_size_spectrum()``, ``delta()``,
+    ``pi_subgroup()`` and ``to_permutation()`` with the structured groups of
+    :mod:`classgraph.construction`, so callers need not ask which kind of
+    group they hold.
     """
 
     def __init__(
@@ -279,13 +281,10 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        """The number of elements; a product's is its factors', checked against ``cap``."""
+        """The number of elements; a product's is its factors'."""
         if not self.factors:
             return len(self._table[0])
-        order = math.prod(f.order for f in self.factors)
-        if order > self.cap:
-            raise CapExceeded(f"direct product of order {order} exceeds enumeration cap {self.cap}")
-        return order
+        return math.prod(f.order for f in self.factors)
 
     @cached_property
     def primes(self) -> tuple[int, ...]:

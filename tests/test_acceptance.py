@@ -138,13 +138,15 @@ def test_structured_vs_oracle_spectra():
         if entry.order > 5000:
             continue
         group = evaluate(entry.expr)
-        if not isinstance(group, MetabelianGroup):
+        parts = [f for f in group.factors or (group,) if isinstance(f, MetabelianGroup)]
+        if not parts:
             continue
         structured = class_size_spectrum(group)
         oracle = to_permutation(group).class_size_spectrum()
         assert structured == oracle, entry.name
-        pairs = semidirect_class_sizes(group.kernel, group.top, group.multipliers)
-        assert structured == pairs, entry.name
+        for part in parts:
+            pairs = semidirect_class_sizes(part.kernel, part.top, part.multipliers)
+            assert class_size_spectrum(part) == pairs, entry.name
         checked += 1
     assert checked >= 7
     _report("structured vs permutation and pair-arithmetic oracle spectra", t0, 60.0)

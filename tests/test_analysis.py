@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +11,14 @@ from classgraph import (
     COUNTEREXAMPLE_CANDIDATE,
     NOT_BLOCK_SQUARE,
     VERIFIED,
+    Abelian,
     CapExceeded,
     Cyclic,
     Direct,
+    DirectProduct,
     Frobenius,
     MetabelianGroup,
+    Perm,
     PermGroup,
     Permutation,
     Semidirect,
@@ -24,7 +30,7 @@ from classgraph import (
     to_permutation,
     verify_decomposition,
 )
-from corpus import A4_PERM, S3_PERM, S4_PERM, random_perm_groups
+from corpus import A4_PERM, Q8_PERM, S3_PERM, S4_PERM, random_perm_groups
 from oracles import (
     centralizer_by_scan,
     complete_vertices,
@@ -150,12 +156,13 @@ def test_capped_group_raises_before_any_normal_closure(monkeypatch):
 
 
 def test_over_cap_structured_group_raises_before_any_closure(monkeypatch):
-    # z7 x| z6 is neither abelian nor Frobenius, so the product's
-    # pi-subgroups are taken on the realization of the whole group, which
-    # the cap gates.  Spectrum, graph and partitions come from the uncapped
-    # group, and the verifier reads |Z(G)| off that spectrum, so the first
-    # thing it would enumerate is that realization.  The D-group recognizer
-    # needs no enumeration: the product has two nonabelian factors.
+    # z7 x| z6 is neither abelian nor Frobenius, so the verifier takes its
+    # pi-subgroups on its own realization, of order 42.  The cap bounds
+    # that enumeration, not the product's order: at cap 2309 the product
+    # of order 2310 verifies as it does uncapped.  The D-group recognizer
+    # needs no enumeration: the product has two nonabelian factors.  Only
+    # the realization of the whole product is gated on its order, and it
+    # raises before any closure.
     import classgraph.perm as perm
 
     expr = Direct((Semidirect((7,), (6,), ((2,),)), Frobenius((11,), 5)))
@@ -166,14 +173,14 @@ def test_over_cap_structured_group_raises_before_any_closure(monkeypatch):
     real = perm.cayley_table
     monkeypatch.setattr(perm, "cayley_table", lambda *a: calls.append(1) or real(*a))
     assert dgroup_witness(capped) is None
-    with pytest.raises(CapExceeded):
-        verify_decomposition(
-            capped, spectrum=report.spectrum, graph=report.graph, partitions=report.partitions
-        )
-    with pytest.raises(CapExceeded):
-        capped.to_permutation()
     assert calls == []
-    assert "_realization" not in vars(capped)
+    assert verify_decomposition(
+        capped, spectrum=report.spectrum, graph=report.graph, partitions=report.partitions
+    ) == report
+    walked = len(calls)
+    with pytest.raises(CapExceeded, match="order 2310 exceeds enumeration cap 2309"):
+        capped.to_permutation()
+    assert len(calls) == walked
     assert capped.to_permutation(verify_order=False).degree == 29
 
 
@@ -354,12 +361,11 @@ def test_dgroup_witness_computes_no_element_order_and_verify_computes_each_once(
 
 
 def test_analyze_enumerates_a_structured_group_with_no_closed_form_once(monkeypatch):
-    # The semidirect factor is not Frobenius, so the verifier takes its
-    # pi-subgroups on the cached realization of the whole group (degree
-    # 7+6+11+5 = 29).  The D-group recognizer sees two nonabelian
-    # factors and needs none.  The realization's generators split into
-    # z7 x| z6 and F55, so no Cayley graph walks more elements than the
-    # larger factor has: the 2310 of the whole product are never enumerated.
+    # The semidirect factor is not Frobenius, so its spectrum and the
+    # verifier's pi-subgroups of it come off its own cached realization,
+    # on 7 + 6 = 13 points, walked once whole.  The D-group recognizer sees
+    # two nonabelian factors and needs none, and F55 answers in closed form:
+    # no walk covers the 29 points of the product's realization.
     import classgraph.perm as perm
     from classgraph.reports import analyze_expr
 
@@ -376,8 +382,31 @@ def test_analyze_enumerates_a_structured_group_with_no_closed_form_once(monkeypa
     report = analyze_expr("z7_rtimes_z6_x_f55", expr)
     assert report["order"] == 2310
     assert report["decomposition"]["status"] == VERIFIED
-    assert (29, 55) in enumerated
-    assert max(size for _, size in enumerated) == 55
+    assert all(degree == 13 for degree, _ in enumerated), enumerated
+    assert enumerated.count((13, 42)) == 1
+    assert max(size for _, size in enumerated) == 42
+
+
+def test_a_product_enumerates_only_its_permutation_factor(monkeypatch):
+    # F3000009 x S3 is 18 times the cap, and its factors share the prime 3.
+    # F3000009 answers in closed form, so the one walk is S3's 6 elements.
+    import classgraph.perm as perm
+    from classgraph.reports import analyze_expr
+
+    enumerated = []
+    real = perm.cayley_table
+
+    def recorded(generators, cap):
+        index, right = real(generators, cap)
+        enumerated.append((len(generators[0]), len(index)))
+        return index, right
+
+    monkeypatch.setattr(perm, "cayley_table", recorded)
+    report = analyze_expr("f3000009_x_s3", Direct((Frobenius((1000003,), 3), S3_PERM)))
+    assert report["order"] == 18_000_054
+    assert report["graph"] == {"vertices": [2, 3, 1000003], "edges": [[2, 3], [2, 1000003], [3, 1000003]]}
+    assert report["decomposition"]["status"] == NOT_BLOCK_SQUARE
+    assert enumerated == [(3, 6)]
 
 
 def test_analyze_enumerates_no_abelian_or_frobenius_part(monkeypatch):
@@ -410,7 +439,7 @@ def test_converse_flag_on_two_coprime_nonabelian_dgroup_factors():
     for g in flagged:
         assert verify_decomposition(g, partitions=()).status == COUNTEREXAMPLE_CANDIDATE, g
     f21_x_f21 = evaluate(Direct((f21, f21)))
-    assert isinstance(f21_x_f21, PermGroup) and len(f21_x_f21.factors) == 2
+    assert isinstance(f21_x_f21, DirectProduct) and len(f21_x_f21.factors) == 2
     # Not coprime; one nonabelian factor; S4, whose Delta is connected.
     not_flagged = (
         f21_x_f21,
@@ -555,3 +584,89 @@ def test_factor_route_agrees_with_the_whole_group_enumerated(case):
     assert split.central_primes == expected["central_primes"]
     assert split.core.order == expected["core_order"]
     assert verify_decomposition(group).status == expected["status"]
+
+
+# -- direct products of structured and permutation leaves ---------------------------
+
+# Leaves of either kind whose primes overlap: abelian, Frobenius, semidirect
+# nodes that are neither (each decided on its own realization), and perm
+# specs, the last one on two disjoint cycles, so it splits into C2 x C3.
+_PRODUCT_LEAVES = (
+    Cyclic(1),
+    Cyclic(2),
+    Cyclic(3),
+    Cyclic(4),
+    Cyclic(6),
+    Abelian((2, 2)),
+    Abelian((3, 3)),
+    Frobenius((3,), 2),
+    Frobenius((5,), 2),
+    Frobenius((5,), 4),
+    Frobenius((7,), 3),
+    Frobenius((7,), 6),
+    Frobenius((11,), 5),
+    Frobenius((13,), 3),
+    Semidirect((3,), (4,), ((2,),)),
+    Semidirect((5,), (4,), ((4,),)),
+    Semidirect((7,), (6,), ((2,),)),
+    Semidirect((7,), (9,), ((2,),)),
+    S3_PERM,
+    A4_PERM,
+    S4_PERM,
+    Q8_PERM,
+    Perm(5, ((1, 0, 2, 3, 4), (0, 1, 3, 4, 2))),
+)
+_PRODUCT_LEAF_ORDERS = tuple(evaluate(leaf).order for leaf in _PRODUCT_LEAVES)
+
+
+@st.composite
+def mixed_products(draw, budget: int = 1000):
+    """A direct node of two or three leaves, of order at most ``budget`` together."""
+    leaves, order = [], 1
+    for _ in range(draw(st.integers(2, 3))):
+        fits = [i for i, n in enumerate(_PRODUCT_LEAF_ORDERS) if order * n <= budget]
+        i = draw(st.sampled_from(fits))
+        leaves.append(_PRODUCT_LEAVES[i])
+        order *= _PRODUCT_LEAF_ORDERS[i]
+    return Direct(tuple(leaves))
+
+
+def test_direct_products_agree_with_the_whole_group_enumerated():
+    # A direct node of any leaves, coprime or not, is one DirectProduct, and
+    # every answer it reads off its factors must be the one its realization
+    # gives when it is enumerated at once.
+    seen: Counter[str] = Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mixed_products())
+    def check(expr):
+        group = evaluate(expr)
+        assert isinstance(group, DirectProduct), expr
+        expected = whole_group_answers(group.to_permutation())
+        assert group.order == expected["order"], expr
+        assert group.primes == tuple(p for p in (2, 3, 5, 7, 11, 13) if group.order % p == 0)
+        assert group.class_size_spectrum() == expected["spectrum"], expr
+        delta = group.delta()
+        assert (delta.vertices, delta.edges) == expected["delta"], expr
+        assert group.is_abelian == (set(expected["spectrum"]) == {1}), expr
+        assert dgroup_witness(group) == expected["witness"], expr
+        for pi, order in expected["pi_orders"].items():
+            sub = group.pi_subgroup(pi)
+            assert (None if sub is None else sub.order) == order, (expr, sorted(pi))
+        split = strip_central_sylows(group)
+        assert split.central_primes == expected["central_primes"], expr
+        assert split.core.order == expected["core_order"], expr
+        assert verify_decomposition(group).status == expected["status"], expr
+        seen["examples"] += 1
+        seen["overlapping"] += math.lcm(*(f.order for f in group.factors)) < group.order
+        seen["perm factor"] += any(isinstance(f, PermGroup) for f in group.factors)
+        seen["neither abelian nor Frobenius"] += any(
+            not (f.is_abelian or f.frobenius) for f in group.factors if isinstance(f, MetabelianGroup)
+        )
+        seen["D-group"] += expected["witness"] is not None
+        seen["verified"] += expected["status"] == VERIFIED
+        seen["pi-subgroup is None"] += None in expected["pi_orders"].values()
+
+    check()
+    assert seen["examples"] >= 200
+    assert min(seen.values()) > 0, seen

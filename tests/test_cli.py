@@ -243,35 +243,65 @@ def _limit_address_space_to_1gb() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
+F3000009 = Frobenius((1000003,), 3)
+
+
 @pytest.mark.parametrize(
-    "expr",
+    "expr, order, graph",
     [
         # F(1000003, 2) x C2: the factors share the prime 2, and the
         # Frobenius factor alone has a realization on 1,000,005 points.
-        Direct((Frobenius((1000003,), 2), Cyclic(2))),
+        (Direct((Frobenius((1000003,), 2), Cyclic(2))), 4_000_012, ([2, 1000003], [])),
         # C999999 x C3: each factor is under the cap, the product is not.
-        Direct((Cyclic(999999), Cyclic(3))),
+        (Direct((Cyclic(999999), Cyclic(3))), 2_999_997, ([], [])),
+        # C500000 x C2: the factors share the prime 2, and the product
+        # has exactly as many elements as the cap.
+        (Direct((Cyclic(500000), Cyclic(2))), 1_000_000, ([], [])),
+        # F3000009 x S3 and F3000009 x C3 share the prime 3; only S3 is
+        # enumerated, and its 6 elements.
+        (
+            Direct((F3000009, S3_PERM)),
+            18_000_054,
+            ([2, 3, 1000003], [[2, 3], [2, 1000003], [3, 1000003]]),
+        ),
+        (Direct((F3000009, Cyclic(3))), 9_000_027, ([3, 1000003], [])),
         # C1000 x C1001 as a perm spec, the cycles on disjoint points: the
-        # generators split, each factor is enumerated, and their orders
-        # multiply past the cap before the product is.
-        Perm(
-            degree=2001,
-            generators=(
-                tuple(range(1, 1000)) + (0,) + tuple(range(1000, 2001)),
-                tuple(range(1000)) + tuple(range(1001, 2001)) + (1000,),
+        # generators split, and each factor is enumerated on its own.
+        (
+            Perm(
+                degree=2001,
+                generators=(
+                    tuple(range(1, 1000)) + (0,) + tuple(range(1000, 2001)),
+                    tuple(range(1000)) + tuple(range(1001, 2001)) + (1000,),
+                ),
             ),
+            1_001_000,
+            ([], []),
         ),
     ],
-    ids=["frobenius_1000003_x_c2", "c999999_x_c3", "perm_c1000_x_c1001"],
+    ids=[
+        "frobenius_1000003_x_c2",
+        "c999999_x_c3",
+        "c500000_x_c2",
+        "f3000009_x_s3",
+        "f3000009_x_c3",
+        "perm_c1000_x_c1001",
+    ],
 )
-def test_over_cap_products_exit_3_before_enumerating(tmp_path, expr):
-    # An enumeration toward the cap would run out of the 1 GB address space.
-    spec = write_spec(tmp_path, "over_cap", expr)
+def test_products_over_the_cap_of_cheap_factors_exit_0(tmp_path, expr, order, graph):
+    # Each product has at least as many elements as the cap allows, but
+    # each factor answers in closed form or by enumerating itself under the
+    # cap, and the cap does not bound the product's order.  Enumerating the
+    # product would run out of the 1 GB address space.
+    spec = write_spec(tmp_path, "product", expr)
     start = time.monotonic()
     proc = run_cli(["analyze", str(spec)], timeout=60, preexec_fn=_limit_address_space_to_1gb)
-    assert proc.returncode == 3, proc.stderr
-    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert proc.returncode == 0, proc.stderr
     assert time.monotonic() - start < 5
+    report = json.loads(proc.stdout)
+    assert report["order"] == order >= 10**6
+    assert sum(size * count for size, count in report["spectrum"]) == order
+    assert (report["graph"]["vertices"], report["graph"]["edges"]) == graph
 
 
 def test_s10_perm_spec_exits_3_at_the_cap_within_1gb(tmp_path):

@@ -15,6 +15,7 @@ from classgraph import (
     CoprimalityViolation,
     Cyclic,
     Direct,
+    DirectProduct,
     ExprError,
     Frobenius,
     InvalidMultiplier,
@@ -119,24 +120,41 @@ def test_evaluate_deterministic():
 
 
 def test_evaluate_direct_coprime_folds():
+    # The children fold into one product that keeps them as its factors.
+    f21, f55 = evaluate(Frobenius((7,), 3)), evaluate(Frobenius((11,), 5))
     g = evaluate(Direct((Frobenius((7,), 3), Frobenius((11,), 5))))
-    assert isinstance(g, MetabelianGroup)
-    assert len(g.factors) == 2
+    assert isinstance(g, DirectProduct)
+    assert g.factors == (f21, f55)
     assert g.order == 1155
-    assert g.kernel == (7, 11)
-    assert g.top == (3, 5)
+    assert g.primes == (3, 5, 7, 11)
+    assert not g.is_abelian
 
 
 def test_evaluate_direct_non_coprime_goes_through_permutations():
+    # A shared prime makes no other type: only the realization of the
+    # product is a permutation group, and it answers as the product does.
     g = evaluate(Direct((Frobenius((7,), 3), Cyclic(3))))
-    assert isinstance(g, PermGroup)
-    assert g.order == 63
+    assert isinstance(g, DirectProduct)
+    assert g.order == 63 and g.primes == (3, 7)
+    perm = g.to_permutation()
+    assert isinstance(perm, PermGroup) and perm.degree == 13
+    assert g.class_size_spectrum() == perm.class_size_spectrum() == {1: 3, 3: 6, 7: 6}
+    assert g.delta() == perm.delta()
+    assert dgroup_witness(g) == dgroup_witness(perm)
 
 
 def test_evaluate_direct_with_perm_child():
     g = evaluate(Direct((S3_PERM, Cyclic(2))))
-    assert isinstance(g, PermGroup)
+    assert isinstance(g, DirectProduct)
+    assert [type(f) for f in g.factors] == [PermGroup, MetabelianGroup]
     assert g.order == 12
+    # A perm child whose generators split joins the product as its own factors.
+    split = Perm(5, ((1, 2, 0, 3, 4), (0, 1, 2, 4, 3)))
+    g = evaluate(Direct((split, Cyclic(5))))
+    assert [f.order for f in g.factors] == [3, 2, 5]
+    # Nested products flatten into one.
+    nested = evaluate(Direct((Direct((S3_PERM, Cyclic(2))), Frobenius((7,), 3))))
+    assert [f.order for f in nested.factors] == [6, 2, 21]
 
 
 def test_evaluate_trivial_and_nested():
@@ -367,8 +385,9 @@ def _assert_routes_agree(g):
     spectrum = g.class_size_spectrum()
     assert spectrum == perm.class_size_spectrum()
     # A non-Frobenius group reads its spectrum off `perm`, so only the
-    # oracle's own arithmetic checks that realization.
-    assert spectrum == semidirect_class_sizes(*_parts(g))
+    # oracle's own arithmetic checks that realization, factor by factor.
+    for part in g.factors or (g,):
+        assert part.class_size_spectrum() == semidirect_class_sizes(*_parts(part))
 
 
 @settings(max_examples=30, deadline=None)
@@ -380,7 +399,7 @@ def test_structured_and_permutation_routes_agree(g):
 @settings(max_examples=15, deadline=None)
 @given(coprime_semidirect_products())
 def test_structured_and_permutation_routes_agree_on_coprime_products(g):
-    assert len(g.factors) == 2
+    assert isinstance(g, DirectProduct) and len(g.factors) == 2
     _assert_routes_agree(g)
 
 
@@ -561,10 +580,21 @@ def test_module_functions_take_either_kind_of_group():
     assert to_permutation(f21) is to_permutation(f21)
 
 
-def test_overlapping_product_over_the_cap_raises_before_it_is_realized():
-    # C10 x C10 shares its primes, so it takes the permutation route, whose
-    # order is the product of the factors' orders.
+def test_overlapping_product_over_the_cap_raises_before_it_is_realized(monkeypatch):
+    # C10 x C10 shares its primes.  Its factors answer without enumeration,
+    # so the cap does not bound its order: at cap 99 it analyzes as at cap
+    # 100, and only its realization, gated on the whole order, raises.
+    import classgraph.perm as perm
+
+    calls = []
+    monkeypatch.setattr(perm, "cayley_table", lambda *a: calls.append(a))
     expr = Direct((Cyclic(10), Cyclic(10)))
+    assert analyze_expr("c10_x_c10", expr, enumeration_cap=99) == analyze_expr(
+        "c10_x_c10", expr, enumeration_cap=100
+    )
+    assert calls == []
+    capped = evaluate(expr, cap=99)
+    assert capped.order == 100
     with pytest.raises(CapExceeded, match="order 100 exceeds enumeration cap 99"):
-        evaluate(expr, cap=99)
-    assert evaluate(expr, cap=100).order == 100
+        capped.to_permutation()
+    assert calls == []
