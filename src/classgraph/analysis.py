@@ -10,10 +10,11 @@ Two independent recognizers are provided: a spectral one (count the
 components of the graph) and a structural one, ``dgroup_witness``, for
 any kind of group.  It applies the direct-product rule once over the
 group's factors, answers a structured Frobenius group in closed form, and
-on any other group, enumerated as permutations, exhibits A = G', checks
-that it is abelian, and takes B = C_G(x) for an element x whose class has
-size |A|: B has order |G|/|A|, meets A trivially when no nontrivial element
-of A commutes with x, and the class sizes must be the predicted ones.  The
+on any other group, enumerated as permutations, rejects more than three
+class sizes, exhibits A = G', checks that it is abelian, and takes
+B = C_G(x) for an element x whose class has size |A|: B has order
+|G|/|A|, meets A trivially when no nontrivial element of A commutes with
+x, and the class sizes must be the predicted ones.  The
 block-square verifier combines them: a group whose graph is a block
 square must split, up to central Sylow factors, as a direct product of
 two coprime D-groups, one per non-adjacent block pair.  It takes the core
@@ -119,7 +120,9 @@ def dgroup_witness(group: Group) -> DGroupWitness | None:
     |A||B| = |G|.  Any other structured group is decided on its cached
     permutation realization, whose enumeration its ``cap`` bounds.
 
-    On a permutation group, A is the derived subgroup, which must be
+    On a permutation group, the classes come first: a D-group has the three
+    class sizes {1, |A|, |B:Z|}, so a group with more is rejected before
+    any subgroup is walked.  A is the derived subgroup, which must be
     nontrivial and abelian.  B is C_G(x) for the representative x of the
     first class of size |A|; it is never enumerated.  By orbit-stabilizer
     |B| = |G|/|x^G| = |G|/|A|, and A meets B trivially exactly when no
@@ -156,6 +159,9 @@ def dgroup_witness(group: Group) -> DGroupWitness | None:
             return dgroup_witness(group.to_permutation())
         kernel_order, complement = math.prod(group.kernel), math.prod(group.top)
         return DGroupWitness(kernel_order, complement, 1, frozenset({1, kernel_order, complement}))
+    spectrum = group.class_size_spectrum()
+    if len(spectrum) > 3:  # more sizes than {1, |A|, |B:Z|}, read before G' is walked
+        return None
     a = group.derived_subgroup()
     if a.order == 1 or not a.is_abelian:
         return None
@@ -163,7 +169,6 @@ def dgroup_witness(group: Group) -> DGroupWitness | None:
     if x is None or not a.meets_centralizer_trivially(x):
         return None
     b_order = group.order // a.order
-    spectrum = group.class_size_spectrum()
     center_order = spectrum[1]  # the size-1 classes are the central elements
     sizes = frozenset(spectrum)
     if sizes != frozenset({1, a.order, b_order // center_order}):

@@ -274,15 +274,18 @@ class PermGroup:
         parts = mask_components(links, sum(1 << k for k, a in enumerate(moved) if a))
         if len(parts) < 2:
             return ()
-        return tuple(
+        factors = tuple(
             PermGroup([g for k, g in enumerate(self.generators) if part >> k & 1], cap=self.cap)
             for part in parts
         )
+        for factor in factors:
+            factor.__dict__["factors"] = ()  # one component of the links, so it splits no further
+        return factors
 
     @property
     def order(self) -> int:
-        """The number of elements; a product's is its factors'."""
-        if not self.factors:
+        """The number of elements; a product's is its factors', unless it is walked already."""
+        if "_table" in self.__dict__ or not self.factors:
             return len(self._table[0])
         return math.prod(f.order for f in self.factors)
 
@@ -422,19 +425,26 @@ class PermGroup:
         """The elements whose order has all its prime divisors in pi, as a subgroup.
 
         None when those elements do not form a subgroup; the group itself
-        when pi covers every prime of its order.  (a, b) is a pi-element exactly
-        when a and b are, so a product's is its factors', kept as its ``factors``.
+        when pi covers every prime of its order, and the trivial subgroup,
+        with no element order computed, when pi meets none.  (a, b) is a
+        pi-element exactly when a and b are, so a product's joins those of
+        the factors pi meets as its ``factors``, or is the one such itself.
         """
         outside = [p for p in self.primes if p not in pi]
         if not outside:
             return self
         if self.factors:
-            parts = tuple(f.pi_subgroup(pi) for f in self.factors)
+            parts = [f.pi_subgroup(pi) for f in self.factors if not pi.isdisjoint(f.primes)]
+            parts = parts or [self.factors[0].pi_subgroup(pi)]
             if any(part is None for part in parts):
                 return None
+            if len(parts) == 1:
+                return parts[0]
             product = PermGroup([g for part in parts for g in part.generators], cap=self.cap)
-            product.__dict__["factors"] = parts
+            product.__dict__["factors"] = tuple(parts)
             return product
+        if pi.isdisjoint(self.primes):
+            return self._subgroup({tuple(range(self.degree))})
         orders = self._orders
         # Element orders divide the group order, so their primes are among self.primes.
         allowed = {o for o in set(orders) if all(o % p for p in outside)}

@@ -351,7 +351,8 @@ def whole_group_answers(group: PermGroup) -> dict:
     products on them: classes are the orbits of conjugation by the
     generators, Δ joins the primes of each class size, element orders come
     by powers, the π-elements form a subgroup when the group they generate
-    stays among them, and a prime is central when its Sylow order divides
+    stays among them (``pi_parts`` keeps those elements and generators, or
+    None), and a prime is central when its Sylow order divides
     the number of central elements.  The D-group witness is
     ``dgroup_witness_by_centralizer``.  The verdict is VERIFIED when some
     canonical block partition has D-groups (disconnected Δ) A and B on its
@@ -398,6 +399,7 @@ def whole_group_answers(group: PermGroup) -> dict:
         "delta": (vertices, edges),
         "witness": dgroup_witness_by_centralizer(group)[0],
         "pi_orders": {pi: None if v is None else len(v[0]) for pi, v in pi_parts.items()},
+        "pi_parts": pi_parts,
         "central_primes": central,
         "core_order": core_order,
         "status": status,

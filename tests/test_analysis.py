@@ -34,9 +34,27 @@ from corpus import A4_PERM, Q8_PERM, S3_PERM, S4_PERM, random_perm_groups
 from oracles import (
     centralizer_by_scan,
     complete_vertices,
+    orbits_under_conjugation,
     pairwise_is_abelian,
     whole_group_answers,
 )
+
+
+@pytest.fixture
+def walks(monkeypatch) -> list[tuple[int, int]]:
+    """(degree, elements) of each ``cayley_table`` walk the test makes, in order."""
+    import classgraph.perm as perm
+
+    recorded: list[tuple[int, int]] = []
+    real = perm.cayley_table
+
+    def record(generators, cap):
+        index, right = real(generators, cap)
+        recorded.append((len(generators[0]), len(index)))
+        return index, right
+
+    monkeypatch.setattr(perm, "cayley_table", record)
+    return recorded
 
 
 # -- spectral recognizer ---------------------------------------------------------
@@ -214,25 +232,15 @@ def test_structural_undecided_falls_back(corpus):
     assert "_realization" in vars(g)
 
 
-def test_witness_enumerates_only_the_factor_with_no_closed_form(monkeypatch):
+def test_witness_enumerates_only_the_factor_with_no_closed_form(walks):
     # z7 x| z9 (multiplier 2) x C5 folds into one structured group of order
     # 315.  The spectrum and the witness enumerate only the 63-element
     # semidirect part's realization, so a cap of 300 changes nothing.
-    import classgraph.perm as perm
     from classgraph.reports import analyze_expr
 
     expr = Direct((Semidirect((7,), (9,), ((2,),)), Cyclic(5)))
-    calls = []
-    real = perm.cayley_table
-
-    def recorded(generators, cap):
-        index, right = real(generators, cap)
-        calls.append((len(generators[0]), len(index)))
-        return index, right
-
-    monkeypatch.setattr(perm, "cayley_table", recorded)
     report = analyze_expr("z7_rtimes_z9_x_c5", expr)
-    assert calls == [(16, 63), (16, 7)]
+    assert walks == [(16, 63), (16, 7)]
     assert report["dgroup"]["witness"] == {
         "a_order": 7, "b_order": 45, "center_order": 15, "class_sizes": [1, 3, 7]
     }
@@ -341,8 +349,11 @@ def test_verify_with_central_factor():
 def test_dgroup_witness_computes_no_element_order_and_verify_computes_each_once(monkeypatch):
     # dgroup_witness reads B off the classes, so it needs no element order.
     # The realization's generators split into three factors, F21, F55 and
-    # C2, and the verifier reads every pi-subgroup off theirs: it computes
-    # the orders of a factor at most once, and its subgroups read those.
+    # C2.  The verifier's pi-subgroups, the core on {3, 5, 7, 11} and A and
+    # B on {3, 7} and {5, 11}, each cover every prime of the factors they
+    # meet, so each is those factors themselves, and no element order is
+    # computed.  A pi-subgroup that needs them computes the orders of a
+    # factor once per class, and later ones read those.
     import classgraph.perm as perm
 
     g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Frobenius((11,), 5), Cyclic(2)))))
@@ -356,57 +367,79 @@ def test_dgroup_witness_computes_no_element_order_and_verify_computes_each_once(
     assert report.status == VERIFIED
     assert report.witness.central_primes == (2,)
     assert (report.witness.a_order, report.witness.b_order) == (21, 55)
-    # Conjugates share an order, so it is computed once per class of each factor.
-    assert len(calls) == sum(len(f.conjugacy_classes()) for f in g.factors) < g.order
+    assert len(calls) == 0
+    f21 = g.factors[0]
+    assert g.pi_subgroup(frozenset({7})).order == 7
+    assert g.pi_subgroup(frozenset({2, 7})).order == 14
+    # Conjugates share an order, so it is computed once per class of F21.
+    assert len(calls) == len(f21.conjugacy_classes()) == 5
 
 
-def test_analyze_enumerates_a_structured_group_with_no_closed_form_once(monkeypatch):
+def test_analyze_enumerates_a_structured_group_with_no_closed_form_once(walks):
     # The semidirect factor is not Frobenius, so its spectrum and the
     # verifier's pi-subgroups of it come off its own cached realization,
     # on 7 + 6 = 13 points, walked once whole.  The D-group recognizer sees
     # two nonabelian factors and needs none, and F55 answers in closed form:
     # no walk covers the 29 points of the product's realization.
-    import classgraph.perm as perm
     from classgraph.reports import analyze_expr
 
-    enumerated = []
-    real = perm.cayley_table
-
-    def recorded(generators, cap):
-        index, right = real(generators, cap)
-        enumerated.append((len(generators[0]), len(index)))
-        return index, right
-
-    monkeypatch.setattr(perm, "cayley_table", recorded)
     expr = Direct((Semidirect((7,), (6,), ((2,),)), Frobenius((11,), 5)))
     report = analyze_expr("z7_rtimes_z6_x_f55", expr)
     assert report["order"] == 2310
     assert report["decomposition"]["status"] == VERIFIED
-    assert all(degree == 13 for degree, _ in enumerated), enumerated
-    assert enumerated.count((13, 42)) == 1
-    assert max(size for _, size in enumerated) == 42
+    assert all(degree == 13 for degree, _ in walks), walks
+    assert walks.count((13, 42)) == 1
+    assert max(size for _, size in walks) == 42
 
 
-def test_a_product_enumerates_only_its_permutation_factor(monkeypatch):
+def test_a_product_enumerates_only_its_permutation_factor(walks):
     # F3000009 x S3 is 18 times the cap, and its factors share the prime 3.
     # F3000009 answers in closed form, so the one walk is S3's 6 elements.
-    import classgraph.perm as perm
     from classgraph.reports import analyze_expr
 
-    enumerated = []
-    real = perm.cayley_table
-
-    def recorded(generators, cap):
-        index, right = real(generators, cap)
-        enumerated.append((len(generators[0]), len(index)))
-        return index, right
-
-    monkeypatch.setattr(perm, "cayley_table", recorded)
     report = analyze_expr("f3000009_x_s3", Direct((Frobenius((1000003,), 3), S3_PERM)))
     assert report["order"] == 18_000_054
     assert report["graph"] == {"vertices": [2, 3, 1000003], "edges": [[2, 3], [2, 1000003], [3, 1000003]]}
     assert report["decomposition"]["status"] == NOT_BLOCK_SQUARE
-    assert enumerated == [(3, 6)]
+    assert walks == [(3, 6)]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_dgroup_witness_rejects_a_symmetric_group_on_its_classes_alone(n, walks):
+    # S4, S5 and S6 have 4, 6 and 7 distinct class sizes, more than the
+    # three of a D-group, so no subgroup is walked after the group itself.
+    g = symmetric_group(n)
+    assert len(g.class_size_spectrum()) == {4: 4, 5: 6, 6: 7}[n]
+    assert dgroup_witness(g) is None
+    assert walks == [(n, math.factorial(n))]
+
+
+def test_analysis_of_a_split_perm_spec_walks_each_factor_and_its_derived_subgroup(walks):
+    # A perm spec of F21 x F205 splits into its two Frobenius factors, and
+    # the verifier's A and B are those factors themselves.  The walks are
+    # the two factors and their derived subgroups: 274 elements in all,
+    # where the product has 4,305.  README quotes these figures.
+    from classgraph.reports import analyze_expr
+
+    g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Frobenius((41,), 5)))))
+    walks.clear()
+    report = analyze_expr("f21_x_f205", Perm(g.degree, tuple(x.images for x in g.generators)))
+    assert report["order"] == 4305
+    assert report["decomposition"]["status"] == VERIFIED
+    assert walks == [(56, 21), (56, 205), (56, 7), (56, 41)]
+    assert sum(size for _, size in walks) == 274
+
+
+def test_dgroup_witness_reads_the_order_of_a_split_derived_subgroup_off_its_walk(walks):
+    # The realization of z(7*13) x| z3 is one support component, but its G'
+    # = C7 x C13 is generated by commutators on the two kernel blocks, so
+    # its generators split.  Its order is read off the walk that generated
+    # it, not off a walk of each factor.
+    g = to_permutation(evaluate(Semidirect((7, 13), (3,), ((2, 3),))))
+    witness = dgroup_witness(g)
+    assert (witness.a_order, witness.b_order, witness.center_order) == (91, 3, 1)
+    assert walks == [(23, 273), (23, 91)]
+    assert len(g.derived_subgroup().factors) == 2
 
 
 def test_analyze_enumerates_no_abelian_or_frobenius_part(monkeypatch):
@@ -567,7 +600,8 @@ def split_products(draw):
 @given(split_products())
 def test_factor_route_agrees_with_the_whole_group_enumerated(case):
     # Every answer read off the factors must be the one the whole product
-    # gives when it is enumerated at once.
+    # gives when it is enumerated at once, down to the order and spectrum
+    # of the pi-subgroup for every set pi of its primes.
     group, parts = case
     nontrivial = sum(part.order > 1 for part in parts)
     assert len(group.factors) >= nontrivial or nontrivial < 2
@@ -580,6 +614,10 @@ def test_factor_route_agrees_with_the_whole_group_enumerated(case):
     for pi, order in expected["pi_orders"].items():
         sub = group.pi_subgroup(pi)
         assert (None if sub is None else sub.order) == order, sorted(pi)
+        if sub is not None:
+            part = expected["pi_parts"][pi]
+            spectrum = Counter(map(len, orbits_under_conjugation(*part)))
+            assert sub.class_size_spectrum() == spectrum, sorted(pi)
     split = strip_central_sylows(group)
     assert split.central_primes == expected["central_primes"]
     assert split.core.order == expected["core_order"]

@@ -321,6 +321,29 @@ def test_pi_subgroup_whole_prime_set_is_the_group(corpus):
         assert g.pi_subgroup(frozenset(prime_factors(g.order)) | {101}) is g
 
 
+def test_pi_subgroup_of_a_split_group_comes_from_the_factors_pi_meets():
+    g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Frobenius((11,), 5)))))
+    f21, f55 = g.factors
+    # Each factor is one component of the generators' links, so it is
+    # built knowing it splits no further.
+    assert vars(f21)["factors"] == vars(f55)["factors"] == ()
+    # pi meets no factor: the first factor's trivial subgroup, with no
+    # element order or class computed.
+    trivial = g.pi_subgroup(frozenset({2}))
+    assert trivial.order == 1
+    assert all(gen in f21 for gen in trivial.generators)
+    assert "_partition" not in vars(f21) and "_partition" not in vars(f55)
+    # pi covers F21's primes and misses F55's: F21 itself.
+    assert g.pi_subgroup(frozenset({3, 7})) is f21
+    # pi meets F21 alone: a subgroup of F21, and F55's classes are never walked.
+    sylow = g.pi_subgroup(frozenset({7}))
+    assert sylow.order == 7
+    assert all(gen in f21 for gen in sylow.generators)
+    assert "_partition" not in vars(f55)
+    both = g.pi_subgroup(frozenset({7, 11}))
+    assert both.order == 77 and len(both.factors) == 2
+
+
 # -- subgroup test ------------------------------------------------------------------
 
 
