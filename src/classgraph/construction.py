@@ -39,7 +39,7 @@ from .errors import (
     FaithfulnessFailure,
     InvalidMultiplier,
 )
-from .graph import Edge, PrimeGraph, delta_of, product_spectrum
+from .graph import PrimeGraph, delta_of, product_delta, product_spectrum
 from .perm import DEFAULT_ENUMERATION_CAP, Permutation, PermGroup
 from .primes import EXACT_BELOW, is_prime, prime_factors, valuation
 
@@ -228,16 +228,7 @@ class DirectProduct:
         return product_spectrum(self.factors, self.order)
 
     def delta(self) -> PrimeGraph:
-        """The factors' Δ joined, and p -- q for each p != q of two factors' vertices: pq
-        divides a class size ab exactly when p and q both divide a, both divide b, or one each."""
-        vertices: set[int] = set()
-        edges: set[Edge] = set()
-        for part in self.factors:
-            graph = part.delta()
-            edges.update(graph.edges)
-            edges.update((min(p, q), max(p, q)) for p in vertices for q in graph.vertices if p != q)
-            vertices.update(graph.vertices)
-        return PrimeGraph._trusted(tuple(sorted(vertices)), frozenset(edges))
+        return product_delta(self.factors)
 
     def pi_subgroup(self, pi: set[int] | frozenset[int]) -> Group | None:
         """The factors' π-subgroups, as (g, h) is a π-element exactly when g and h are; None
@@ -318,10 +309,10 @@ def auto_multiplier(p: int, n: int, n_primes: tuple[int, ...]) -> int:
     """u^((p - 1)/n) mod the prime p for the least u >= 2 of order exactly n, given n's primes."""
     if (p - 1) % n != 0:
         raise InvalidMultiplier(f"no unit of order {n} mod {p}: {n} does not divide {p - 1}")
-    # Every primitive root qualifies, so the scan stops by the least one.
+    # The scan stops by the least primitive root.  h**n = u**(p - 1) = 1: test each h**(n/q).
     for u in range(2, p):
         h = pow(u, (p - 1) // n, p)
-        if _has_order(h, n, p, n_primes):
+        if all(pow(h, n // q, p) != 1 for q in n_primes):
             return h
     raise InvalidMultiplier(f"no unit of order {n} mod {p}")  # pragma: no cover
 
@@ -385,6 +376,8 @@ def _frobenius_group(node: Frobenius, cap: int) -> MetabelianGroup:
         mults = tuple(_checked_multiplier(int(u), p, n) for u, p in zip(node.multipliers, kernel))
     group = MetabelianGroup(kernel=kernel, top=(n,), multipliers=(mults,), cap=cap)
     group.__dict__["primes"] = tuple(sorted(kernel + n_primes))  # kernel entries proven prime above
+    if node.multipliers is None:  # each of order exactly n mod its prime: is_frobenius_action
+        group.__dict__["frobenius"] = True
     return group
 
 

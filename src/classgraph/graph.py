@@ -8,8 +8,8 @@ group order, so a group's sizes are read against its own primes
 (``group.primes``): each size is divided by those primes, and a cofactor
 other than 1 is an internal error, never a smaller graph.  A bare spectrum
 is factored exactly instead (see :mod:`classgraph.primes`).
-A direct product joins its factors' Δ (``DirectProduct.delta``); every
-other group, the builder's self-check and tests use :func:`delta_of`.
+A direct product of either kind joins its factors' Δ (:func:`product_delta`);
+every other group, the builder's self-check and tests use :func:`delta_of`.
 """
 
 from __future__ import annotations
@@ -176,6 +176,19 @@ def product_spectrum(factors: Iterable, order: int) -> Counter[int]:
     if sum(size * count for size, count in out.items()) != order:  # pragma: no cover - sanity
         raise AssertionError("product spectrum does not sum to group order")
     return out
+
+
+def product_delta(factors: Iterable) -> PrimeGraph:
+    """Δ of the direct product of `factors`: theirs joined, and p -- q for p != q of two factors'
+    vertices, as pq divides a class size ab when p and q both divide a, both b, or one each."""
+    vertices: set[int] = set()
+    edges: set[Edge] = set()
+    for part in factors:
+        graph = part.delta()
+        edges.update(graph.edges)
+        edges.update((min(p, q), max(p, q)) for p in vertices for q in graph.vertices if p != q)
+        vertices.update(graph.vertices)
+    return PrimeGraph._trusted(tuple(sorted(vertices)), frozenset(edges))
 
 
 def delta_of(

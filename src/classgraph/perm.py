@@ -51,7 +51,7 @@ from itertools import islice
 from operator import itemgetter
 
 from .errors import CapExceeded
-from .graph import PrimeGraph, delta_of, mask_components, product_spectrum
+from .graph import PrimeGraph, delta_of, mask_components, product_delta, product_spectrum
 from .primes import prime_factors
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -366,7 +366,9 @@ class PermGroup:
         return Counter(c.size for c in self.conjugacy_classes())
 
     def delta(self) -> PrimeGraph:
-        """The prime graph Δ of the class sizes, read against the group's primes."""
+        """Δ of the class sizes, read against the group's primes; a product joins its factors'."""
+        if self.factors:
+            return product_delta(self.factors)
         return delta_of(self.class_size_spectrum(), primes=self.primes)
 
     # -- subgroup queries ------------------------------------------------

@@ -1,20 +1,32 @@
 """Exact integer arithmetic: primality and factoring.
 
-Everything here is deterministic.  Primality uses the fixed Miller-Rabin
-witness set below, which is exact for all inputs below :data:`EXACT_BELOW`
-(in particular for the full 64-bit range); nothing in this package tests
-larger numbers.  Factoring tests primality first, then trial-divides by
-the primes below 1000, and splits what remains with Pollard's rho.
+Everything here is deterministic.  Primality is Miller-Rabin on the first k
+primes, k the least count proven exact below n (``_EXACT_TIERS``; Jaeschke,
+Math. Comp. 1993; Sorenson and Webster, Math. Comp. 2017): the 13 through 41
+are exact below :data:`EXACT_BELOW`, about 3.3 * 10**24, the 12 through 37
+only below about 3.2 * 10**23.  Nothing in this package tests larger numbers.
+Factoring tests primality first, then trial-divides by the primes below
+1000, and splits what remains with Pollard's rho.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 
-# Exact for n < EXACT_BELOW (Sorenson-Webster); covers every 64-bit integer.
-MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (psi_k, k): the first k primes as bases decide every n < psi_k, itself composite;
+# psi_8 = psi_7, psi_10 = psi_11 = psi_9, and psi_13 is EXACT_BELOW.
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+_EXACT_TIERS = (
+    (2_047, 1), (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4), (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6), (341_550_071_728_321, 7), (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12), (EXACT_BELOW, 13),
+)
+_TIER_BOUNDS = tuple(bound for bound, _ in _EXACT_TIERS)
+# The bases for n < _TIER_BOUNDS[i] at index i; past EXACT_BELOW all 13, unproven.
+_TIER_BASES = tuple(MILLER_RABIN_BASES[:k] for _, k in _EXACT_TIERS) + (MILLER_RABIN_BASES,)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -35,7 +47,7 @@ _TRIAL_PRIMES = tuple(sieve(1000))
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for 0 <= n (exact below the documented bound)."""
+    """Deterministic primality for 0 <= n, exact below EXACT_BELOW, with bases sized to n."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -48,7 +60,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in MILLER_RABIN_BASES:
+    for a in _TIER_BASES[bisect_right(_TIER_BOUNDS, n)]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -430,6 +430,24 @@ def test_analysis_of_a_split_perm_spec_walks_each_factor_and_its_derived_subgrou
     assert sum(size for _, size in walks) == 274
 
 
+def test_analysis_of_a_split_perm_spec_convolves_its_factor_spectra_once(monkeypatch):
+    # Δ of a split group joins its factors' Δ (graph.product_delta), so the
+    # report's spectrum is the only convolution of the factors' spectra.
+    import classgraph.perm as perm
+    from classgraph.reports import analyze_expr
+
+    calls: list[int] = []
+    real = perm.product_spectrum
+    monkeypatch.setattr(
+        perm, "product_spectrum", lambda fs, order: calls.append(len(fs)) or real(fs, order)
+    )
+    g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Frobenius((41,), 5)))))
+    report = analyze_expr("f21_x_f205", Perm(g.degree, tuple(x.images for x in g.generators)))
+    assert calls == [2]
+    spectrum = Counter(dict(map(tuple, report["spectrum"])))
+    assert report["graph"] == delta_of(spectrum).to_json_obj()
+
+
 def test_dgroup_witness_reads_the_order_of_a_split_derived_subgroup_off_its_walk(walks):
     # The realization of z(7*13) x| z3 is one support component, but its G'
     # = C7 x C13 is generated by commutators on the two kernel blocks, so

@@ -207,6 +207,17 @@ def test_factor_order_past_the_exact_primality_limit_exits_2(tmp_path, capsys, m
     assert all(n < EXACT_BELOW for n in tested)
 
 
+def test_strong_pseudoprime_to_the_bases_through_37_is_not_a_kernel_prime(tmp_path, capsys):
+    # 399,165,290,221 * 798,330,580,441 passes Miller-Rabin on every prime base up to 37.
+    node = {"op": "frobenius", "kernel": [318665857834031151167461], "complement": 2}
+    spec = tmp_path / "psi12.json"
+    spec.write_text(json.dumps({"name": "psi12", "construct": node}), encoding="utf-8")
+    assert main(["analyze", str(spec)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: kernel entry 318665857834031151167461 is not prime\n"
+
+
 def test_export_dot(tmp_path):
     spec = write_spec(tmp_path, "s4", S4_PERM)
     proc = run_cli(["export-dot", str(spec)])

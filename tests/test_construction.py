@@ -309,6 +309,41 @@ def test_auto_multiplier_matches_order_definition():
                 assert auto_multiplier(p, n, prime_factors(n)) == auto_multiplier_by_scan(p, n), (p, n)
 
 
+@st.composite
+def auto_frobenius_nodes(draw):
+    """Frobenius nodes with automatic multipliers: 1-3 kernel primes = 1 mod the complement."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    primes = [p for p in sieve_primes(2000) if p % n == 1]
+    kernel = draw(st.lists(st.sampled_from(primes), min_size=1, max_size=3, unique=True))
+    return Frobenius(tuple(kernel), n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(auto_frobenius_nodes())
+def test_seeded_frobenius_flag_is_the_closed_form_test(node):
+    g = evaluate(node)
+    assert g.__dict__["frobenius"] is True  # seeded by evaluate, not computed
+    assert is_frobenius_action(g)
+    n_primes = prime_factors(node.complement)
+    for p, u in zip(node.kernel, g.multipliers[0]):
+        assert u == auto_multiplier(p, node.complement, n_primes) == auto_multiplier_by_scan(
+            p, node.complement
+        )
+    if g.order <= 2000:
+        assert fixed_point_free_by_scan(g)
+
+
+def test_explicit_multiplier_of_smaller_order_is_not_frobenius():
+    # 2 has order 3 mod 7, so the top's element of order 2 centralizes the
+    # kernel: no seed, and the spectrum comes from the realization.
+    g = evaluate(Frobenius((7,), 6, (2,)))
+    assert "frobenius" not in g.__dict__
+    assert not g.frobenius and not is_frobenius_action(g)
+    assert dict(g.class_size_spectrum()) == {1: 2, 3: 4, 7: 4}
+    assert "_realization" in g.__dict__
+    assert g.class_size_spectrum() == g.to_permutation().class_size_spectrum()
+
+
 def test_frobenius_node_on_a_large_kernel_prime_is_analyzed_at_once():
     # The only unit of order 2 is p - 1: a scan of the units u = 2, 3, ...
     # meets it last, while u**((p - 1) / 2) gives it at the first non-residue.
