@@ -13,26 +13,32 @@ lower block first, then the pairs swapped when that is valid and lowers
 pi1.  When the complement is bipartite it reads the orbits off the
 complement's 2-coloring, in time polynomial in the size of the output.
 Any other graph of up to :data:`SEARCH_BOUND` vertices is searched on its
-core, the vertices with a neighbour; each of the 4^k placements of its k
-isolated vertices then extends every block square of the core.  The
-search reaches one leaf per orbit of the core: the symmetries inside each
-pair (pi1, pi4) and (pi2, pi3) are broken while branching, and the swap
-of the two pairs by pruning a node whose every leaf has a lower image.
+core, the vertices with a neighbour, highest degree first; each of the
+4^k placements of its k isolated vertices then extends every block square
+of the core.  The search reaches one leaf per orbit of the core: the
+symmetries inside each pair (pi1, pi4) and (pi2, pi3) are broken while
+branching, and the swap of the two pairs by pruning a node that puts the
+first placed vertex in pi2 when the pairing with it in pi1 is valid too.
 It also stops at any node where pi1 and pi4 can no longer get two
 distinct witnesses from the vertices placed or still free to join them,
 so an edgeless graph, a perfect matching or a star fails at the root.
-Either route names each block's primes once and sorts the partitions as
-tuples of those names.
+Either route raises CapExceeded, before building any partition, once
+there are more than :data:`OUTPUT_BOUND` orbits, and names each block's
+primes once and sorts the partitions as tuples of those names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadPartition, TooManyVertices
+from .errors import BadPartition, CapExceeded, TooManyVertices
 from .graph import PrimeGraph, mask_components
 
 SEARCH_BOUND = 20
+# Block-square orbits one call may return.  A call peaks at about 500 bytes
+# per orbit on CPython 3.11, so about 50 MB at the bound.  C4 plus 8
+# isolated vertices has 4^8 = 65,536 orbits; C4 plus 9 has 4^9 = 262,144.
+OUTPUT_BOUND = 100_000
 
 _Blocks = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 _Masks = tuple[int, int, int, int]  # blocks as vertex bitmasks (PrimeGraph.adjacency)
@@ -183,8 +189,11 @@ def _two_clique_partitions(adj: tuple[int, ...], left: int, right: int) -> list[
     parts = mask_components(cross, left | right)
     linked = [c for c in parts if c & (c - 1)]
     free = [c for c in parts if not c & (c - 1)]
+    choices = range(1, (1 << len(linked)) - 1, 2)
+    if len(choices) << len(free) > OUTPUT_BOUND:
+        raise CapExceeded(f"block-square partitions exceed output bound {OUTPUT_BOUND}")
     found: list[_Masks] = []
-    for chosen in range(1, (1 << len(linked)) - 1, 2):
+    for chosen in choices:
         for extra in range(1 << len(free)):
             first = sum(c for i, c in enumerate(linked) if chosen >> i & 1)
             first += sum(c for i, c in enumerate(free) if extra >> i & 1)
@@ -205,23 +214,31 @@ def _searched_partitions(adj: tuple[int, ...]) -> list[_Masks]:
     placements of the isolated vertices I.  No symmetry fixes a partition
     into four nonempty blocks, so one block square per orbit of the core's,
     times every placement, is one per orbit of the graph's; each then
-    takes its least image.
+    takes its least image.  Raises CapExceeded as soon as the leaves found
+    times 4^|I| pass `OUTPUT_BOUND`, before any placement is built.
 
-    Core vertices are assigned in increasing order, pruning as soon as a
-    pi1-pi4 or pi2-pi3 edge or an unfillable empty block appears, or an
-    end block can no longer get a witness.  pi4 (pi3) opens only once pi1
-    (pi2) is nonempty, which breaks the symmetries inside each pair.  The
-    swap of the pairs is broken at the node: once the core's least vertex
-    lies in pi2, and pi2 and pi3 each hold a vertex adjacent into the placed
-    pi1 and pi4, every leaf below has a lower image with pi2 and pi3 as the
-    ends, and that condition only grows with more vertices placed.
+    Core vertices are assigned highest degree first, ties by index, so the
+    most constrained vertices prune earliest: as soon as a pi1-pi4 or
+    pi2-pi3 edge or an unfillable empty block appears, or an end block can
+    no longer get a witness.  pi4 (pi3) opens only once pi1 (pi2) is
+    nonempty, which breaks the symmetries inside each pair and puts the
+    first placed vertex in pi1 or pi2.  The swap of the pairs is broken at
+    the node: once the first placed vertex lies in pi2, and pi2 and pi3
+    each hold a vertex adjacent into the placed pi1 and pi4, the leaves
+    below are the swaps of valid leaves with that vertex in pi1, and that
+    condition only grows with more vertices placed.
     """
     n = len(adj)
-    order = [i for i, a in enumerate(adj) if a]
+    # Highest degree first; the sort is stable, so ties keep index order.
+    order = sorted((i for i, a in enumerate(adj) if a), key=lambda i: -adj[i].bit_count())
     size = len(order)
-    core = sum(1 << i for i in order)
-    least = core & -core
+    free = [0] * (size + 1)  # free[k]: the core vertices order[k:]
+    for k in range(size - 1, -1, -1):
+        free[k] = free[k + 1] | 1 << order[k]
     order.append(n)  # past the last core vertex: nothing is free
+    anchor = 1 << order[0]  # the first placed vertex
+    isolated = ((1 << n) - 1) ^ free[0]
+    room = OUTPUT_BOUND >> 2 * isolated.bit_count()  # leaves allowed before the bound
     leaves: list[_Masks] = []
     masks = [0, 0, 0, 0]
     reach = [0, 0, 0, 0]  # reach[b]: the union of the neighbour masks of block b
@@ -243,17 +260,18 @@ def _searched_partitions(adj: tuple[int, ...]) -> list[_Masks]:
         return bool(ends4 & w and _witness(adj, ends1 & ~w, mid2, mid3))
 
     def assign(k: int, empty: int) -> None:
-        pos = order[k]
-        bit = 1 << pos
-        if empty > size - k or not witnesses_possible(core & -bit):
+        if empty > size - k or not witnesses_possible(free[k]):
             return
         m1, m2, m3, m4 = masks
-        if m2 & least and _witness(adj, m2, m1, m4) and _witness(adj, m3, m1, m4):
+        if m2 & anchor and _witness(adj, m2, m1, m4) and _witness(adj, m3, m1, m4):
             return
+        pos = order[k]
         if pos == n:
+            if len(leaves) == room:
+                raise CapExceeded(f"block-square partitions exceed output bound {OUTPUT_BOUND}")
             leaves.append((m1, m2, m3, m4))
             return
-        a = adj[pos]
+        bit, a = 1 << pos, adj[pos]
         for b in range(4):
             # Block 3 - b is b's non-adjacent partner; pi3 and pi4 open after it.
             if a & masks[3 - b] or (b >= 2 and not masks[3 - b]):
@@ -264,11 +282,8 @@ def _searched_partitions(adj: tuple[int, ...]) -> list[_Masks]:
             masks[b], reach[b] = m, r
 
     assign(0, 4)
-    isolated = ((1 << n) - 1) ^ core
-    if not (isolated and leaves):
-        return leaves
-    spread = [(0, 0, 0, 0)]  # every placement of the isolated vertices
-    while isolated:
+    spread = [(0, 0, 0, 0)]  # every placement of the isolated vertices, if any leaf
+    while isolated and leaves:
         bit = isolated & -isolated
         isolated ^= bit
         spread = [
@@ -283,7 +298,7 @@ def _searched_partitions(adj: tuple[int, ...]) -> list[_Masks]:
         ]
     found: list[_Masks] = []
     for c1, c2, c3, c4 in leaves:
-        # A leaf with the least core vertex in pi2 has no valid swap, or it was pruned.
+        # A leaf with the first placed vertex in pi2 has no valid swap, or it was pruned.
         swap = bool(_witness(adj, c2, c1, c4) and _witness(adj, c3, c1, c4))
         found += [
             _least_image(c1 | x1, c2 | x2, c3 | x3, c4 | x4, swap) for x1, x2, x3, x4 in spread
@@ -302,11 +317,13 @@ def find_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
       it.
     - Any other graph is searched by :func:`_searched_partitions` on its
       non-isolated vertices, the isolated ones placed in closed form.  Only
-      this route is bounded: it raises TooManyVertices past `SEARCH_BOUND`
-      vertices, isolated ones included.
+      this route has a vertex bound: it raises TooManyVertices past
+      `SEARCH_BOUND` vertices, isolated ones included.
 
-    Both routes name each block mask by its primes once per call, and sort
-    the partitions as tuples of names before building them.
+    Both routes raise CapExceeded once the orbits pass `OUTPUT_BOUND`,
+    before any partition is built.  They name each block mask by its
+    primes once per call, and sort the partitions as tuples of names
+    before building them.
     """
     vertices = graph.vertices
     n = len(vertices)

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all classgraph modules.
 
 ``exit_code`` is each cause's CLI exit code: 2 malformed input, 3 an
-enumeration cap or the detector's vertex bound, 5 an exhausted prime
-search budget, 4 an internal invariant failure or any other error.
+enumeration cap or the detector's vertex or output bound, 5 an exhausted
+prime search budget, 4 an internal invariant failure or any other error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ class ClassGraphError(Exception):
 
 
 class CapExceeded(ClassGraphError):
-    """An enumeration or spectrum computation grew past its configured cap."""
+    """An enumeration, a spectrum computation or the detector's output grew past its cap."""
 
     exit_code = 3
 

@@ -103,7 +103,7 @@ class PrimeGraph:
 
     def is_connected(self) -> bool:
         """True for the empty and one-component graphs."""
-        return len(self.components()) <= 1
+        return len(mask_components(self.adjacency, (1 << len(self.vertices)) - 1)) <= 1
 
     def to_dot(self) -> str:
         """Deterministic DOT text: vertices ascending, then edges ascending."""

@@ -40,6 +40,7 @@ def analyze_expr(
         raise InternalInvariantError(
             "the class-size graph's complement is not bipartite, against Dolfi et al. 2020"
         )
+    connected = graph.is_connected()
     partitions = tuple(find_block_partitions(graph))
     witness = dgroup_witness(group)
     decomposition = verify_decomposition(
@@ -53,9 +54,9 @@ def analyze_expr(
         "order": group.order,
         "spectrum": [[size, count] for size, count in sorted(spectrum.items())],
         "graph": graph.to_json_obj(),
-        "connected": graph.is_connected(),
+        "connected": connected,
         "dgroup": {
-            "spectral": not graph.is_connected(),
+            "spectral": not connected,
             "witness": witness.to_json_obj() if witness is not None else None,
         },
         "block_square": {

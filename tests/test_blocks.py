@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from classgraph import (
     BadPartition,
     BlockPartition,
+    CapExceeded,
     PrimeGraph,
     TooManyVertices,
     find_block_partitions,
     is_admissible_block_square,
     is_block_square_partition,
 )
-from classgraph.blocks import SEARCH_BOUND
+from classgraph.blocks import OUTPUT_BOUND, SEARCH_BOUND
 from oracles import (
     SQUARE_SYMMETRIES,
     admissible_by_three_passes,
@@ -258,7 +259,7 @@ def test_detector_returns_the_canonical_list_on_sparse_graphs():
 
 def test_sparse_graphs_at_the_search_bound_fail_fast():
     # Each fails at the root of the search, the star also with its centre
-    # last in the vertex order, behind all its leaves.
+    # on the largest label, behind all its leaves.
     labels = sieve_primes(100)[:SEARCH_BOUND]
     n = len(labels)
     shapes = sparse_shapes(n)
@@ -352,6 +353,104 @@ def test_isolated_vertices_are_placed_in_bounded_time():
     assert time.process_time() - start < 1.0
     assert len(parts) == 4**8
     assert parts[0] == BlockPartition(labels[:8] + cycle[:1], cycle[1:2], cycle[3:], cycle[2:3])
+
+
+def test_output_bound_raises_before_any_partition_is_built():
+    # C4 plus 16 isolated vertices, 20 primes: 4^16 orbits, known from the
+    # one leaf of the cycle before any placement is built.
+    labels = sieve_primes(80)[:20]
+    cycle = labels[16:]
+    g = PrimeGraph(labels, frozenset(zip(cycle, cycle[1:] + cycle[:1])))
+    assert g.complement_coloring is None and 4**16 > OUTPUT_BOUND >= 4**8
+    start = time.process_time()
+    with pytest.raises(CapExceeded, match=f"exceed output bound {OUTPUT_BOUND}"):
+        find_block_partitions(g)
+    assert time.process_time() - start < 1.0
+    # Two cliques of 11 and 10 primes joined by two disjoint edges: the two
+    # linked components give one choice, and each of the 17 other vertices
+    # doubles it, so 2^17 orbits, read off the coloring.
+    labels = sieve_primes(100)[:21]
+    left, right = labels[:11], labels[11:]
+    across = [(left[0], right[0]), (left[1], right[1])]
+    g = PrimeGraph(labels, cliques_joined(left, right, across))
+    assert g.complement_coloring is not None and 2**17 > OUTPUT_BOUND
+    start = time.process_time()
+    with pytest.raises(CapExceeded, match=f"exceed output bound {OUTPUT_BOUND}"):
+        find_block_partitions(g)
+    assert time.process_time() - start < 1.0
+
+
+def relabelled(graph: PrimeGraph, new: dict[int, int]) -> PrimeGraph:
+    edges = frozenset((new[p], new[q]) for p, q in graph.edges)
+    return PrimeGraph(tuple(sorted(new.values())), edges)
+
+
+def test_relabelling_moves_the_partitions_with_the_labels():
+    # The search takes the core highest degree first, ties by index, and
+    # anchors the pair-swap prune on the first vertex it places, so a
+    # relabelling changes the order of the search and its anchor but not
+    # the orbits: the relabelled list is the original one mapped through
+    # the labels and put back in canonical form.  Most relabellings give
+    # a highest-degree vertex the largest label, so the vertex placed
+    # first is seldom the least.  The graphs are random, from sparse to dense,
+    # and a quarter of them get one or two more vertices, isolated.
+    rng = random.Random(53)
+    labels = sieve_primes(100)
+    top_last = searched = with_isolated = 0
+    for case in range(200):
+        core = rng.randint(6, 8) if case % 4 == 0 else rng.randint(6, 10)
+        n = core + rng.randint(1, 2) if case % 4 == 0 else core
+        pairs = list(combinations(range(core), 2))
+        edges = rng.sample(pairs, round(rng.choice((0.2, 0.35, 0.5, 0.65, 0.8)) * len(pairs)))
+        g = labelled_graph(n, edges, rng.sample(labels, n))
+        targets = sorted(rng.sample(labels, n))
+        if case % 3:
+            top = g.vertices[max(range(n), key=lambda i: g.adjacency[i].bit_count())]
+            rest = [v for v in g.vertices if v != top]
+            new = {top: targets[-1], **dict(zip(rng.sample(rest, n - 1), targets[:-1]))}
+            top_last += 1
+        else:
+            new = dict(zip(rng.sample(g.vertices, n), targets))
+        h = relabelled(g, new)
+        mapped = [
+            canonical_partition(h, BlockPartition(*(tuple(new[v] for v in b) for b in p.blocks())))
+            for p in find_block_partitions(g)
+        ]
+        assert find_block_partitions(h) == sorted(mapped, key=BlockPartition.blocks), (g, new)
+        if mapped and h.complement_coloring is None:
+            searched += 1
+            with_isolated += not all(h.adjacency)
+    counts = (top_last, searched, with_isolated)
+    assert top_last >= 120 and searched >= 60 and with_isolated >= 20, counts
+
+
+def test_detector_returns_the_canonical_list_when_the_first_vertex_is_not_least():
+    # No isolated vertex, and one vertex of highest degree, which the
+    # search places first, carrying the largest label.  Every leaf puts that
+    # vertex in pi1 or pi2; partitions with it in pi3 or pi4 come only from
+    # the least image taken at the leaf.
+    rng = random.Random(59)
+    labels = sieve_primes(100)
+    moved = 0
+    cases = 0
+    while cases < 80:
+        n = rng.randint(6, 8)
+        vertices = tuple(sorted(rng.sample(labels, n)))
+        g = graph_from_bits(n, rng.getrandbits(n * (n - 1) // 2), vertices)
+        degrees = [a.bit_count() for a in g.adjacency]
+        top = max(degrees)
+        if not all(degrees) or degrees.count(top) > 1 or g.complement_coloring is not None:
+            continue
+        first = degrees.index(top)
+        if first != n - 1:
+            # Swap the labels of the first vertex and of the largest.
+            v, w = g.vertices[first], g.vertices[-1]
+            g = relabelled(g, {**{u: u for u in g.vertices}, v: w, w: v})
+        cases += 1
+        parts = find_block_partitions(g)
+        assert parts == canonical_block_partitions(g), g
+        moved += any(g.vertices[-1] in p.pi3 + p.pi4 for p in parts)
+    assert moved >= 10, moved
 
 
 def test_fast_oracle_agrees_with_naive_oracle():
