@@ -23,8 +23,9 @@ It also stops at any node where pi1 and pi4 can no longer get two
 distinct witnesses from the vertices placed or still free to join them,
 so an edgeless graph, a perfect matching or a star fails at the root.
 Either route raises CapExceeded, before building any partition, once
-there are more than :data:`OUTPUT_BOUND` orbits, and names each block's
-primes once and sorts the partitions as tuples of those names.
+there are more than :data:`OUTPUT_BOUND` orbits.  Both take the least
+images in one loop, name each distinct block mask by walking its set
+bits, and sort the partitions as tuples of those names.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class BlockPartition:
     ) -> "BlockPartition":
         """Build from blocks that are already sorted tuples, without sorting them again."""
         part = object.__new__(cls)
-        vars(part).update(pi1=pi1, pi2=pi2, pi3=pi3, pi4=pi4)
+        object.__setattr__(part, "__dict__", {"pi1": pi1, "pi2": pi2, "pi3": pi3, "pi4": pi4})
         return part
 
     def blocks(self) -> _Blocks:
@@ -156,21 +157,26 @@ def _witness(adj: tuple[int, ...], cand: int, mid2: int, mid3: int) -> int:
     return 0
 
 
-def _least_image(b1: int, b2: int, b3: int, b4: int, swap: bool) -> _Masks:
-    """The least image of a block square (b1, b2, b3, b4) under the square symmetries.
+def _least_images(leaves: list[_Masks], swaps: list[int], spread: list[_Masks]) -> list[_Masks]:
+    """The least image under the square symmetries of each leaf joined with each placement.
 
-    Disjoint blocks compare by their least vertices.  Each pair goes lower
-    block first: pi1 and pi2 are the lower of (b1, b4) and of (b2, b3).
-    When swap says the pairing with b2 and b3 as the ends is valid too, the
-    pairs trade places if that puts a lower vertex in pi1.
+    Disjoint blocks compare by their least vertices: b4 & (b1 - 1) holds
+    the vertices of b4 below the least of b1.  Each pair goes lower block
+    first: pi1 and pi2 are the lower of (b1, b4) and of (b2, b3).  When the
+    leaf's swap says the pairing with b2 and b3 as the ends is valid too,
+    the pairs trade places if that puts a lower vertex in pi1.
     """
-    if b4 & -b4 < b1 & -b1:
-        b1, b4 = b4, b1
-    if b3 & -b3 < b2 & -b2:
-        b2, b3 = b3, b2
-    if swap and b2 & -b2 < b1 & -b1:
-        return (b2, b1, b4, b3)
-    return (b1, b2, b3, b4)
+    found: list[_Masks] = []
+    append = found.append
+    for (c1, c2, c3, c4), swap in zip(leaves, swaps):
+        for x1, x2, x3, x4 in spread:
+            b1, b2, b3, b4 = c1 | x1, c2 | x2, c3 | x3, c4 | x4
+            if b4 & (b1 - 1):
+                b1, b4 = b4, b1
+            if b3 & (b2 - 1):
+                b2, b3 = b3, b2
+            append((b2, b1, b4, b3) if swap and b2 & (b1 - 1) else (b1, b2, b3, b4))
+    return found
 
 
 def _two_clique_partitions(adj: tuple[int, ...], left: int, right: int) -> list[_Masks]:
@@ -192,16 +198,17 @@ def _two_clique_partitions(adj: tuple[int, ...], left: int, right: int) -> list[
     choices = range(1, (1 << len(linked)) - 1, 2)
     if len(choices) << len(free) > OUTPUT_BOUND:
         raise CapExceeded(f"block-square partitions exceed output bound {OUTPUT_BOUND}")
-    found: list[_Masks] = []
-    for chosen in choices:
-        for extra in range(1 << len(free)):
-            first = sum(c for i, c in enumerate(linked) if chosen >> i & 1)
-            first += sum(c for i, c in enumerate(free) if extra >> i & 1)
-            # Each end block shares a clique with a middle block, so every
-            # image of a block square is one: the pairs may always swap.
-            blocks = (left & first, left & ~first, right & first, right & ~first)
-            found.append(_least_image(*blocks, True))
-    return found
+    # A leaf per choice of linked components for pi1 U pi3, a placement per free subset.
+    subsets = [0]
+    for c in free:
+        subsets += [s | c for s in subsets]
+    loose, tied = sum(free), sum(linked)
+    spread = [(left & s, left & (loose ^ s), right & s, right & (loose ^ s)) for s in subsets]
+    firsts = [sum(c for i, c in enumerate(linked) if chosen >> i & 1) for chosen in choices]
+    leaves = [(left & f, left & (tied ^ f), right & f, right & (tied ^ f)) for f in firsts]
+    # Each end block shares a clique with a middle block, so every image
+    # of a block square is one: the pairs may always swap.
+    return _least_images(leaves, [True] * len(leaves), spread)
 
 
 def _searched_partitions(adj: tuple[int, ...]) -> list[_Masks]:
@@ -296,14 +303,9 @@ def _searched_partitions(adj: tuple[int, ...]) -> list[_Masks]:
                 (x1, x2, x3, x4 | bit),
             )
         ]
-    found: list[_Masks] = []
-    for c1, c2, c3, c4 in leaves:
-        # A leaf with the first placed vertex in pi2 has no valid swap, or it was pruned.
-        swap = bool(_witness(adj, c2, c1, c4) and _witness(adj, c3, c1, c4))
-        found += [
-            _least_image(c1 | x1, c2 | x2, c3 | x3, c4 | x4, swap) for x1, x2, x3, x4 in spread
-        ]
-    return found
+    # A leaf with the first placed vertex in pi2 has no valid swap, or it was pruned.
+    swaps = [_witness(adj, c2, c1, c4) and _witness(adj, c3, c1, c4) for c1, c2, c3, c4 in leaves]
+    return _least_images(leaves, swaps, spread)
 
 
 def find_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
@@ -321,9 +323,10 @@ def find_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
       `SEARCH_BOUND` vertices, isolated ones included.
 
     Both routes raise CapExceeded once the orbits pass `OUTPUT_BOUND`,
-    before any partition is built.  They name each block mask by its
-    primes once per call, and sort the partitions as tuples of names
-    before building them.
+    before any partition is built, and take every least image in
+    :func:`_least_images`.  Each distinct block mask is named by walking
+    its set bits upward, so its primes come in vertex order, ascending;
+    the partitions are sorted as tuples of names and built from them.
     """
     vertices = graph.vertices
     n = len(vertices)
@@ -334,7 +337,14 @@ def find_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
         raise TooManyVertices(f"{n} vertices exceeds search bound {SEARCH_BOUND}")
     else:
         found = _searched_partitions(adj)
-    names = {m: tuple(v for i, v in enumerate(vertices) if m >> i & 1) for m in set().union(*found)}
-    # Names list their primes in vertex order, which is ascending.
+    names = {}
+    for m in set().union(*found):
+        name, rest = [], m
+        while rest:
+            low = rest & -rest
+            name.append(vertices[low.bit_length() - 1])
+            rest ^= low
+        names[m] = tuple(name)
     named = sorted([(names[a], names[b], names[c], names[d]) for a, b, c, d in found])
-    return [BlockPartition._trusted(*blocks) for blocks in named]
+    trusted = BlockPartition._trusted
+    return [trusted(*blocks) for blocks in named]

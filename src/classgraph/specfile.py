@@ -19,6 +19,7 @@ file parses and re-serializes byte-identically.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .construction import Abelian, Cyclic, Direct, Frobenius, GroupExpr, Perm, Semidirect
@@ -153,12 +154,6 @@ def parse_spec_file(path: str | Path) -> tuple[str, GroupExpr]:
     return parse_spec_text(text)
 
 
-def _string_text(text: str) -> str:
-    """``json.dumps(text)``, quoting printable ASCII with no quote or backslash directly."""
-    plain = text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
-    return '"' + text + '"' if plain else json.dumps(text)
-
-
 def json_text(obj, _indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``; dict (str keys), list, str, int, bool, None, or TypeError."""
     kind = type(obj)
@@ -169,10 +164,13 @@ def json_text(obj, _indent: str = "\n") -> str:
     if kind is dict and obj:
         if any(type(key) is not str for key in obj):
             raise TypeError(f"JSON object keys must be str, got {list(obj)!r}")
-        items = [_string_text(key) + ": " + json_text(value, inner) for key, value in obj.items()]
+        items = [
+            encode_basestring_ascii(key) + ": " + json_text(value, inner)
+            for key, value in obj.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + _indent + "}"
     if kind is str:
-        return _string_text(obj)
+        return encode_basestring_ascii(obj)
     if kind is int:
         return str(obj)
     if kind is bool:

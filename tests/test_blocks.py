@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 import time
 from itertools import combinations, product
@@ -98,6 +99,17 @@ def test_witness_must_be_a_single_vertex():
     )
     part = BlockPartition((3, 5), (7,), (11,), (2,))
     assert not is_block_square_partition(g, part)
+
+
+def test_trusted_partition_is_the_checked_one():
+    # The detector builds its partitions from blocks already sorted, without
+    # the checked constructor; the two must not be told apart, pickled or not.
+    blocks = ((2, 13), (3,), (5, 11, 17), (7,))
+    trusted, checked = BlockPartition._trusted(*blocks), BlockPartition(*blocks)
+    assert trusted == checked and hash(trusted) == hash(checked)
+    assert trusted.blocks() == blocks
+    assert pickle.dumps(trusted) == pickle.dumps(checked)
+    assert pickle.loads(pickle.dumps(trusted)) == checked
 
 
 # -- symmetries ------------------------------------------------------------------
@@ -339,6 +351,49 @@ def test_isolated_vertices_multiply_the_partitions_by_four():
             orbits = {frozenset(q.blocks() for q in square_orbit(p)) for p in parts}
             assert len(orbits) == len(parts)
             assert all(p == BlockPartition(*(b[::-1] for b in p.blocks())) for p in parts)
+
+
+def assert_named_sorted_and_one_per_orbit(g: PrimeGraph, parts: list[BlockPartition]) -> None:
+    assert parts == sorted(parts, key=BlockPartition.blocks)
+    for p in parts:
+        assert all(list(b) == sorted(b) for b in p.blocks()), p
+        assert is_block_square_partition(g, p), p
+    orbits = {frozenset(q.blocks() for q in square_orbit(p)) for p in parts}
+    assert len(orbits) == len(parts)
+
+
+def test_blocks_past_the_tenth_vertex_are_named_in_order():
+    # Graphs of 11 to 20 primes whose blocks hold vertices at bit 10 and
+    # above, on both routes: each block is named from its set bits, lowest
+    # first, so its primes must come out ascending and be the right ones.
+    labels = sieve_primes(80)[:20]
+    # Two cliques, alternating labels, joined by three disjoint edges: the
+    # linked components give 2^2 - 1 choices, and each free vertex doubles them.
+    for n in (11, 14, 17):
+        left, right = labels[:n:2], labels[1:n:2]
+        across = [(left[-1], right[-1]), (left[-3], right[-2]), (left[0], right[-4])]
+        g = PrimeGraph(labels[:n], cliques_joined(left, right, across))
+        assert g.complement_coloring is not None
+        parts = find_block_partitions(g)
+        assert len(parts) == 3 * 2 ** (n - 6), n
+        assert_named_sorted_and_one_per_orbit(g, parts)
+        assert any(labels[10] in b for p in parts for b in p.blocks())
+    # A seeded core with block squares among k isolated primes, one of them
+    # below bit 10 and one above: 4^k times the core's count.
+    rng = random.Random(61)
+    for n, k in ((12, 4), (16, 3), (20, 2)):
+        isolated = labels[1:n:n // k][:k]
+        assert isolated[0] < labels[10] <= isolated[-1]
+        core = tuple(v for v in labels[:n] if v not in isolated)
+        pairs = list(combinations(core, 2))
+        while True:
+            g = PrimeGraph(core, frozenset(rng.sample(pairs, len(pairs) // 2)))
+            if all(g.adjacency) and g.complement_coloring is None and find_block_partitions(g):
+                break
+        h = PrimeGraph(labels[:n], g.edges)
+        parts = find_block_partitions(h)
+        assert len(parts) == 4**k * len(find_block_partitions(g)), (n, k)
+        assert_named_sorted_and_one_per_orbit(h, parts)
 
 
 def test_isolated_vertices_are_placed_in_bounded_time():
