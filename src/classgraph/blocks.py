@@ -64,7 +64,7 @@ class BlockPartition:
     ) -> "BlockPartition":
         """Build from blocks that are already sorted tuples, without sorting them again."""
         part = object.__new__(cls)
-        object.__setattr__(part, "__dict__", {"pi1": pi1, "pi2": pi2, "pi3": pi3, "pi4": pi4})
+        vars(part).update(pi1=pi1, pi2=pi2, pi3=pi3, pi4=pi4)
         return part
 
     def blocks(self) -> _Blocks:
@@ -196,6 +196,8 @@ def _two_clique_partitions(adj: tuple[int, ...], left: int, right: int) -> list[
     linked = [c for c in parts if c & (c - 1)]
     free = [c for c in parts if not c & (c - 1)]
     choices = range(1, (1 << len(linked)) - 1, 2)
+    if not choices:
+        return []
     if len(choices) << len(free) > OUTPUT_BOUND:
         raise CapExceeded(f"block-square partitions exceed output bound {OUTPUT_BOUND}")
     # A leaf per choice of linked components for pi1 U pi3, a placement per free subset.
@@ -324,9 +326,8 @@ def find_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
 
     Both routes raise CapExceeded once the orbits pass `OUTPUT_BOUND`,
     before any partition is built, and take every least image in
-    :func:`_least_images`.  Each distinct block mask is named by walking
-    its set bits upward, so its primes come in vertex order, ascending;
-    the partitions are sorted as tuples of names and built from them.
+    :func:`_least_images`.  Each distinct mask is named by walking its set
+    bits upward, primes ascending, and the partitions sorted by names.
     """
     vertices = graph.vertices
     n = len(vertices)
@@ -341,9 +342,8 @@ def find_block_partitions(graph: PrimeGraph) -> list[BlockPartition]:
     for m in set().union(*found):
         name, rest = [], m
         while rest:
-            low = rest & -rest
-            name.append(vertices[low.bit_length() - 1])
-            rest ^= low
+            name.append(vertices[(rest & -rest).bit_length() - 1])
+            rest &= rest - 1
         names[m] = tuple(name)
     named = sorted([(names[a], names[b], names[c], names[d]) for a, b, c, d in found])
     trusted = BlockPartition._trusted

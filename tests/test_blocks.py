@@ -176,6 +176,24 @@ def test_too_many_vertices_guard():
     assert find_block_partitions(matching) == []
 
 
+def test_at_most_one_linked_component_returns_before_building():
+    # Past the search bound, read off the coloring: with at most one
+    # component of left-right edges there is no choice of linked components,
+    # so nothing sized by the 2^28 to 2^30 subsets of free vertices is built.
+    labels = tuple(sieve_primes(130)[:30])
+    left, right = labels[:15], labels[15:]
+    graphs = [
+        PrimeGraph(labels, cliques_joined(left, right, ())),
+        PrimeGraph(labels, cliques_joined(labels[:29], (), ())),
+        PrimeGraph(labels, cliques_joined(left, right, [(left[0], right[0])])),
+    ]
+    for g in graphs:
+        assert g.complement_coloring is not None
+        start = time.process_time()
+        assert find_block_partitions(g) == []
+        assert time.process_time() - start < 1.0, g.edges
+
+
 def test_square_has_exactly_one_canonical_partition():
     parts = find_block_partitions(SQUARE)
     assert parts == [BlockPartition((3,), (5,), (11,), (7,))]
