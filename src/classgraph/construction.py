@@ -18,10 +18,10 @@ fixed-point-free (Frobenius) is decided in closed form, without walking
 the top: :func:`is_frobenius_action` checks multiplicative orders modulo
 the primes of the kernel factors.  A spectrum with no closed form comes
 from the cached permutation realization, which carries the group's
-enumeration ``cap``.  Every ``direct`` node evaluates to one
-:class:`DirectProduct` of leaf groups of either kind, coprime or not, and
-reads every answer off its factors: the cap bounds what a factor
-enumerates, never the product's order.
+enumeration ``cap``.  Every ``direct`` node, and a ``perm`` node whose
+generators split, evaluates to one :class:`DirectProduct` of leaf groups of
+either kind, coprime or not, which reads every answer off its factors: the
+cap bounds what a factor enumerates, never the product's order.
 """
 
 from __future__ import annotations
@@ -397,7 +397,9 @@ def evaluate(expr: GroupExpr, *, cap: int | None = None) -> Group:
 
     A direct product is one :class:`DirectProduct` of its children's
     factors, flattened, whatever primes they share and whatever kind they
-    are.  Every group built carries ``cap`` (default
+    are.  A permutation group whose generators split is the
+    :class:`DirectProduct` of its :attr:`PermGroup.factors`, each walked on
+    its own.  Every group built carries ``cap`` (default
     ``DEFAULT_ENUMERATION_CAP``), the bound on any enumeration of it.
     """
     if cap is None:
@@ -421,7 +423,8 @@ def evaluate(expr: GroupExpr, *, cap: int | None = None) -> Group:
             raise ExprError(str(exc)) from exc
         if any(g.degree != expr.degree for g in gens):
             raise ExprError("generator degree does not match declared degree")
-        return PermGroup(gens, cap=cap)
+        group = PermGroup(gens, cap=cap)
+        return DirectProduct(group.factors, cap) if group.factors else group
     if isinstance(expr, Direct):
         if not expr.factors:
             raise ExprError("direct product needs at least one factor")

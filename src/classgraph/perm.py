@@ -28,10 +28,10 @@ tested, as its elements.  It is never re-indexed to fewer points and never
 re-enumerated.
 
 Generators moving disjoint points commute, so a group whose generators
-split into such sets is the direct product of their groups
-(:attr:`PermGroup.factors`), and reads its order, spectrum and
-π-subgroups off those, not off its own elements.  The cap bounds each
-factor's enumeration, never the product's order.
+split into such sets (:attr:`PermGroup.factors`) is the direct product of
+their groups.  :func:`~classgraph.construction.evaluate` makes a split
+``perm`` spec that ``DirectProduct``, so the cap bounds each factor's
+enumeration; a :class:`PermGroup` itself always answers from its walk.
 
 Composition convention: ``(p * q)(i) == p(q(i))`` (apply q first).
 Iteration order is deterministic everywhere: elements are reported sorted
@@ -51,7 +51,7 @@ from itertools import islice
 from operator import itemgetter
 
 from .errors import CapExceeded
-from .graph import PrimeGraph, delta_of, mask_components, product_delta, product_spectrum
+from .graph import PrimeGraph, delta_of, mask_components
 from .primes import prime_factors
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -224,9 +224,13 @@ class PermGroup:
 
     Shares ``order``, ``primes``, ``class_size_spectrum()``, ``delta()``,
     ``pi_subgroup()`` and ``to_permutation()`` with the structured groups of
-    :mod:`classgraph.construction`, so callers need not ask which kind of
-    group they hold.
+    :mod:`classgraph.construction`, and answers each from its own walk,
+    split (:attr:`factors`) or not.
     """
+
+    frobenius = False
+    """Always False: a permutation group has no construction from which to read a
+    fixed-point-free action, so its spectrum always comes from its classes."""
 
     def __init__(
         self,
@@ -251,7 +255,7 @@ class PermGroup:
 
     # -- enumeration ---------------------------------------------------
     # Each cache below is a cached_property; a subgroup view seeds ``_table``,
-    # and a product's pi-subgroup seeds ``factors``.
+    # and ``factors`` seeds each group it builds with ``factors = ()``.
 
     @cached_property
     def _table(self) -> tuple[dict[Images, int], list[array]]:
@@ -268,7 +272,7 @@ class PermGroup:
 
     @cached_property
     def factors(self) -> tuple[PermGroup, ...]:
-        """The direct factors: groups of generator classes linked by moved points; () for one."""
+        """Direct factors for ``evaluate``: generator classes linked by moved points; () for one."""
         moved = [{i for i, j in enumerate(g.images) if i != j} for g in self.generators]
         links = [sum(1 << k for k, b in enumerate(moved) if not a.isdisjoint(b)) for a in moved]
         parts = mask_components(links, sum(1 << k for k, a in enumerate(moved) if a))
@@ -284,10 +288,8 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        """The number of elements; a product's is its factors', unless it is walked already."""
-        if "_table" in self.__dict__ or not self.factors:
-            return len(self._table[0])
-        return math.prod(f.order for f in self.factors)
+        """The number of elements, walked."""
+        return len(self._table[0])
 
     @cached_property
     def primes(self) -> tuple[int, ...]:
@@ -360,15 +362,11 @@ class PermGroup:
         return classes, array("l", map(number.__getitem__, label))
 
     def class_size_spectrum(self) -> Counter[int]:
-        """Multiset of class sizes, as {size: multiplicity}; a product's from its factors'."""
-        if self.factors:
-            return product_spectrum(self.factors, self.order)
+        """Multiset of class sizes, as {size: multiplicity}."""
         return Counter(c.size for c in self.conjugacy_classes())
 
     def delta(self) -> PrimeGraph:
-        """Δ of the class sizes, read against the group's primes; a product joins its factors'."""
-        if self.factors:
-            return product_delta(self.factors)
+        """Δ of the class sizes, read against the group's primes."""
         return delta_of(self.class_size_spectrum(), primes=self.primes)
 
     # -- subgroup queries ------------------------------------------------
@@ -428,23 +426,12 @@ class PermGroup:
 
         None when those elements do not form a subgroup; the group itself
         when pi covers every prime of its order, and the trivial subgroup,
-        with no element order computed, when pi meets none.  (a, b) is a
-        pi-element exactly when a and b are, so a product's joins those of
-        the factors pi meets as its ``factors``, or is the one such itself.
+        with no element order computed, when pi meets none.  Otherwise a
+        view on the elements of allowed order, read off the walk.
         """
         outside = [p for p in self.primes if p not in pi]
         if not outside:
             return self
-        if self.factors:
-            parts = [f.pi_subgroup(pi) for f in self.factors if not pi.isdisjoint(f.primes)]
-            parts = parts or [self.factors[0].pi_subgroup(pi)]
-            if any(part is None for part in parts):
-                return None
-            if len(parts) == 1:
-                return parts[0]
-            product = PermGroup([g for part in parts for g in part.generators], cap=self.cap)
-            product.__dict__["factors"] = tuple(parts)
-            return product
         if pi.isdisjoint(self.primes):
             return self._subgroup({tuple(range(self.degree))})
         orders = self._orders

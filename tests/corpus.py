@@ -35,6 +35,11 @@ Q8_PERM = Perm(
 )
 
 
+def perm_spec(group: PermGroup) -> Perm:
+    """The ``perm`` node of a permutation group's generators."""
+    return Perm(group.degree, tuple(g.images for g in group.generators))
+
+
 @dataclass(frozen=True)
 class CorpusEntry:
     name: str

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from classgraph import (
     to_permutation,
     verify_decomposition,
 )
-from corpus import A4_PERM, Q8_PERM, S3_PERM, S4_PERM, random_perm_groups
+from corpus import A4_PERM, Q8_PERM, S3_PERM, S4_PERM, perm_spec, random_perm_groups
 from oracles import (
     centralizer_by_scan,
     complete_vertices,
@@ -349,14 +350,17 @@ def test_verify_with_central_factor():
 def test_dgroup_witness_computes_no_element_order_and_verify_computes_each_once(monkeypatch):
     # dgroup_witness reads B off the classes, so it needs no element order.
     # The realization's generators split into three factors, F21, F55 and
-    # C2.  The verifier's pi-subgroups, the core on {3, 5, 7, 11} and A and
-    # B on {3, 7} and {5, 11}, each cover every prime of the factors they
-    # meet, so each is those factors themselves, and no element order is
-    # computed.  A pi-subgroup that needs them computes the orders of a
-    # factor once per class, and later ones read those.
+    # C2, so its perm spec evaluates to their DirectProduct.  The verifier's
+    # pi-subgroups, the core on {3, 5, 7, 11} and A and B on {3, 7} and
+    # {5, 11}, each cover every prime of the factors they meet, so each is
+    # those factors themselves, and no element order is computed.  A
+    # pi-subgroup that needs them computes the orders of a factor once per
+    # class, and later ones read those.
     import classgraph.perm as perm
 
-    g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Frobenius((11,), 5), Cyclic(2)))))
+    expr = Direct((Frobenius((7,), 3), Frobenius((11,), 5), Cyclic(2)))
+    g = evaluate(perm_spec(to_permutation(evaluate(expr))))
+    assert isinstance(g, DirectProduct)
     assert [f.order for f in g.factors] == [21, 55, 2]
     calls = []
     real = perm._order_of_images
@@ -423,7 +427,7 @@ def test_analysis_of_a_split_perm_spec_walks_each_factor_and_its_derived_subgrou
 
     g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Frobenius((41,), 5)))))
     walks.clear()
-    report = analyze_expr("f21_x_f205", Perm(g.degree, tuple(x.images for x in g.generators)))
+    report = analyze_expr("f21_x_f205", perm_spec(g))
     assert report["order"] == 4305
     assert report["decomposition"]["status"] == VERIFIED
     assert walks == [(56, 21), (56, 205), (56, 7), (56, 41)]
@@ -431,18 +435,21 @@ def test_analysis_of_a_split_perm_spec_walks_each_factor_and_its_derived_subgrou
 
 
 def test_analysis_of_a_split_perm_spec_convolves_its_factor_spectra_once(monkeypatch):
-    # Δ of a split group joins its factors' Δ (graph.product_delta), so the
-    # report's spectrum is the only convolution of the factors' spectra.
-    import classgraph.perm as perm
+    # A split perm spec evaluates to the DirectProduct of its factors.  Δ of
+    # a product joins its factors' Δ (graph.product_delta), so the report's
+    # spectrum is the only convolution of the factors' spectra.
+    import classgraph.construction as construction
     from classgraph.reports import analyze_expr
 
     calls: list[int] = []
-    real = perm.product_spectrum
+    real = construction.product_spectrum
     monkeypatch.setattr(
-        perm, "product_spectrum", lambda fs, order: calls.append(len(fs)) or real(fs, order)
+        construction,
+        "product_spectrum",
+        lambda fs, order: calls.append(len(fs)) or real(fs, order),
     )
     g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Frobenius((41,), 5)))))
-    report = analyze_expr("f21_x_f205", Perm(g.degree, tuple(x.images for x in g.generators)))
+    report = analyze_expr("f21_x_f205", perm_spec(g))
     assert calls == [2]
     spectrum = Counter(dict(map(tuple, report["spectrum"])))
     assert report["graph"] == delta_of(spectrum).to_json_obj()
@@ -617,13 +624,15 @@ def split_products(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(split_products())
 def test_factor_route_agrees_with_the_whole_group_enumerated(case):
+    # The product's perm spec evaluates to the DirectProduct of its factors.
     # Every answer read off the factors must be the one the whole product
     # gives when it is enumerated at once, down to the order and spectrum
     # of the pi-subgroup for every set pi of its primes.
-    group, parts = case
+    whole, parts = case
+    group = evaluate(perm_spec(whole))
     nontrivial = sum(part.order > 1 for part in parts)
     assert len(group.factors) >= nontrivial or nontrivial < 2
-    expected = whole_group_answers(group)
+    expected = whole_group_answers(whole)
     assert group.order == expected["order"]
     assert group.class_size_spectrum() == expected["spectrum"]
     delta = group.delta()
@@ -640,6 +649,44 @@ def test_factor_route_agrees_with_the_whole_group_enumerated(case):
     assert split.central_primes == expected["central_primes"]
     assert split.core.order == expected["core_order"]
     assert verify_decomposition(group).status == expected["status"]
+
+
+def test_a_split_perm_spec_evaluates_to_the_direct_product_of_its_factors():
+    # evaluate does the splitting: a perm spec whose generators split is the
+    # DirectProduct of its PermGroup leaves, and one that does not split is
+    # a PermGroup.  A split PermGroup built by hand is enumerated whole, and
+    # must answer as that DirectProduct does.
+    assert type(evaluate(S3_PERM)) is PermGroup
+    seen: Counter[str] = Counter()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(split_products())
+    def check(case):
+        hand, _ = case
+        group = evaluate(perm_spec(hand))
+        if not hand.factors:
+            assert type(group) is PermGroup
+            seen["unsplit"] += 1
+            return
+        assert isinstance(group, DirectProduct)
+        assert [f.generators for f in group.factors] == [f.generators for f in hand.factors]
+        assert all(type(f) is PermGroup and f.frobenius is False for f in group.factors)
+        assert hand.order == group.order
+        assert hand.class_size_spectrum() == group.class_size_spectrum()
+        delta, expected = hand.delta(), group.delta()
+        assert (delta.vertices, delta.edges) == (expected.vertices, expected.edges)
+        for r in range(len(hand.primes) + 1):
+            for pi in map(frozenset, combinations(hand.primes, r)):
+                subs = hand.pi_subgroup(pi), group.pi_subgroup(pi)
+                orders = [None if sub is None else sub.order for sub in subs]
+                assert orders[0] == orders[1], sorted(pi)
+        # The hand-built group was walked whole, and none of its factors was.
+        assert "_table" in vars(hand)
+        assert not any("_table" in vars(f) for f in hand.factors)
+        seen["split"] += 1
+
+    check()
+    assert seen["split"] >= 30 and seen["unsplit"] > 0, seen
 
 
 # -- direct products of structured and permutation leaves ---------------------------

@@ -10,6 +10,7 @@ from classgraph import (
     CapExceeded,
     Cyclic,
     Direct,
+    DirectProduct,
     Frobenius,
     PermGroup,
     Permutation,
@@ -20,7 +21,7 @@ from classgraph import (
     trivial_group,
 )
 from classgraph.primes import prime_factors
-from corpus import Q8_PERM, S3_PERM, S4_PERM, random_perm_groups
+from corpus import Q8_PERM, S3_PERM, S4_PERM, perm_spec, random_perm_groups
 from oracles import (
     class_sizes_by_conjugation,
     conjugation_orbits,
@@ -322,7 +323,10 @@ def test_pi_subgroup_whole_prime_set_is_the_group(corpus):
 
 
 def test_pi_subgroup_of_a_split_group_comes_from_the_factors_pi_meets():
-    g = to_permutation(evaluate(Direct((Frobenius((7,), 3), Frobenius((11,), 5)))))
+    # A split perm spec evaluates to the DirectProduct of its factors.
+    expr = Direct((Frobenius((7,), 3), Frobenius((11,), 5)))
+    g = evaluate(perm_spec(to_permutation(evaluate(expr))))
+    assert isinstance(g, DirectProduct)
     f21, f55 = g.factors
     # Each factor is one component of the generators' links, so it is
     # built knowing it splits no further.
