@@ -9,18 +9,18 @@ Frobenius with kernel AZ(G)/Z(G); their class sizes are {1, |A|, |B:Z(G)|}.
 Two independent recognizers are provided: a spectral one (count the
 components of the graph) and a structural one, ``dgroup_witness``, for
 any kind of group.  It applies the direct-product rule once over the
-group's factors, answers a structured Frobenius group in closed form, and
-on any other group, enumerated as permutations, rejects more than three
-class sizes, exhibits A = G', checks that it is abelian, and takes
-B = C_G(x) for an element x whose class has size |A|: B has order
-|G|/|A|, meets A trivially when no nontrivial element of A commutes with
-x, and the class sizes must be the predicted ones.  The
+group's factors.  A structured leaf K x| T answers off its tree, from
+|G'| = |[K, T]|, |Z| and its class sizes; a permutation group rejects
+more than three class sizes, exhibits A = G', checks that it is abelian,
+and takes B = C_G(x) for an element x whose class has size |A|: B has
+order |G|/|A|, meets A trivially when no nontrivial element of A
+commutes with x, and the class sizes must be the predicted ones.  The
 block-square verifier combines them: a group whose graph is a block
 square must split, up to central Sylow factors, as a direct product of
 two coprime D-groups, one per non-adjacent block pair.  It takes the core
 and both parts with ``pi_subgroup`` on any kind of group: a
-:class:`~classgraph.construction.DirectProduct` takes its factors', and
-abelian and Frobenius structured factors answer off the construction tree.
+:class:`~classgraph.construction.DirectProduct` takes its factors', and a
+structured leaf, never enumerated, answers off its construction tree.
 """
 
 from __future__ import annotations
@@ -111,14 +111,19 @@ def dgroup_witness(group: Group) -> DGroupWitness | None:
     and Z(G) = Z(F) x R: G is a D-group exactly when F is, with F's
     witness, |B| and |Z| multiplied by |R|.  No nonabelian factor: abelian.
 
-    A structured Frobenius group K x| H is a D-group in closed form: A = K,
-    B = H, Z = 1.  H acts fixed-point-freely, so for h != 1 the map
-    k -> [k, h] is injective on the abelian K, hence onto it: G' >= [K, H]
-    = K, and G/K = H abelian gives G' = K.  Conjugating (k, h) by K gives
-    all of (k + [K, h], h), so a central element has h = 1; then H fixes
-    k, so k = 0, and Z = 1.  The class sizes are {1, |K|, |H|}: B = H and
-    |A||B| = |G|.  Any other structured group is decided on its cached
-    permutation realization, whose enumeration its ``cap`` bounds.
+    A structured leaf K x| T answers off its tree.  [K, T] is spanned by
+    the generators' (1 - u_i)K, as 1 - w(st) = (1 - w(s)) + w(s)(1 - w(t)):
+    on kernel factor j it is gcd(m_j, g_j)Z_{m_j}, g_j = gcd_i(u_ij - 1).
+    G/[K, T] = K/[K, T] x T is abelian, so G' = [K, T].  With |Z| the
+    count of size-1 classes and b = |G|/(|G'||Z|), G is a D-group iff
+    |G'| > 1, gcd(|G'|, b) = 1 and the sizes are {1, |G'|, b}; the witness
+    is (|G'|, |G|/|G'|, |Z|).  If so, an x of class size |G'| has
+    |C_G(x)| = |G|/|G'|, and C_G(x) holds Z and x, not in Z: b = |C_G(x):Z|
+    > 1.  No size has primes of both |G'| and b, so Δ is disconnected.
+    Conversely, in a D-group G/A = B is abelian, so G' <= A; for y in B
+    outside Z, a -> [a, y] is injective on A (B/Z acts fixed-point-freely
+    on A = AZ/Z), hence onto, and A <= G'.  So |A| = |G'|, |B:Z| = b, and
+    |A| and |B:Z| are coprime, as Δ is disconnected.
 
     On a permutation group, the classes come first: a D-group has the three
     class sizes {1, |A|, |B:Z|}, so a group with more is rejected before
@@ -154,31 +159,28 @@ def dgroup_witness(group: Group) -> DGroupWitness | None:
             return None
         r = group.order // f.order
         return replace(w, b_order=w.b_order * r, center_order=w.center_order * r)
-    if isinstance(group, MetabelianGroup):
-        if not group.frobenius:
-            return dgroup_witness(group.to_permutation())
-        kernel_order, complement = math.prod(group.kernel), math.prod(group.top)
-        return DGroupWitness(kernel_order, complement, 1, frozenset({1, kernel_order, complement}))
     spectrum = group.class_size_spectrum()
     if len(spectrum) > 3:  # more sizes than {1, |A|, |B:Z|}, read before G' is walked
         return None
-    a = group.derived_subgroup()
-    if a.order == 1 or not a.is_abelian:
-        return None
-    x = next((c.representative for c in group.conjugacy_classes() if c.size == a.order), None)
-    if x is None or not a.meets_centralizer_trivially(x):
-        return None
-    b_order = group.order // a.order
     center_order = spectrum[1]  # the size-1 classes are the central elements
+    if isinstance(group, MetabelianGroup):
+        gcds = map(math.gcd, group.kernel, *[[u - 1 for u in row] for row in group.multipliers])
+        a_order = math.prod(group.kernel) // math.prod(gcds)  # gcd(m_j, g_j) divides m_j
+        if a_order == 1 or math.gcd(a_order, group.order // (a_order * center_order)) != 1:
+            return None
+    else:
+        a = group.derived_subgroup()
+        if a.order == 1 or not a.is_abelian:
+            return None
+        x = next((c.representative for c in group.conjugacy_classes() if c.size == a.order), None)
+        if x is None or not a.meets_centralizer_trivially(x):
+            return None
+        a_order = a.order
+    b_order = group.order // a_order
     sizes = frozenset(spectrum)
-    if sizes != frozenset({1, a.order, b_order // center_order}):
+    if sizes != frozenset({1, a_order, b_order // center_order}):
         return None
-    return DGroupWitness(
-        a_order=a.order,
-        b_order=b_order,
-        center_order=center_order,
-        class_sizes=sizes,
-    )
+    return DGroupWitness(a_order, b_order, center_order, sizes)
 
 
 # perfbench/layers.py imports this name; ROADMAP item 8 deletes it.

@@ -31,7 +31,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .blocks import BlockPartition, is_admissible_block_square
-from .construction import Direct, Frobenius, evaluate
+from .construction import Direct, Frobenius, evaluate, is_frobenius_action
 from .dirichlet import PrimeRequest, find_primes_in_ap
 from .errors import PredictionMismatch
 from .graph import PrimeGraph, delta_of
@@ -109,7 +109,7 @@ def construct_block_square_group(
     partition = BlockPartition(pi1, pi2, pi3, pi4)
 
     group = evaluate(expr)
-    if not group.factors or not all(f.frobenius for f in group.factors):
+    if not group.factors or not all(is_frobenius_action(f) for f in group.factors):
         raise PredictionMismatch("constructed factors lost their Frobenius structure")
     graph = delta_of(group.class_size_spectrum(), primes=group.primes)
     covered = graph.vertices == tuple(sorted(pi1 + pi2 + pi3 + pi4))

@@ -1,27 +1,27 @@
-"""Structured group constructions with fast class-size computation.
+"""Structured group constructions with class sizes read off the tree.
 
 The groups built here are the ones the block-square theory actually needs:
 abelian groups, semidirect products of two abelian groups where the top
 acts by componentwise multipliers (metabelian), Frobenius groups with
 squarefree cyclic kernel and cyclic complement, and direct products of
-those and of permutation groups.  Each carries enough structure to compute
-its conjugacy class-size spectrum without enumerating elements whenever a
-fast path applies; the permutation engine (``to_permutation``) stays
-available as the independent cross-check.  A :class:`MetabelianGroup` and a
+those and of permutation groups.  A :class:`MetabelianGroup` and a
 :class:`DirectProduct` offer the same ``order``, ``primes``,
 ``class_size_spectrum()``, ``delta()``, ``pi_subgroup()`` and
 ``to_permutation()`` as a :class:`~classgraph.perm.PermGroup`.
 
 A :class:`MetabelianGroup` is three tuples: kernel and top cyclic factor
-orders and the unit multipliers of the action.  Whether that action is
-fixed-point-free (Frobenius) is decided in closed form, without walking
-the top: :func:`is_frobenius_action` checks multiplicative orders modulo
-the primes of the kernel factors.  A spectrum with no closed form comes
-from the cached permutation realization, which carries the group's
-enumeration ``cap``.  Every ``direct`` node, and a ``perm`` node whose
-generators split, evaluates to one :class:`DirectProduct` of leaf groups of
-either kind, coprime or not, which reads every answer off its factors: the
-cap bounds what a factor enumerates, never the product's order.
+orders and the unit multipliers of the action.  It answers every query
+off those tuples and never enumerates: whether the action is
+fixed-point-free (Frobenius) by :func:`is_frobenius_action`, from
+multiplicative orders modulo the primes of the kernel factors; its
+spectrum by orbit-stabilizer over the image of the action, which its
+``cap`` bounds; its π-subgroups by one rule.  ``to_permutation`` builds
+a faithful permutation realization, which only the tests use, as an
+independent cross-check.  Every ``direct`` node, and a ``perm`` node
+whose generators split, evaluates to one :class:`DirectProduct` of leaf
+groups of either kind, coprime or not, which reads every answer off its
+factors: the cap bounds what a factor enumerates, never the product's
+order.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import (
     CapExceeded,
@@ -39,9 +39,9 @@ from .errors import (
     FaithfulnessFailure,
     InvalidMultiplier,
 )
-from .graph import PrimeGraph, delta_of, product_delta, product_spectrum
+from .graph import PrimeGraph, delta_of, mask_components, product_delta, product_spectrum
 from .perm import DEFAULT_ENUMERATION_CAP, Permutation, PermGroup
-from .primes import EXACT_BELOW, is_prime, prime_factors, valuation
+from .primes import EXACT_BELOW, factorize, is_prime, prime_factors, valuation
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class MetabelianGroup:
     top: tuple[int, ...]
     multipliers: tuple[tuple[int, ...], ...]
     cap: int = field(default=DEFAULT_ENUMERATION_CAP, compare=False)
-    factors = ()  # not a field: a leaf, as for an unsplit ``PermGroup``
+    factors = ()  # not a field: a leaf, as a ``PermGroup`` is
 
     def __post_init__(self) -> None:
         if any(n < 2 for n in self.kernel + self.top):
@@ -79,7 +79,7 @@ class MetabelianGroup:
         """The primes of the group order, ascending."""
         return tuple(sorted({q for n in self.kernel + self.top for q in prime_factors(n)}))
 
-    @property
+    @cached_property
     def is_abelian(self) -> bool:
         return all(u == 1 for row in self.multipliers for u in row)
 
@@ -89,19 +89,53 @@ class MetabelianGroup:
         return is_frobenius_action(self)
 
     def class_size_spectrum(self) -> Counter[int]:
-        """Full class-size multiset as {size: multiplicity}.
+        """Full class-size multiset as {size: multiplicity}, off the tree.
 
-        Fast paths: trivial action (all singletons) and fixed-point-free
-        action (three sizes in closed form).  Otherwise the classes of the
-        cached permutation realization, which ``to_permutation`` gates on ``cap``.
+        Fixed-point-free action: three sizes.  Trivial action: all singletons.
+        Otherwise orbit-stabilizer over W, the image of the action: top element
+        t multiplies kernel factor j by w_j(t), and each w in W is w(t) for
+        |T|/|W| elements t.  Conjugating (a, t) by (b, 1) gives
+        (a + (1 - w(t))b, t) and by (0, s) gives (w(s)a, t), so the class of
+        (a, t) is the W-orbit of a + [K, t] in K/[K, t] = ⊕ Z_{d_j}, lifted,
+        with d_j = gcd(w_j - 1, m_j) and |[K, t]| = ∏ m_j/d_j.  v in W fixes
+        a + [K, t] iff e_j | v_j - 1 for all j, e_j the order of a_j mod d_j,
+        and φ(e_j) values of a_j have that order.  So each divisor tuple e | d
+        gives |T|/|W| · ∏ φ(e_j) · |[K, t]| elements in classes of size
+        |[K, t]| · |W| / |S(e)|, S(e) the v fixing it.  Divisors and φ come
+        from factoring each m_j.  CapExceeded once |W| · ∏ τ(m_j), a bound
+        on the work that never exceeds the order, passes ``cap``.
         """
-        if self.is_abelian:
-            return Counter({1: self.order})
-        if self.frobenius:
+        if self.frobenius:  # first: a cached flag, and the common leaf
             kernel_order = math.prod(self.kernel)
             n = math.prod(self.top)
             return Counter({1: 1, n: (kernel_order - 1) // n, kernel_order: n - 1})
-        return self.to_permutation().class_size_spectrum()
+        if self.is_abelian:
+            return Counter({1: self.order})
+        phis = [_divisor_phis(m) for m in self.kernel]
+        tuples = math.prod(map(len, phis))
+        images = [(1,) * len(self.kernel)]
+        seen = set(images)
+        for w in images:  # grows while it is walked
+            if len(images) * tuples > self.cap:
+                work = f"{len(images)} action images times {tuples} divisor tuples"
+                raise CapExceeded(f"{work} exceed enumeration cap {self.cap}")
+            for row in self.multipliers:
+                v = tuple(x * u % m for x, u, m in zip(w, row, self.kernel))
+                if v not in seen:
+                    seen.add(v)
+                    images.append(v)
+        size_w, per_image = len(images), math.prod(self.top) // len(images)
+        fixers: dict[tuple[int, ...], int] = {}
+        out: Counter[int] = Counter()
+        cosets = Counter(tuple(math.gcd(v - 1, m) for v, m in zip(w, self.kernel)) for w in images)
+        for d, count in cosets.items():
+            commutator = math.prod(m // dj for m, dj in zip(self.kernel, d))
+            for e in product(*([x for x in ph if dj % x == 0] for ph, dj in zip(phis, d))):
+                if e not in fixers:  # |S(e)|, one scan of W per divisor tuple
+                    fixers[e] = sum(all((v - 1) % x == 0 for v, x in zip(w, e)) for w in images)
+                phi = math.prod(ph[x] for ph, x in zip(phis, e))
+                out[commutator * size_w // fixers[e]] += count * per_image * phi * fixers[e] // size_w
+        return out
 
     def delta(self) -> PrimeGraph:
         """Δ of the class sizes: a Frobenius group's is two cliques, on the kernel's primes and
@@ -113,40 +147,38 @@ class MetabelianGroup:
         edges = frozenset(e for side in sides for e in combinations(side, 2))
         return PrimeGraph._trusted(self.primes, edges)
 
-    def pi_subgroup(self, pi: set[int] | frozenset[int]) -> MetabelianGroup | PermGroup | None:
+    def pi_subgroup(self, pi: set[int] | frozenset[int]) -> MetabelianGroup | None:
         """The elements whose order has all its prime divisors in pi, as a subgroup.
 
         None when they do not form one; the group itself when pi covers its
-        primes.  A group neither abelian nor Frobenius answers on its
-        realization, which ``cap`` gates.  An abelian group's is its Hall
-        π-part.
-
-        In a Frobenius leaf K x| T (T cyclic) every element outside K lies
-        in a conjugate of T, so the π-elements are K_π and those of the
-        conjugates of T_π.  If T_π = 1, that is K_π.  Else for t != 1 in
-        T_π, k -> [k, t] is injective on the abelian K, hence onto, so the
-        K-conjugates of t are all of Kt and the π-elements generate
-        [K, T_π]T_π = KT_π.  So they form a subgroup only when K is a
-        π-group, and then it is the normal KT_π = K x| T_π, with top
-        generator i raised to the power n_i / |T_π,i|.
+        primes.  They form one iff T_π acts trivially on K_π′, and it is then
+        K_π x| T_π: kernel factors cut to their π-parts, top generator i
+        raised to n_i / |T_π,i|, trivial factors dropped.  If the π-elements
+        form a subgroup S, it is a normal π-group holding the Hall subgroup
+        K_π T_π, so S = K_π T_π.  Conjugating (a, t) by b in K_π′ adds
+        (1 - w(t))b, which lies in K_π′, so K_π T_π is normal exactly when
+        that is 0 for every t in T_π; then G, solvable, has every π-element
+        in a conjugate of this Hall subgroup, which is the subgroup itself.
         """
         if pi.issuperset(self.primes):
             return self
-        if not (self.frobenius or self.is_abelian):
-            return self.to_permutation().pi_subgroup(pi)
-        top = tuple(_pi_part(n, pi) for n in self.top)
-        if self.is_abelian or set(top) == {1}:
-            return _abelian_group(tuple(_pi_part(n, pi) for n in self.kernel + self.top), self.cap)
-        if any(_pi_part(m, pi) != m for m in self.kernel):
+        cut = [(m, _pi_part(m, pi)) for m in self.kernel]
+        parts = [(_pi_part(n, pi), n, row) for n, row in zip(self.top, self.multipliers)]
+        top = [(t, n // t, row) for t, n, row in parts if t > 1]
+        if any(pow(u, k, m // c) != 1 for _, k, row in top for u, (m, c) in zip(row, cut) if c < m):
             return None
-        kept = [(r, n, t) for r, n, t in zip(self.multipliers, self.top, top) if t > 1]
-        rows = tuple(tuple(pow(u, n // t, m) for u, m in zip(r, self.kernel)) for r, n, t in kept)
-        return MetabelianGroup(self.kernel, tuple(t for _, _, t in kept), rows, cap=self.cap)
+        cols = [j for j, (_, c) in enumerate(cut) if c > 1]
+        return MetabelianGroup(
+            tuple(cut[j][1] for j in cols),
+            tuple(t for t, _, _ in top),
+            tuple(tuple(pow(row[j], k, cut[j][1]) for j in cols) for _, k, row in top),
+            cap=self.cap,
+        )
 
     def to_permutation(self, *, verify_order: bool = True) -> PermGroup:
         """Faithful permutation realization, built once per group and cached.
 
-        This is the one way into enumerating a structured group.  With
+        No query of the group reads it; it is the tests' cross-check.  With
         ``verify_order``, an order above ``cap`` raises CapExceeded before
         the realization is built, and the enumerated order must equal the
         group order (FaithfulnessFailure otherwise).  Without it, the bare
@@ -343,6 +375,15 @@ def _pi_part(n: int, pi: set[int] | frozenset[int]) -> int:
     return math.prod(q ** valuation(n, q) for q in pi if n % q == 0)
 
 
+def _divisor_phis(m: int) -> dict[int, int]:
+    """{e: φ(e)} for every divisor e of m, from one factorisation of m."""
+    out = {1: 1}
+    for q, v in factorize(m).items():
+        powers = [(1, 1)] + [(q**k, q**k - q ** (k - 1)) for k in range(1, v + 1)]
+        out = {e * p: f * g for e, f in out.items() for p, g in powers}
+    return out
+
+
 def _check_exact(n: int, what: str) -> None:
     """Factoring and primality are proven exact only below EXACT_BELOW."""
     if n >= EXACT_BELOW:
@@ -392,15 +433,29 @@ def _semidirect_group(node: Semidirect, cap: int) -> MetabelianGroup:
     return replace(g, multipliers=rows)
 
 
+def _perm_factors(group: PermGroup) -> tuple[PermGroup, ...]:
+    """The direct factors of a permutation group, () for one: its generators grouped by the
+    components of their links, as generators moving disjoint points commute."""
+    moved = [{i for i, j in enumerate(g.images) if i != j} for g in group.generators]
+    links = [sum(1 << k for k, b in enumerate(moved) if not a.isdisjoint(b)) for a in moved]
+    parts = mask_components(links, sum(1 << k for k, a in enumerate(moved) if a))
+    if len(parts) < 2:
+        return ()
+    gens = group.generators
+    return tuple(
+        PermGroup([g for k, g in enumerate(gens) if part >> k & 1], cap=group.cap) for part in parts
+    )
+
+
 def evaluate(expr: GroupExpr, *, cap: int | None = None) -> Group:
     """Evaluate a construction tree to a concrete group.
 
     A direct product is one :class:`DirectProduct` of its children's
     factors, flattened, whatever primes they share and whatever kind they
     are.  A permutation group whose generators split is the
-    :class:`DirectProduct` of its :attr:`PermGroup.factors`, each walked on
-    its own.  Every group built carries ``cap`` (default
-    ``DEFAULT_ENUMERATION_CAP``), the bound on any enumeration of it.
+    :class:`DirectProduct` of its ``_perm_factors``, each walked on its own.
+    Every group built carries ``cap`` (default ``DEFAULT_ENUMERATION_CAP``),
+    the bound on any enumeration of it.
     """
     if cap is None:
         cap = DEFAULT_ENUMERATION_CAP
@@ -424,7 +479,8 @@ def evaluate(expr: GroupExpr, *, cap: int | None = None) -> Group:
         if any(g.degree != expr.degree for g in gens):
             raise ExprError("generator degree does not match declared degree")
         group = PermGroup(gens, cap=cap)
-        return DirectProduct(group.factors, cap) if group.factors else group
+        factors = _perm_factors(group)
+        return DirectProduct(factors, cap) if factors else group
     if isinstance(expr, Direct):
         if not expr.factors:
             raise ExprError("direct product needs at least one factor")

@@ -28,10 +28,11 @@ tested, as its elements.  It is never re-indexed to fewer points and never
 re-enumerated.
 
 Generators moving disjoint points commute, so a group whose generators
-split into such sets (:attr:`PermGroup.factors`) is the direct product of
-their groups.  :func:`~classgraph.construction.evaluate` makes a split
-``perm`` spec that ``DirectProduct``, so the cap bounds each factor's
-enumeration; a :class:`PermGroup` itself always answers from its walk.
+split into such sets is the direct product of their groups.
+:func:`~classgraph.construction.evaluate` makes a split ``perm`` spec that
+``DirectProduct``, so the cap bounds each factor's enumeration; a
+:class:`PermGroup` is a leaf (``factors`` is ``()``) and always answers
+from its walk.
 
 Composition convention: ``(p * q)(i) == p(q(i))`` (apply q first).
 Iteration order is deterministic everywhere: elements are reported sorted
@@ -51,7 +52,7 @@ from itertools import islice
 from operator import itemgetter
 
 from .errors import CapExceeded
-from .graph import PrimeGraph, delta_of, mask_components
+from .graph import PrimeGraph, delta_of
 from .primes import prime_factors
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -225,12 +226,14 @@ class PermGroup:
     Shares ``order``, ``primes``, ``class_size_spectrum()``, ``delta()``,
     ``pi_subgroup()`` and ``to_permutation()`` with the structured groups of
     :mod:`classgraph.construction`, and answers each from its own walk,
-    split (:attr:`factors`) or not.
+    whether or not its generators split.
     """
 
     frobenius = False
     """Always False: a permutation group has no construction from which to read a
     fixed-point-free action, so its spectrum always comes from its classes."""
+
+    factors = ()  # a leaf, as a ``MetabelianGroup`` is: only a ``DirectProduct`` lists factors
 
     def __init__(
         self,
@@ -254,8 +257,7 @@ class PermGroup:
         return f"PermGroup(degree {self.degree}, {len(self.generators)} generators)"
 
     # -- enumeration ---------------------------------------------------
-    # Each cache below is a cached_property; a subgroup view seeds ``_table``,
-    # and ``factors`` seeds each group it builds with ``factors = ()``.
+    # Each cache below is a cached_property; a subgroup view seeds ``_table``.
 
     @cached_property
     def _table(self) -> tuple[dict[Images, int], list[array]]:
@@ -269,22 +271,6 @@ class PermGroup:
     def elements(self) -> tuple[Permutation, ...]:
         """All elements, sorted lexicographically by image sequence."""
         return self._elements
-
-    @cached_property
-    def factors(self) -> tuple[PermGroup, ...]:
-        """Direct factors for ``evaluate``: generator classes linked by moved points; () for one."""
-        moved = [{i for i, j in enumerate(g.images) if i != j} for g in self.generators]
-        links = [sum(1 << k for k, b in enumerate(moved) if not a.isdisjoint(b)) for a in moved]
-        parts = mask_components(links, sum(1 << k for k, a in enumerate(moved) if a))
-        if len(parts) < 2:
-            return ()
-        factors = tuple(
-            PermGroup([g for k, g in enumerate(self.generators) if part >> k & 1], cap=self.cap)
-            for part in parts
-        )
-        for factor in factors:
-            factor.__dict__["factors"] = ()  # one component of the links, so it splits no further
-        return factors
 
     @property
     def order(self) -> int:

@@ -31,6 +31,7 @@ from classgraph import (
     to_permutation,
     verify_decomposition,
 )
+from classgraph.construction import _perm_factors
 from corpus import A4_PERM, Q8_PERM, S3_PERM, S4_PERM, perm_spec, random_perm_groups
 from oracles import (
     centralizer_by_scan,
@@ -175,13 +176,12 @@ def test_capped_group_raises_before_any_normal_closure(monkeypatch):
 
 
 def test_over_cap_structured_group_raises_before_any_closure(monkeypatch):
-    # z7 x| z6 is neither abelian nor Frobenius, so the verifier takes its
-    # pi-subgroups on its own realization, of order 42.  The cap bounds
-    # that enumeration, not the product's order: at cap 2309 the product
-    # of order 2310 verifies as it does uncapped.  The D-group recognizer
-    # needs no enumeration: the product has two nonabelian factors.  Only
-    # the realization of the whole product is gated on its order, and it
-    # raises before any closure.
+    # z7 x| z6 is neither abelian nor Frobenius, but its spectrum and
+    # pi-subgroups come off its tree, so at cap 2309 the product of order
+    # 2310 verifies as it does uncapped, with no walk.  The D-group
+    # recognizer needs no enumeration: the product has two nonabelian
+    # factors.  Only the realization of the whole product is gated on its
+    # order, and it raises before any closure.
     import classgraph.perm as perm
 
     expr = Direct((Semidirect((7,), (6,), ((2,),)), Frobenius((11,), 5)))
@@ -196,6 +196,7 @@ def test_over_cap_structured_group_raises_before_any_closure(monkeypatch):
     assert verify_decomposition(
         capped, spectrum=report.spectrum, graph=report.graph, partitions=report.partitions
     ) == report
+    assert calls == []
     walked = len(calls)
     with pytest.raises(CapExceeded, match="order 2310 exceeds enumeration cap 2309"):
         capped.to_permutation()
@@ -224,24 +225,25 @@ def test_structural_none_for_two_frobenius_factors():
     assert dgroup_witness(g) is None
 
 
-def test_structural_undecided_falls_back(corpus):
-    # Not Frobenius: decided on the group's own cached realization.
+def test_structural_undecided_falls_back(walks):
+    # Not Frobenius, yet decided off the tree: no realization is built or walked.
     g = evaluate(Semidirect((7,), (9,), ((2,),)))
     assert isinstance(g, MetabelianGroup)
     w = dgroup_witness(g)
     assert w is not None and (w.a_order, w.b_order) == (7, 9)
-    assert "_realization" in vars(g)
+    assert "_realization" not in vars(g)
+    assert walks == []
 
 
 def test_witness_enumerates_only_the_factor_with_no_closed_form(walks):
-    # z7 x| z9 (multiplier 2) x C5 folds into one structured group of order
-    # 315.  The spectrum and the witness enumerate only the 63-element
-    # semidirect part's realization, so a cap of 300 changes nothing.
+    # z7 x| z9 (multiplier 2) x C5, of order 315.  The semidirect factor is
+    # not Frobenius, but its spectrum and witness come off its tree, so
+    # nothing is enumerated and a cap of 300 changes nothing.
     from classgraph.reports import analyze_expr
 
     expr = Direct((Semidirect((7,), (9,), ((2,),)), Cyclic(5)))
     report = analyze_expr("z7_rtimes_z9_x_c5", expr)
-    assert walks == [(16, 63), (16, 7)]
+    assert walks == []
     assert report["dgroup"]["witness"] == {
         "a_order": 7, "b_order": 45, "center_order": 15, "class_sizes": [1, 3, 7]
     }
@@ -380,20 +382,16 @@ def test_dgroup_witness_computes_no_element_order_and_verify_computes_each_once(
 
 
 def test_analyze_enumerates_a_structured_group_with_no_closed_form_once(walks):
-    # The semidirect factor is not Frobenius, so its spectrum and the
-    # verifier's pi-subgroups of it come off its own cached realization,
-    # on 7 + 6 = 13 points, walked once whole.  The D-group recognizer sees
-    # two nonabelian factors and needs none, and F55 answers in closed form:
-    # no walk covers the 29 points of the product's realization.
+    # The semidirect factor is not Frobenius, but its spectrum and the
+    # verifier's pi-subgroups of it come off its tree, and F55 answers in
+    # closed form: analyze walks no group at all.
     from classgraph.reports import analyze_expr
 
     expr = Direct((Semidirect((7,), (6,), ((2,),)), Frobenius((11,), 5)))
     report = analyze_expr("z7_rtimes_z6_x_f55", expr)
     assert report["order"] == 2310
     assert report["decomposition"]["status"] == VERIFIED
-    assert all(degree == 13 for degree, _ in walks), walks
-    assert walks.count((13, 42)) == 1
-    assert max(size for _, size in walks) == 42
+    assert walks == []
 
 
 def test_a_product_enumerates_only_its_permutation_factor(walks):
@@ -464,7 +462,7 @@ def test_dgroup_witness_reads_the_order_of_a_split_derived_subgroup_off_its_walk
     witness = dgroup_witness(g)
     assert (witness.a_order, witness.b_order, witness.center_order) == (91, 3, 1)
     assert walks == [(23, 273), (23, 91)]
-    assert len(g.derived_subgroup().factors) == 2
+    assert len(_perm_factors(g.derived_subgroup())) == 2
 
 
 def test_analyze_enumerates_no_abelian_or_frobenius_part(monkeypatch):
@@ -486,16 +484,20 @@ def test_analyze_enumerates_no_abelian_or_frobenius_part(monkeypatch):
 def test_converse_flag_on_two_coprime_nonabelian_dgroup_factors():
     # With no block partition given, the verifier flags a direct product of
     # exactly two nonabelian factors of coprime orders, each with Delta
-    # disconnected, whichever kind of group it is and whatever the factors.
+    # disconnected, whichever kind its factors are.  Only a DirectProduct
+    # lists factors: the split perm spec of F21 x F55 evaluates to one, and
+    # the same group built by hand as one PermGroup is a leaf.
     f21, f55 = Frobenius((7,), 3), Frobenius((11,), 5)
+    realization = to_permutation(evaluate(Direct((f21, f55))))
     flagged = (
         evaluate(Direct((f21, f55))),
         evaluate(Direct((f21, f55, Cyclic(2)))),
-        to_permutation(evaluate(Direct((f21, f55)))),
+        evaluate(perm_spec(realization)),
         evaluate(Direct((Semidirect((7,), (6,), ((2,),)), f55))),
     )
     for g in flagged:
         assert verify_decomposition(g, partitions=()).status == COUNTEREXAMPLE_CANDIDATE, g
+    assert verify_decomposition(realization, partitions=()).status == NOT_BLOCK_SQUARE
     f21_x_f21 = evaluate(Direct((f21, f21)))
     assert isinstance(f21_x_f21, DirectProduct) and len(f21_x_f21.factors) == 2
     # Not coprime; one nonabelian factor; S4, whose Delta is connected.
@@ -664,12 +666,12 @@ def test_a_split_perm_spec_evaluates_to_the_direct_product_of_its_factors():
     def check(case):
         hand, _ = case
         group = evaluate(perm_spec(hand))
-        if not hand.factors:
+        if not _perm_factors(hand):
             assert type(group) is PermGroup
             seen["unsplit"] += 1
             return
         assert isinstance(group, DirectProduct)
-        assert [f.generators for f in group.factors] == [f.generators for f in hand.factors]
+        assert [f.generators for f in group.factors] == [f.generators for f in _perm_factors(hand)]
         assert all(type(f) is PermGroup and f.frobenius is False for f in group.factors)
         assert hand.order == group.order
         assert hand.class_size_spectrum() == group.class_size_spectrum()
@@ -682,7 +684,7 @@ def test_a_split_perm_spec_evaluates_to_the_direct_product_of_its_factors():
                 assert orders[0] == orders[1], sorted(pi)
         # The hand-built group was walked whole, and none of its factors was.
         assert "_table" in vars(hand)
-        assert not any("_table" in vars(f) for f in hand.factors)
+        assert not any("_table" in vars(f) for f in _perm_factors(hand))
         seen["split"] += 1
 
     check()

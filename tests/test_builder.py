@@ -138,6 +138,23 @@ def test_prediction_mismatch_aborts(monkeypatch):
         construct_block_square_group(1, 1, 1, 1)
 
 
+def test_a_wrong_automatic_multiplier_is_caught(monkeypatch):
+    # evaluate seeds the Frobenius flag of an automatic-multiplier node, so
+    # the builder must recompute the action's orders.  Here the multiplier
+    # search tests only the first prime of the complement order, and for
+    # (1, 2, 2, 1) the B factor's complement 3 * 5 gets a multiplier that is
+    # not of order exactly 15, so the built group is not the predicted one.
+    import classgraph.construction as construction
+    from classgraph import PredictionMismatch
+
+    real = construction.auto_multiplier
+    monkeypatch.setattr(
+        construction, "auto_multiplier", lambda p, n, n_primes: real(p, n, n_primes[:1])
+    )
+    with pytest.raises(PredictionMismatch, match="lost their Frobenius structure"):
+        construct_block_square_group(1, 2, 2, 1)
+
+
 def test_bound_exhausted_past_term_budget(monkeypatch):
     import classgraph.dirichlet as dirichlet
     from classgraph import BoundExhausted

@@ -11,11 +11,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from classgraph import Cyclic, Direct, Frobenius, Perm, PrimeGraph, serialize_spec
+from classgraph import (
+    Cyclic,
+    Direct,
+    Frobenius,
+    Perm,
+    PrimeGraph,
+    evaluate,
+    serialize_spec,
+    to_permutation,
+)
 from classgraph.cli import main
 from classgraph.primes import EXACT_BELOW
 from classgraph.specfile import MAX_NESTING
-from corpus import S3_PERM, S4_PERM, corpus_entries
+from corpus import S3_PERM, S4_PERM, corpus_entries, perm_spec
 
 CLI = [sys.executable, "-m", "classgraph.cli"]
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -237,9 +246,10 @@ def test_export_dot_prints_the_graph_of_analyze_for_every_spec(capsys):
 
 
 def test_cap_env_bounds_export_dot_like_analyze(tmp_path):
-    # z7 x| z9 (order 63) has no closed-form spectrum, so both commands
-    # enumerate its permutation realization, which the cap stops.
-    spec = write_spec(tmp_path, "z7_rtimes_z9", entry_by_name("z7_rtimes_z9").expr)
+    # A perm spec of z7 x| z9 (order 63, one support component): both
+    # commands enumerate it, and the cap stops them.
+    realization = to_permutation(evaluate(entry_by_name("z7_rtimes_z9").expr))
+    spec = write_spec(tmp_path, "z7_rtimes_z9", perm_spec(realization))
     for command in ("analyze", "export-dot"):
         proc = run_cli([command, str(spec)], env={"CLASSGRAPH_CAP": "62"})
         assert proc.returncode == 3, (command, proc.stderr)

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -335,12 +337,13 @@ def test_seeded_frobenius_flag_is_the_closed_form_test(node):
 
 def test_explicit_multiplier_of_smaller_order_is_not_frobenius():
     # 2 has order 3 mod 7, so the top's element of order 2 centralizes the
-    # kernel: no seed, and the spectrum comes from the realization.
+    # kernel: no seed, and the spectrum comes off the tree by
+    # orbit-stabilizer, with no realization built; the realization agrees.
     g = evaluate(Frobenius((7,), 6, (2,)))
     assert "frobenius" not in g.__dict__
     assert not g.frobenius and not is_frobenius_action(g)
     assert dict(g.class_size_spectrum()) == {1: 2, 3: 4, 7: 4}
-    assert "_realization" in g.__dict__
+    assert "_realization" not in g.__dict__
     assert g.class_size_spectrum() == g.to_permutation().class_size_spectrum()
 
 
@@ -419,8 +422,8 @@ def _assert_routes_agree(g):
     assert _witness_json(dgroup_witness(g)) == _witness_json(dgroup_witness(perm))
     spectrum = g.class_size_spectrum()
     assert spectrum == perm.class_size_spectrum()
-    # A non-Frobenius group reads its spectrum off `perm`, so only the
-    # oracle's own arithmetic checks that realization, factor by factor.
+    # The spectrum comes off the tree; the oracle's own pair arithmetic
+    # checks it again, factor by factor.
     for part in g.factors or (g,):
         assert part.class_size_spectrum() == semidirect_class_sizes(*_parts(part))
 
@@ -436,6 +439,91 @@ def test_structured_and_permutation_routes_agree(g):
 def test_structured_and_permutation_routes_agree_on_coprime_products(g):
     assert isinstance(g, DirectProduct) and len(g.factors) == 2
     _assert_routes_agree(g)
+
+
+def non_frobenius_leaves(count: int, seed: int) -> list[MetabelianGroup]:
+    """`count` seeded semidirect leaves, neither abelian nor Frobenius, of order at most 600.
+
+    One or two kernel factors of order 2 to 16 and one or two top factors of
+    order 2 to 8, each multiplier a random unit whose order divides its top
+    factor's.
+    """
+    rng = random.Random(seed)
+    leaves: list[MetabelianGroup] = []
+    while len(leaves) < count:
+        kernel = tuple(rng.randint(2, 16) for _ in range(rng.randint(1, 2)))
+        top = tuple(rng.randint(2, 8) for _ in range(rng.randint(1, 2)))
+        if math.prod(kernel + top) > 600:
+            continue
+        rows = tuple(
+            tuple(rng.choice([u for u in range(1, m) if math.gcd(u, m) == 1 and pow(u, n, m) == 1])
+                  for m in kernel)
+            for n in top
+        )
+        g = evaluate(Semidirect(kernel, top, rows))
+        if not (g.is_abelian or g.frobenius):
+            leaves.append(g)
+    return leaves
+
+
+def test_spectrum_off_the_tree_agrees_with_the_realization_and_the_oracle():
+    # Orbit-stabilizer over the image of the action, against the classes of
+    # the permutation realization and the pair-arithmetic oracle.
+    seen: Counter[str] = Counter()
+    for g in non_frobenius_leaves(200, seed=12):
+        spectrum = g.class_size_spectrum()
+        assert spectrum == g.to_permutation().class_size_spectrum(), g
+        assert spectrum == semidirect_class_sizes(*_parts(g)), g
+        seen["two kernel and two top factors"] += len(g.kernel) == len(g.top) == 2
+        seen["four or more sizes"] += len(spectrum) > 3
+    assert min(seen.values()) >= 10, seen
+
+
+def test_witness_and_pi_subgroups_off_the_tree_agree_with_the_realization():
+    # The D-group rule on |G'|, |Z| and the class sizes, and the one
+    # pi-subgroup rule, for every proper subset of the primes.
+    seen: Counter[str] = Counter()
+    for g in non_frobenius_leaves(200, seed=14):
+        realization = g.to_permutation()
+        witness = dgroup_witness(g)
+        assert _witness_json(witness) == _witness_json(dgroup_witness(realization)), g
+        seen["D-groups"] += witness is not None
+        for r in range(len(g.primes)):
+            for pi in map(frozenset, combinations(g.primes, r)):
+                mine, theirs = g.pi_subgroup(pi), realization.pi_subgroup(pi)
+                assert (mine is None) == (theirs is None), (g, pi)
+                if mine is not None:
+                    assert isinstance(mine, MetabelianGroup), (g, pi)
+                    assert mine.order == theirs.order, (g, pi)
+                    assert mine.class_size_spectrum() == theirs.class_size_spectrum(), (g, pi)
+                seen["pi-subgroups"] += mine is not None
+                seen["not a subgroup"] += mine is None
+    assert min(seen.values()) >= 20, seen
+
+
+def test_structured_spectrum_gate_counts_images_and_divisor_tuples():
+    # The gate is |W| * prod tau(m_j), never the order.  The kernel-11071 node
+    # (|W| = 45, tau = 2) reports at a cap of 1,000 what it reports at the
+    # default cap, though its order is 996,390.
+    expr = Semidirect((11071,), (90,), ((7648,),))
+    report = analyze_expr("sd11071", expr, enumeration_cap=1000)
+    assert report == analyze_expr("sd11071", expr)
+    assert report["order"] == 996_390
+    assert report["spectrum"] == [[1, 2], [45, 492], [11071, 88]]
+    assert report["dgroup"]["witness"] == {
+        "a_order": 11071, "b_order": 90, "center_order": 2, "class_sizes": [1, 45, 11071]
+    }
+    # Two highly composite kernel factors, each with 2,304 divisors, negated
+    # by the top: 2 images times 2,304**2 divisor tuples pass the default
+    # cap, so the spectrum raises at once.
+    m = 6_983_776_800
+    g = evaluate(Semidirect((m, m), (2,), ((m - 1, m - 1),)))
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded, match="divisor tuples exceed enumeration cap"):
+        g.class_size_spectrum()
+    with pytest.raises(CapExceeded):
+        analyze_expr("negation", Semidirect((m, m), (2,), ((m - 1, m - 1),)))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def small_perm_groups():
@@ -604,14 +692,18 @@ def test_module_functions_take_either_kind_of_group():
     s3 = symmetric_group(3)
     assert to_permutation(s3, verify_order=False) is s3
     # The cap comes from evaluate and is carried by the group and its
-    # one cached realization.
+    # one cached realization, which keeps its order gate.  The group's own
+    # answers come off its tree: 3 action images times 2 divisor tuples of
+    # 7 are within a cap of 62, though its order 63 is not.
     assert to_permutation(evaluate(Frobenius((7,), 3), cap=21)).cap == 21
     capped = evaluate(Semidirect((7,), (9,), ((2,),)), cap=62)
     assert capped.cap == 62 and capped == evaluate(Semidirect((7,), (9,), ((2,),)))
-    with pytest.raises(CapExceeded):
-        class_size_spectrum(capped)
-    with pytest.raises(CapExceeded):
-        dgroup_witness(capped)
+    with pytest.raises(CapExceeded, match="order 63 exceeds enumeration cap 62"):
+        to_permutation(capped)
+    assert dict(class_size_spectrum(capped)) == {1: 3, 3: 6, 7: 6}
+    assert dgroup_witness(capped).to_json_obj() == {
+        "a_order": 7, "b_order": 9, "center_order": 3, "class_sizes": [1, 3, 7]
+    }
     assert to_permutation(f21) is to_permutation(f21)
 
 

@@ -20,6 +20,7 @@ from classgraph import (
     to_permutation,
     trivial_group,
 )
+from classgraph.construction import _perm_factors
 from classgraph.primes import prime_factors
 from corpus import Q8_PERM, S3_PERM, S4_PERM, perm_spec, random_perm_groups
 from oracles import (
@@ -328,9 +329,10 @@ def test_pi_subgroup_of_a_split_group_comes_from_the_factors_pi_meets():
     g = evaluate(perm_spec(to_permutation(evaluate(expr))))
     assert isinstance(g, DirectProduct)
     f21, f55 = g.factors
-    # Each factor is one component of the generators' links, so it is
-    # built knowing it splits no further.
-    assert vars(f21)["factors"] == vars(f55)["factors"] == ()
+    # Each factor is one component of the generators' links, so it splits
+    # no further, and like every leaf it lists no factors.
+    assert _perm_factors(f21) == _perm_factors(f55) == ()
+    assert f21.factors == f55.factors == ()
     # pi meets no factor: the first factor's trivial subgroup, with no
     # element order or class computed.
     trivial = g.pi_subgroup(frozenset({2}))
@@ -414,7 +416,7 @@ def test_pi_subgroup_is_a_view_of_its_parent():
     # z7 x| z6 with multiplier 2 is F21 x C2, but its realization's top
     # generator moves both blocks: one support component, so no factors.
     g = to_permutation(evaluate(Semidirect((7,), (6,), ((2,),))))
-    assert g.factors == ()
+    assert _perm_factors(g) == ()
     g.class_size_spectrum()
     orders = {x: g._orders[i] for x, i in g._table[0].items()}
     core = g.pi_subgroup(frozenset({3, 7}))
