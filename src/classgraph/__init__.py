@@ -50,7 +50,6 @@ from .errors import (
     CoprimalityViolation,
     DecompositionFailure,
     ExprError,
-    FaithfulnessFailure,
     InternalInvariantError,
     InvalidMultiplier,
     PredictionMismatch,

@@ -6,8 +6,8 @@ acts by componentwise multipliers (metabelian), Frobenius groups with
 squarefree cyclic kernel and cyclic complement, and direct products of
 those and of permutation groups.  A :class:`MetabelianGroup` and a
 :class:`DirectProduct` offer the same ``order``, ``primes``,
-``class_size_spectrum()``, ``delta()``, ``pi_subgroup()`` and
-``to_permutation()`` as a :class:`~classgraph.perm.PermGroup`.
+``class_size_spectrum()``, ``delta()`` and ``pi_subgroup()`` as a
+:class:`~classgraph.perm.PermGroup`.
 
 A :class:`MetabelianGroup` is three tuples: kernel and top cyclic factor
 orders and the unit multipliers of the action.  It answers every query
@@ -15,13 +15,12 @@ off those tuples and never enumerates: whether the action is
 fixed-point-free (Frobenius) by :func:`is_frobenius_action`, from
 multiplicative orders modulo the primes of the kernel factors; its
 spectrum by orbit-stabilizer over the image of the action, which its
-``cap`` bounds; its π-subgroups by one rule.  ``to_permutation`` builds
-a faithful permutation realization, which only the tests use, as an
-independent cross-check.  Every ``direct`` node, and a ``perm`` node
-whose generators split, evaluates to one :class:`DirectProduct` of leaf
-groups of either kind, coprime or not, which reads every answer off its
-factors: the cap bounds what a factor enumerates, never the product's
-order.
+``cap`` bounds; its π-subgroups by one rule.  Every ``direct`` node, and
+a ``perm`` node whose generators split, evaluates to one
+:class:`DirectProduct` of leaf groups of either kind, coprime or not,
+which reads every answer off its factors: the cap bounds what a factor
+enumerates, never the product's order.  :func:`to_permutation` builds a
+faithful permutation realization of any group, which no query reads.
 """
 
 from __future__ import annotations
@@ -29,14 +28,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
-from itertools import combinations, product
+from functools import cached_property
+from itertools import accumulate, combinations, product
 
 from .errors import (
     CapExceeded,
     CoprimalityViolation,
     ExprError,
-    FaithfulnessFailure,
     InvalidMultiplier,
 )
 from .graph import PrimeGraph, delta_of, mask_components, product_delta, product_spectrum
@@ -50,9 +48,9 @@ class MetabelianGroup:
 
     ``kernel`` and ``top`` are the orders of the cyclic factors, each at
     least 2, and top factor i multiplies kernel factor j by the unit
-    ``multipliers[i][j]``.  ``cap`` bounds the enumeration of the
-    permutation realization, as ``PermGroup.cap`` does, and takes no part
-    in equality.
+    ``multipliers[i][j]``.  ``cap`` bounds the spectrum's work off the
+    tree, |W| · ∏ τ(m_j) in ``class_size_spectrum``, and takes no part in
+    equality.
     """
 
     kernel: tuple[int, ...]
@@ -175,74 +173,15 @@ class MetabelianGroup:
             cap=self.cap,
         )
 
-    def to_permutation(self, *, verify_order: bool = True) -> PermGroup:
-        """Faithful permutation realization, built once per group and cached.
-
-        No query of the group reads it; it is the tests' cross-check.  With
-        ``verify_order``, an order above ``cap`` raises CapExceeded before
-        the realization is built, and the enumerated order must equal the
-        group order (FaithfulnessFailure otherwise).  Without it, the bare
-        realization is returned, for callers that only read its generators.
-        """
-        if not verify_order:
-            return self._realization
-        if self.order > self.cap:
-            raise CapExceeded(f"group of order {self.order} exceeds enumeration cap {self.cap}")
-        group = self._realization
-        if group.order != self.order:
-            raise FaithfulnessFailure(
-                f"permutation realization has order {group.order}, expected {self.order}"
-            )
-        return group
-
-    @cached_property
-    def _realization(self) -> PermGroup:
-        """The realization on one point block per cyclic factor.
-
-        Kernel generators translate their own block; each top generator
-        multiplies every kernel block by its unit and translates its own top
-        block.  The top blocks make the top part faithful, the kernel blocks
-        the rest.
-        """
-        blocks = self.kernel + self.top
-        if not blocks:
-            return PermGroup([Permutation.identity(1)], cap=self.cap)
-        offsets = []
-        off = 0
-        for n in blocks:
-            offsets.append(off)
-            off += n
-        degree = off
-        gens = []
-        for j, m in enumerate(self.kernel):
-            images = list(range(degree))
-            base = offsets[j]
-            for x in range(m):
-                images[base + x] = base + (x + 1) % m
-            gens.append(Permutation(tuple(images)))
-        for i, n in enumerate(self.top):
-            images = list(range(degree))
-            for j, m in enumerate(self.kernel):
-                base = offsets[j]
-                u = self.multipliers[i][j]
-                for x in range(m):
-                    images[base + x] = base + (x * u) % m
-            base = offsets[len(self.kernel) + i]
-            for x in range(n):
-                images[base + x] = base + (x + 1) % n
-            gens.append(Permutation(tuple(images)))
-        return PermGroup(gens, cap=self.cap)
-
 
 @dataclass(frozen=True)
 class DirectProduct:
     """The direct product of leaf groups of either kind, coprime or not, read off its factors.
 
-    ``cap`` gates ``to_permutation`` alone; each factor's own cap bounds what it enumerates.
+    It has no cap of its own: each factor's cap bounds what that factor enumerates.
     """
 
     factors: tuple[MetabelianGroup | PermGroup, ...]
-    cap: int = field(default=DEFAULT_ENUMERATION_CAP, compare=False)
 
     @property
     def order(self) -> int:
@@ -271,14 +210,7 @@ class DirectProduct:
         subs = subs or [self.factors[0].pi_subgroup(pi)]
         if any(sub is None for sub in subs):
             return None
-        return subs[0] if len(subs) == 1 else DirectProduct(tuple(subs), self.cap)
-
-    def to_permutation(self, *, verify_order: bool = True) -> PermGroup:
-        """The factors' realizations on disjoint points; ``verify_order`` gates the order on ``cap``."""
-        if verify_order and self.order > self.cap:
-            raise CapExceeded(f"group of order {self.order} exceeds enumeration cap {self.cap}")
-        parts = [f.to_permutation(verify_order=verify_order) for f in self.factors]
-        return reduce(PermGroup.direct_product, parts)
+        return subs[0] if len(subs) == 1 else DirectProduct(tuple(subs))
 
 
 Group = MetabelianGroup | PermGroup | DirectProduct
@@ -454,7 +386,7 @@ def evaluate(expr: GroupExpr, *, cap: int | None = None) -> Group:
     factors, flattened, whatever primes they share and whatever kind they
     are.  A permutation group whose generators split is the
     :class:`DirectProduct` of its ``_perm_factors``, each walked on its own.
-    Every group built carries ``cap`` (default ``DEFAULT_ENUMERATION_CAP``),
+    Every leaf built carries ``cap`` (default ``DEFAULT_ENUMERATION_CAP``),
     the bound on any enumeration of it.
     """
     if cap is None:
@@ -480,13 +412,13 @@ def evaluate(expr: GroupExpr, *, cap: int | None = None) -> Group:
             raise ExprError("generator degree does not match declared degree")
         group = PermGroup(gens, cap=cap)
         factors = _perm_factors(group)
-        return DirectProduct(factors, cap) if factors else group
+        return DirectProduct(factors) if factors else group
     if isinstance(expr, Direct):
         if not expr.factors:
             raise ExprError("direct product needs at least one factor")
         groups = [evaluate(child, cap=cap) for child in expr.factors]
         parts = tuple(f for g in groups for f in g.factors or (g,))
-        return parts[0] if len(parts) == 1 else DirectProduct(parts, cap)
+        return parts[0] if len(parts) == 1 else DirectProduct(parts)
     raise ExprError(f"unknown construction node {expr!r}")
 
 
@@ -515,10 +447,45 @@ def is_frobenius_action(g: MetabelianGroup) -> bool:
     return True
 
 
-# Module-level spellings of the shared group interface, for either kind of group.
+# A module-level spelling of the shared ``class_size_spectrum()``, for any kind of group.
 def class_size_spectrum(group: Group) -> Counter[int]:
     return group.class_size_spectrum()
 
 
-def to_permutation(group: Group, **kwargs) -> PermGroup:
-    return group.to_permutation(**kwargs)
+def to_permutation(group: Group) -> PermGroup:
+    """A faithful permutation realization; no query of a group reads it.
+
+    A :class:`~classgraph.perm.PermGroup` is its own.  Otherwise each leaf of
+    ``group.factors or (group,)`` takes its own points, in factor order.  A
+    permutation leaf puts its generators there.  A :class:`MetabelianGroup`
+    leaf takes one block per cyclic factor: kernel generator j translates
+    block j, then top generator i multiplies every kernel block by its unit
+    and translates its own block, which makes the top part faithful.  A leaf
+    with no blocks takes one fixed point, generated by the identity.  The
+    leaves' ``cap`` bounds the result's walk, so CapExceeded comes from that.
+    """
+    if isinstance(group, PermGroup):
+        return group
+    leaves = group.factors or (group,)
+    sizes = [f.degree if isinstance(f, PermGroup) else sum(f.kernel + f.top) or 1 for f in leaves]
+    degree = sum(sizes)
+    gens = []  # each generator as (first point, images on the block from it) pieces
+    for leaf, off in zip(leaves, accumulate(sizes, initial=0)):
+        if isinstance(leaf, PermGroup):
+            gens += [[(off, g.images)] for g in leaf.generators]
+            continue
+        k, starts = len(leaf.kernel), list(accumulate(leaf.kernel + leaf.top, initial=off))
+        gens += [[(base, (*range(1, m), 0))] for base, m in zip(starts, leaf.kernel)]
+        for i, (n, row) in enumerate(zip(leaf.top, leaf.multipliers)):
+            units = zip(starts, leaf.kernel, row)
+            scaled = [(base, tuple(x * u % m for x in range(m))) for base, m, u in units]
+            gens.append(scaled + [(starts[k + i], (*range(1, n), 0))])
+        if not leaf.kernel + leaf.top:
+            gens.append([])
+    perms = []
+    for pieces in gens:
+        images = list(range(degree))
+        for start, block in pieces:
+            images[start : start + len(block)] = (start + x for x in block)
+        perms.append(Permutation(tuple(images)))
+    return PermGroup(perms, cap=max(f.cap for f in leaves))

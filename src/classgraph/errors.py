@@ -64,10 +64,6 @@ class InternalInvariantError(ClassGraphError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
-class FaithfulnessFailure(InternalInvariantError):
-    """A permutation realization enumerated to the wrong order."""
-
-
 class PredictionMismatch(InternalInvariantError):
     """A constructed group's computed graph disagrees with its prediction."""
 

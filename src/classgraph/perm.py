@@ -223,10 +223,11 @@ def _conjugation_tables(
 class PermGroup:
     """A finite group given by permutation generators; queries enumerate it.
 
-    Shares ``order``, ``primes``, ``class_size_spectrum()``, ``delta()``,
-    ``pi_subgroup()`` and ``to_permutation()`` with the structured groups of
+    Shares ``order``, ``primes``, ``class_size_spectrum()``, ``delta()`` and
+    ``pi_subgroup()`` with the structured groups of
     :mod:`classgraph.construction`, and answers each from its own walk,
-    whether or not its generators split.
+    whether or not its generators split.  It is its own permutation
+    realization in :func:`~classgraph.construction.to_permutation`.
     """
 
     frobenius = False
@@ -291,13 +292,6 @@ class PermGroup:
         classes, labels = self._partition
         by_class = [_order_of_images(c.representative.images) for c in classes]
         return array("l", map(by_class.__getitem__, labels))
-
-    def to_permutation(self, *, verify_order: bool = True) -> "PermGroup":
-        """The group itself, which is its own enumeration with its own cap.
-
-        Takes ``verify_order`` like ``MetabelianGroup.to_permutation`` and ignores it.
-        """
-        return self
 
     def __contains__(self, p: Permutation) -> bool:
         return p.degree == self.degree and p.images in self._table[0]
@@ -459,19 +453,6 @@ class PermGroup:
             index, orders = self._table[0], self._orders
             cache["_orders"] = array("l", map(orders.__getitem__, map(index.__getitem__, table[0])))
         return sub
-
-    # -- constructions -----------------------------------------------------
-
-    def direct_product(self, other: "PermGroup") -> "PermGroup":
-        """Action on the disjoint union of the two point sets."""
-        d1, d2 = self.degree, other.degree
-        gens = [
-            Permutation(g.images + tuple(range(d1, d1 + d2))) for g in self.generators
-        ] + [
-            Permutation(tuple(range(d1)) + tuple(i + d1 for i in g.images))
-            for g in other.generators
-        ]
-        return PermGroup(gens, cap=max(self.cap, other.cap))
 
 
 def trivial_group(degree: int = 1) -> PermGroup:

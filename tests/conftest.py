@@ -20,6 +20,7 @@ from classgraph import (  # noqa: E402
     MetabelianGroup,
     PermGroup,
     evaluate,
+    to_permutation,
 )
 from corpus import corpus_entries  # noqa: E402
 
@@ -39,7 +40,8 @@ def corpus() -> tuple[CorpusGroup, ...]:
     out = []
     for entry in corpus_entries():
         group = evaluate(entry.expr)
-        perm = group.to_permutation()
+        perm = to_permutation(group)
+        assert perm.order == entry.order, entry.name  # a faithful realization
         out.append(
             CorpusGroup(
                 name=entry.name,

@@ -31,6 +31,7 @@ from classgraph import (
     Permutation,
     PrimeGraph,
     is_block_square_partition,
+    to_permutation,
 )
 from classgraph.perm import cayley_table
 
@@ -178,7 +179,7 @@ def pairwise_sylow_is_central(group: PermGroup, p: int) -> bool:
 
 def fixed_point_free_by_scan(g: MetabelianGroup) -> bool:
     """No nontrivial top element centralises a nontrivial kernel element."""
-    perm = g.to_permutation(verify_order=False)  # only its generators are used
+    perm = to_permutation(g)  # only its generators are used
     nk = len(g.kernel)
     kernel = PermGroup(perm.generators[:nk]).elements()
     top = PermGroup(perm.generators[nk:]).elements()

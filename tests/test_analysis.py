@@ -175,13 +175,13 @@ def test_capped_group_raises_before_any_normal_closure(monkeypatch):
     assert calls == [(own, 100), (own, 100)]
 
 
-def test_over_cap_structured_group_raises_before_any_closure(monkeypatch):
+def test_over_cap_structured_group_analyzes_with_no_closure(monkeypatch):
     # z7 x| z6 is neither abelian nor Frobenius, but its spectrum and
     # pi-subgroups come off its tree, so at cap 2309 the product of order
     # 2310 verifies as it does uncapped, with no walk.  The D-group
     # recognizer needs no enumeration: the product has two nonabelian
-    # factors.  Only the realization of the whole product is gated on its
-    # order, and it raises before any closure.
+    # factors.  Only the walk of the realization of the whole product
+    # raises, and building it walks nothing.
     import classgraph.perm as perm
 
     expr = Direct((Semidirect((7,), (6,), ((2,),)), Frobenius((11,), 5)))
@@ -197,11 +197,11 @@ def test_over_cap_structured_group_raises_before_any_closure(monkeypatch):
         capped, spectrum=report.spectrum, graph=report.graph, partitions=report.partitions
     ) == report
     assert calls == []
-    walked = len(calls)
-    with pytest.raises(CapExceeded, match="order 2310 exceeds enumeration cap 2309"):
-        capped.to_permutation()
-    assert len(calls) == walked
-    assert capped.to_permutation(verify_order=False).degree == 29
+    realization = to_permutation(capped)
+    assert realization.degree == 29 and calls == []
+    with pytest.raises(CapExceeded, match="group closure exceeded cap 2309"):
+        realization.order
+    assert len(calls) == 1
 
 
 # -- structural recognizer (structured groups) ----------------------------------------
@@ -231,7 +231,6 @@ def test_structural_undecided_falls_back(walks):
     assert isinstance(g, MetabelianGroup)
     w = dgroup_witness(g)
     assert w is not None and (w.a_order, w.b_order) == (7, 9)
-    assert "_realization" not in vars(g)
     assert walks == []
 
 
@@ -475,7 +474,7 @@ def test_analyze_enumerates_no_abelian_or_frobenius_part(monkeypatch):
     monkeypatch.setattr(perm, "cayley_table", lambda *a: calls.append(a))
     expr = Direct((Frobenius((1000003,), 3), Frobenius((11,), 5), Cyclic(2)))
     report = analyze_expr("f3000009_x_f55_x_c2", expr)
-    assert report["order"] == 330_000_990 > 330 * evaluate(expr).cap
+    assert report["order"] == 330_000_990 > 330 * evaluate(expr).factors[0].cap
     assert report["decomposition"]["status"] == VERIFIED
     assert report["decomposition"]["witness"]["central_primes"] == [2]
     assert calls == []
@@ -615,9 +614,7 @@ def split_products(draw):
     else:
         parts = list(draw(st.sampled_from(SQUARES)))
         parts += draw(st.lists(random_perm_groups(max_degree=2), max_size=1))
-    product = parts[0]
-    for part in parts[1:]:
-        product = product.direct_product(part)
+    product = to_permutation(DirectProduct(tuple(parts)))
     sigma = draw(st.permutations(range(product.degree)))
     gens = [Permutation(_relabelled(g.images, sigma)) for g in product.generators]
     return PermGroup(draw(st.permutations(gens))), parts
@@ -747,7 +744,7 @@ def test_direct_products_agree_with_the_whole_group_enumerated():
     def check(expr):
         group = evaluate(expr)
         assert isinstance(group, DirectProduct), expr
-        expected = whole_group_answers(group.to_permutation())
+        expected = whole_group_answers(to_permutation(group))
         assert group.order == expected["order"], expr
         assert group.primes == tuple(p for p in (2, 3, 5, 7, 11, 13) if group.order % p == 0)
         assert group.class_size_spectrum() == expected["spectrum"], expr

@@ -138,7 +138,7 @@ def test_evaluate_direct_non_coprime_goes_through_permutations():
     g = evaluate(Direct((Frobenius((7,), 3), Cyclic(3))))
     assert isinstance(g, DirectProduct)
     assert g.order == 63 and g.primes == (3, 7)
-    perm = g.to_permutation()
+    perm = to_permutation(g)
     assert isinstance(perm, PermGroup) and perm.degree == 13
     assert g.class_size_spectrum() == perm.class_size_spectrum() == {1: 3, 3: 6, 7: 6}
     assert g.delta() == perm.delta()
@@ -335,16 +335,21 @@ def test_seeded_frobenius_flag_is_the_closed_form_test(node):
         assert fixed_point_free_by_scan(g)
 
 
-def test_explicit_multiplier_of_smaller_order_is_not_frobenius():
+def test_explicit_multiplier_of_smaller_order_is_not_frobenius(monkeypatch):
     # 2 has order 3 mod 7, so the top's element of order 2 centralizes the
     # kernel: no seed, and the spectrum comes off the tree by
-    # orbit-stabilizer, with no realization built; the realization agrees.
+    # orbit-stabilizer, with no walk; the realization agrees.
+    import classgraph.perm as perm
+
+    calls = []
+    real = perm.cayley_table
+    monkeypatch.setattr(perm, "cayley_table", lambda *a: calls.append(a) or real(*a))
     g = evaluate(Frobenius((7,), 6, (2,)))
     assert "frobenius" not in g.__dict__
     assert not g.frobenius and not is_frobenius_action(g)
     assert dict(g.class_size_spectrum()) == {1: 2, 3: 4, 7: 4}
-    assert "_realization" not in g.__dict__
-    assert g.class_size_spectrum() == g.to_permutation().class_size_spectrum()
+    assert calls == []
+    assert g.class_size_spectrum() == to_permutation(g).class_size_spectrum()
 
 
 def test_frobenius_node_on_a_large_kernel_prime_is_analyzed_at_once():
@@ -418,7 +423,7 @@ def _witness_json(witness):
 
 
 def _assert_routes_agree(g):
-    perm = g.to_permutation()
+    perm = to_permutation(g)
     assert _witness_json(dgroup_witness(g)) == _witness_json(dgroup_witness(perm))
     spectrum = g.class_size_spectrum()
     assert spectrum == perm.class_size_spectrum()
@@ -472,7 +477,7 @@ def test_spectrum_off_the_tree_agrees_with_the_realization_and_the_oracle():
     seen: Counter[str] = Counter()
     for g in non_frobenius_leaves(200, seed=12):
         spectrum = g.class_size_spectrum()
-        assert spectrum == g.to_permutation().class_size_spectrum(), g
+        assert spectrum == to_permutation(g).class_size_spectrum(), g
         assert spectrum == semidirect_class_sizes(*_parts(g)), g
         seen["two kernel and two top factors"] += len(g.kernel) == len(g.top) == 2
         seen["four or more sizes"] += len(spectrum) > 3
@@ -484,7 +489,7 @@ def test_witness_and_pi_subgroups_off_the_tree_agree_with_the_realization():
     # pi-subgroup rule, for every proper subset of the primes.
     seen: Counter[str] = Counter()
     for g in non_frobenius_leaves(200, seed=14):
-        realization = g.to_permutation()
+        realization = to_permutation(g)
         witness = dgroup_witness(g)
         assert _witness_json(witness) == _witness_json(dgroup_witness(realization)), g
         seen["D-groups"] += witness is not None
@@ -686,35 +691,35 @@ def test_module_functions_take_either_kind_of_group():
         assert to_permutation(perm) is perm
         assert to_permutation(structured).order == structured.order
     assert dict(class_size_spectrum(symmetric_group(3))) == {1: 1, 2: 1, 3: 1}
-    # Keyword arguments reach the group's own method.
-    f21 = evaluate(Frobenius((7,), 3))
-    assert to_permutation(f21, verify_order=False).order == 21
-    s3 = symmetric_group(3)
-    assert to_permutation(s3, verify_order=False) is s3
     # The cap comes from evaluate and is carried by the group and its
-    # one cached realization, which keeps its order gate.  The group's own
+    # realization, whose walk it bounds like any other.  The group's own
     # answers come off its tree: 3 action images times 2 divisor tuples of
     # 7 are within a cap of 62, though its order 63 is not.
     assert to_permutation(evaluate(Frobenius((7,), 3), cap=21)).cap == 21
     capped = evaluate(Semidirect((7,), (9,), ((2,),)), cap=62)
     assert capped.cap == 62 and capped == evaluate(Semidirect((7,), (9,), ((2,),)))
-    with pytest.raises(CapExceeded, match="order 63 exceeds enumeration cap 62"):
-        to_permutation(capped)
+    realization = to_permutation(capped)
+    assert realization.cap == 62 and realization.degree == 16
+    with pytest.raises(CapExceeded, match="group closure exceeded cap 62"):
+        realization.order
     assert dict(class_size_spectrum(capped)) == {1: 3, 3: 6, 7: 6}
     assert dgroup_witness(capped).to_json_obj() == {
         "a_order": 7, "b_order": 9, "center_order": 3, "class_sizes": [1, 3, 7]
     }
-    assert to_permutation(f21) is to_permutation(f21)
+    # Not cached: each call builds the same realization afresh.
+    f21 = evaluate(Frobenius((7,), 3))
+    assert to_permutation(f21).generators == to_permutation(f21).generators
 
 
-def test_overlapping_product_over_the_cap_raises_before_it_is_realized(monkeypatch):
+def test_overlapping_product_over_the_cap_raises_when_its_realization_is_walked(monkeypatch):
     # C10 x C10 shares its primes.  Its factors answer without enumeration,
     # so the cap does not bound its order: at cap 99 it analyzes as at cap
-    # 100, and only its realization, gated on the whole order, raises.
+    # 100, and only the walk of its realization, of the whole order, raises.
     import classgraph.perm as perm
 
     calls = []
-    monkeypatch.setattr(perm, "cayley_table", lambda *a: calls.append(a))
+    real = perm.cayley_table
+    monkeypatch.setattr(perm, "cayley_table", lambda *a: calls.append(a) or real(*a))
     expr = Direct((Cyclic(10), Cyclic(10)))
     assert analyze_expr("c10_x_c10", expr, enumeration_cap=99) == analyze_expr(
         "c10_x_c10", expr, enumeration_cap=100
@@ -722,6 +727,8 @@ def test_overlapping_product_over_the_cap_raises_before_it_is_realized(monkeypat
     assert calls == []
     capped = evaluate(expr, cap=99)
     assert capped.order == 100
-    with pytest.raises(CapExceeded, match="order 100 exceeds enumeration cap 99"):
-        capped.to_permutation()
+    realization = to_permutation(capped)
     assert calls == []
+    with pytest.raises(CapExceeded, match="group closure exceeded cap 99"):
+        realization.order
+    assert len(calls) == 1

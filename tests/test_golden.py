@@ -50,10 +50,13 @@ from classgraph import (
     parse_spec_text,
     serialize_spec,
     strip_central_sylows,
+    to_permutation,
     verify_decomposition,
 )
 from classgraph.primes import is_prime
 from classgraph.reports import analyze_expr, report_to_json
+from corpus import S3_PERM
+from oracles import fixed_point_free_by_scan
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -160,7 +163,7 @@ def test_spec_reports_do_not_depend_on_the_presentation():
         group = evaluate(expr)
         if group.order > 20_000:
             continue
-        realization = group.to_permutation()
+        realization = to_permutation(group)
         presentations = (expr, _perm_node(realization), _disguised(realization, random.Random(name)))
         reports = [report_to_json(analyze_expr(name, e)) for e in presentations]
         assert reports[1] == reports[0], name
@@ -298,7 +301,7 @@ def test_generated_tree_reports_do_not_depend_on_the_presentation():
         expr, order, enumerated = tree
         rng = random.Random(seed)
         group = evaluate(expr)
-        realization = group.to_permutation(verify_order=False)
+        realization = to_permutation(group)
         presentations = (
             expr,
             _reassociated(expr, rng),
@@ -409,7 +412,7 @@ def test_structured_pi_subgroups_and_verifier_agree_with_the_realization():
     @example((Semidirect((13,), (2, 3), ((12,), (3,))), 78, False))
     def check(tree):
         group = evaluate(tree[0])
-        realization = group.to_permutation()
+        realization = to_permutation(group)
         for r in range(len(group.primes) + 1):
             for pi in map(frozenset, combinations(group.primes, r)):
                 mine, theirs = group.pi_subgroup(pi), realization.pi_subgroup(pi)
@@ -430,6 +433,53 @@ def test_structured_pi_subgroups_and_verifier_agree_with_the_realization():
 
     check()
     assert seen["structured"] >= 100
+    assert min(seen.values()) > 0, seen
+
+
+def test_realization_is_faithful_and_laid_out_leaf_by_leaf():
+    # to_permutation gives each leaf its own points, in factor order: a
+    # permutation leaf's generators as they are; a structured leaf's kernel
+    # generators, then its top generators, one block per cyclic factor; one
+    # fixed point for a leaf with no blocks.  fixed_point_free_by_scan reads
+    # that layout.  The realization must have the group's order and spectrum.
+    seen: Counter[str] = Counter()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_trees())
+    @example((Direct((S3_PERM, Semidirect((7,), (9,), ((2,),)))), 378, True))
+    @example((Cyclic(1), 1, False))
+    def check(tree):
+        group = evaluate(tree[0])
+        realization = to_permutation(group)
+        assert realization.order == group.order, tree
+        assert realization.class_size_spectrum() == group.class_size_spectrum(), tree
+        gens, off = realization.generators, 0
+        for leaf in group.factors or (group,):
+            if isinstance(leaf, PermGroup):
+                size, count = leaf.degree, len(leaf.generators)
+                placed = [tuple(off + x for x in g.images) for g in leaf.generators]
+                assert [g.images[off : off + size] for g in gens[:count]] == placed, tree
+                seen["permutation leaf"] += 1
+            else:
+                k, blocks = len(leaf.kernel), leaf.kernel + leaf.top
+                size, count = sum(blocks) or 1, len(blocks) or 1
+                if k:
+                    assert PermGroup(gens[:k]).order == math.prod(leaf.kernel), tree
+                if leaf.top:
+                    assert PermGroup(gens[k:count]).order == math.prod(leaf.top), tree
+                if k and leaf.top:
+                    assert fixed_point_free_by_scan(leaf) == leaf.frobenius, tree
+                seen["no blocks"] += not blocks
+                seen["non-Frobenius semidirect"] += not (leaf.is_abelian or leaf.frobenius)
+            outside = [i for i in range(realization.degree) if not off <= i < off + size]
+            assert all(g.images[i] == i for g in gens[:count] for i in outside), tree
+            gens, off = gens[count:], off + size
+        assert gens == () and realization.degree == off, tree
+        seen["examples"] += 1
+        seen["product"] += bool(group.factors)
+
+    check()
+    assert seen["examples"] >= 100 + 2  # drawn and given
     assert min(seen.values()) > 0, seen
 
 

@@ -370,13 +370,13 @@ def test_subgroup_rejects_non_subgroups():
 
 
 def test_direct_product_with_trivial():
-    g = s3().direct_product(trivial_group(1))
+    g = to_permutation(DirectProduct((s3(), trivial_group(1))))
     assert g.order == 6
     assert g.class_size_spectrum() == s3().class_size_spectrum()
 
 
 def test_direct_product_s3_z2():
-    g = s3().direct_product(to_permutation(evaluate(Cyclic(2))))
+    g = to_permutation(DirectProduct((s3(), to_permutation(evaluate(Cyclic(2))))))
     assert g.order == 12
     assert sorted(g.class_size_spectrum().elements()) == [1, 1, 2, 2, 3, 3]
 
@@ -385,7 +385,7 @@ def test_direct_product_spectrum_is_pairwise_products(corpus):
     small = [e.perm for e in corpus if e.order <= 60]
     for g1 in small[:4]:
         for g2 in small[:4]:
-            prod = g1.direct_product(g2)
+            prod = to_permutation(DirectProduct((g1, g2)))
             expected = sorted(
                 s1 * s2
                 for s1 in g1.class_size_spectrum().elements()
@@ -395,7 +395,7 @@ def test_direct_product_spectrum_is_pairwise_products(corpus):
 
 
 def test_direct_product_f21_f55_class_size_set():
-    g = f21_perm().direct_product(to_permutation(evaluate(Frobenius((11,), 5))))
+    g = to_permutation(DirectProduct((f21_perm(), to_permutation(evaluate(Frobenius((11,), 5))))))
     assert g.order == 1155
     assert set(g.class_size_spectrum()) == {1, 3, 7, 5, 11, 15, 35, 33, 77}
 
